@@ -121,21 +121,28 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    deadline = _deadline(args)
+    theories = _all_theories(db, query, item_scheme, trans_scheme, _deadline(args))
+    if isinstance(theories, int):
+        return theories
+    for name, pairs in theories.items():
+        print(f"{name}: {len(pairs)} pairs")
+    return _diff_theories(theories)
+
+
+def _all_theories(db, query, item_scheme, trans_scheme, deadline, where=""):
+    """The theory of each engine by name, or the exit code of the first
+    engine that times out or fails, reported on stderr after ``where``."""
     theories = {}
     for name in ("cp", "baseline", "oracle"):
         try:
-            theories[name] = _run_engine(
-                name, db, query, item_scheme, trans_scheme, deadline
-            )
+            theories[name] = _run_engine(name, db, query, item_scheme, trans_scheme, deadline)
         except SearchTimeout:
-            print(f"{name}: timeout", file=sys.stderr)
+            print(f"{where}{name}: timeout", file=sys.stderr)
             return EXIT_TIMEOUT
         except (OSError, ValueError, RuntimeError) as exc:
-            print(f"error in engine {name}: {exc}", file=sys.stderr)
+            print(f"{where}error in engine {name}: {exc}", file=sys.stderr)
             return EXIT_ERROR
-        print(f"{name}: {len(theories[name])} pairs")
-    return _diff_theories(theories)
+    return theories
 
 
 def _diff_theories(theories) -> int:
@@ -161,11 +168,11 @@ def _verify_random(args) -> int:
     failures = 0
     for k in range(args.seeds):
         db, item_scheme, trans_scheme, query = generate_random_instance(rng)
-        results = {}
-        for name in ("cp", "baseline", "oracle"):
-            results[name] = _run_engine(
-                name, db, query, item_scheme, trans_scheme, _deadline(args)
-            )
+        results = _all_theories(
+            db, query, item_scheme, trans_scheme, _deadline(args), f"seed {k}: "
+        )
+        if isinstance(results, int):
+            return results
         sizes = {name: len(pairs) for name, pairs in results.items()}
         agree = (
             set(results["cp"]) == set(results["baseline"]) == set(results["oracle"])

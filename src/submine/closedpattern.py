@@ -3,9 +3,14 @@ sub-dataset.
 
 ``ClosedPatternSub`` filters the itemset variables directly from bitset
 covers instead of going through the reified decomposition; it accepts
-exactly the same full assignments.  Once the mask (H, V) is fully assigned
-it applies, over the cover of the current positive items restricted to the
-active transactions and the not-yet-excluded cover variables:
+exactly the same full assignments.  It reads the itemset X, the mask (H, V)
+and the optional cover variables Y as the solver's per-role bitsets, so a
+wake-up costs no scan over variables.  The cover is derived state: the
+intersection of the columns of the items fixed to 1, restricted to the
+transactions whose cover variable (where one exists) is not fixed to 0.
+
+Once the mask is fully assigned it applies, over that cover restricted to
+the active transactions:
 
   * fail when that cover cannot reach the support threshold;
   * drop a free item whose addition kills the threshold;
@@ -16,19 +21,23 @@ active transactions and the not-yet-excluded cover variables:
 
 While the mask is only partially assigned it runs relaxed, always-sound
 bounds: an optimistic cover over possibly-active transactions against the
-count of definitely-active ones.  Cover state is recomputed from the column
-bitsets on wake-up; per-role change stamps keep the rebuild work small.
+count of definitely-active ones.  Where Y variables exist they follow the
+itemset and the mask.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .dataset import TransactionDatabase, span_bits
-from .engine import ROLE_H, ROLE_V, ROLE_X, ROLE_Y, UNASSIGNED, Propagator, Solver
+from .dataset import TransactionDatabase, iter_bits, span_bits
+from .engine import ROLE_H, ROLE_V, ROLE_X, ROLE_Y, Propagator, Solver
 
 
 class ClosedPatternSub(Propagator):
+    """Variable handles are 1-based lists (slot 0 unused) whose i-th entry
+    must sit at position i of its role; ``y_vars`` may be empty or hold
+    None for transactions without a cover variable."""
+
     def __init__(
         self,
         db: TransactionDatabase,
@@ -53,13 +62,14 @@ class ClosedPatternSub(Propagator):
         self.m = db.transaction_count
         self.item_universe = span_bits(1, self.n)
         self.trans_universe = span_bits(1, self.m)
-        self._stamp_x = self._stamp_h = self._stamp_v = self._stamp_y = -1
-        self._x1 = self._xnz = 0
-        self._h1 = self._hnz = 0
-        self._h_done = False
-        self._v1 = self._vnz = 0
-        self._v_done = False
-        self._y1 = self._ynz = 0
+        # transactions that have a cover variable
+        self.y_here = sum(1 << j for j, y in enumerate(y_vars) if y is not None)
+        # per item, the items with the same column (sparse ids leave many
+        # empty ones); they exclude the same cover rows
+        by_column: dict[int, int] = {}
+        for i in range(1, self.n + 1):
+            by_column[db.columns[i]] = by_column.get(db.columns[i], 0) | 1 << i
+        self.same_column = [0] + [by_column[db.columns[i]] for i in range(1, self.n + 1)]
 
     def vars(self):
         out = []
@@ -67,100 +77,59 @@ class ClosedPatternSub(Propagator):
             out.extend(v for v in vs if v is not None)
         return out
 
-    def _refresh(self, s: Solver) -> None:
-        st = s.stamp(ROLE_X)
-        if st != self._stamp_x:
-            self._stamp_x = st
-            one = nz = 0
-            for i in range(1, self.n + 1):
-                val = s.value(self.x_vars[i])
-                if val == 1:
-                    one |= 1 << i
-                    nz |= 1 << i
-                elif val == UNASSIGNED:
-                    nz |= 1 << i
-            self._x1, self._xnz = one, nz
-        st = s.stamp(ROLE_H)
-        if st != self._stamp_h:
-            self._stamp_h = st
-            one = nz = 0
-            done = True
-            for i in range(1, self.n + 1):
-                val = s.value(self.h_vars[i])
-                if val == 1:
-                    one |= 1 << i
-                    nz |= 1 << i
-                elif val == UNASSIGNED:
-                    nz |= 1 << i
-                    done = False
-            self._h1, self._hnz, self._h_done = one, nz, done
-        st = s.stamp(ROLE_V)
-        if st != self._stamp_v:
-            self._stamp_v = st
-            one = nz = 0
-            done = True
-            for j in range(1, self.m + 1):
-                val = s.value(self.v_vars[j])
-                if val == 1:
-                    one |= 1 << j
-                    nz |= 1 << j
-                elif val == UNASSIGNED:
-                    nz |= 1 << j
-                    done = False
-            self._v1, self._vnz, self._v_done = one, nz, done
-        st = s.stamp(ROLE_Y)
-        if st != self._stamp_y:
-            self._stamp_y = st
-            one = nz = 0
-            for j in range(1, self.m + 1):
-                val = s.value(self.y_vars[j])
-                if val == 1:
-                    one |= 1 << j
-                    nz |= 1 << j
-                elif val == UNASSIGNED:
-                    nz |= 1 << j
-            self._y1, self._ynz = one, nz
+    def bind(self, s: Solver) -> None:
+        for role, vs in (
+            (ROLE_X, self.x_vars),
+            (ROLE_H, self.h_vars),
+            (ROLE_Y, self.y_vars),
+            (ROLE_V, self.v_vars),
+        ):
+            if s.indexed_role(vs)[0] not in (role, None):
+                raise ValueError(f"expected variables of role {role!r}")
 
     def propagate(self, s: Solver) -> bool:
-        self._refresh(s)
         cols = self.db.columns
         rows = self.db.rows
         p, q = self.p, self.q
-        x1, xnz = self._x1, self._xnz
-        x_vars = self.x_vars
+        items = self.item_universe
+        trans = self.trans_universe
+        x1, x0 = s.fixed(ROLE_X)
+        x1 &= items
+        xnz = items & ~x0
+        h1, h0 = s.fixed(ROLE_H)
+        h1 &= items
+        v1, v0 = s.fixed(ROLE_V)
+        v1 &= trans
+        v0 &= trans
+        y1, y0 = s.fixed(ROLE_Y)
+        y1 &= self.y_here
+        ynz = trans & ~(y0 & self.y_here)
+        drop = 0  # free items to fix to 0
+        take = 0  # free items to fix to 1
 
         # items ruled out by transactions already committed to the cover
-        if self._y1:
-            allowed = self.item_universe
-            y1 = self._y1
-            while y1:
-                low = y1 & -y1
-                allowed &= rows[low.bit_length() - 1]
-                y1 ^= low
-            bad = xnz & ~allowed
-            while bad:
-                low = bad & -bad
-                if not s.assign(x_vars[low.bit_length() - 1], 0):
-                    return False
-                bad ^= low
-            xnz &= allowed | x1
+        if y1:
+            allowed = items
+            for j in iter_bits(y1):
+                allowed &= rows[j]
+            if x1 & ~allowed:
+                return False
+            drop = xnz & ~allowed
+            xnz &= allowed
 
-        sigma_cover = self.trans_universe
+        sigma_cover = trans
         rest = x1
         while rest:
             low = rest & -rest
             sigma_cover &= cols[low.bit_length() - 1]
             rest ^= low
 
-        if self._h_done and self._v_done:
-            act = self._v1
-            n_act = act.bit_count()
-            need = p * n_act
-            cov = sigma_cover & act & self._ynz
+        free = xnz & ~x1
+        if (h1 | h0) & items == items and v1 | v0 == trans:
+            need = p * v1.bit_count()
+            cov = sigma_cover & v1 & ynz
             if q * cov.bit_count() < need:
                 return False
-            h1 = self._h1
-            free = xnz & ~x1
             fr = free
             while fr:
                 low = fr & -fr
@@ -168,66 +137,54 @@ class ClosedPatternSub(Propagator):
                 i = low.bit_length() - 1
                 ci = cov & cols[i]
                 if q * ci.bit_count() < need:
-                    if not s.assign(x_vars[i], 0):
-                        return False
-                    free ^= low
-                elif self.closed and h1 & low and (cov & ~cols[i]) == 0:
-                    if not s.assign(x_vars[i], 1):
-                        return False
-                    free ^= low
+                    drop |= low
+                elif self.closed and h1 & low and ci == cov:
+                    take |= low
             if self.closed:
-                excluded = self.item_universe & ~xnz & h1
+                excluded = items & ~xnz & h1
                 if excluded:
-                    zs = []
+                    # the cover rows each excluded column misses
+                    zs = set()
                     ex = excluded
                     while ex:
-                        low = ex & -ex
-                        ex ^= low
-                        z = cov & ~cols[low.bit_length() - 1]
+                        i = (ex & -ex).bit_length() - 1
+                        ex &= ~self.same_column[i]
+                        z = cov & ~cols[i]
                         if z == 0:
                             return False
-                        zs.append(z)
-                    fr = free & h1
+                        zs.add(z)
+                    fr = free & h1 & ~(drop | take)
                     while fr:
                         low = fr & -fr
                         fr ^= low
-                        i = low.bit_length() - 1
-                        ci = cols[i]
+                        ci = cols[low.bit_length() - 1]
                         for z in zs:
                             if z & ci == 0:
-                                if not s.assign(x_vars[i], 0):
-                                    return False
+                                drop |= low
                                 break
         else:
-            floor = p * self._v1.bit_count()
-            ub_cov = sigma_cover & self._vnz & self._ynz
+            floor = p * v1.bit_count()
+            ub_cov = sigma_cover & ~v0 & ynz
             if q * ub_cov.bit_count() < floor:
                 return False
-            fr = xnz & ~x1
+            # with no transaction active yet, no support can fall short
+            fr = free if floor else 0
             while fr:
                 low = fr & -fr
                 fr ^= low
-                i = low.bit_length() - 1
-                if q * (ub_cov & cols[i]).bit_count() < floor:
-                    if not s.assign(x_vars[i], 0):
-                        return False
+                if q * (ub_cov & cols[low.bit_length() - 1]).bit_count() < floor:
+                    drop |= low
+        s.assign_bits(ROLE_X, drop, 0)
+        s.assign_bits(ROLE_X, take, 1)
 
-        # cover variables follow the itemset and the mask
-        y_vars = self.y_vars
-        v_vars = self.v_vars
-        for j in range(1, self.m + 1):
-            vv = s.value(v_vars[j])
-            if vv == 0:
-                if not s.assign(y_vars[j], 0):
-                    return False
-                continue
-            rj = rows[j]
-            if x1 & ~rj:
-                if not s.assign(y_vars[j], 0):
-                    return False
-            elif vv == 1 and (xnz & ~rj) == 0:
-                if not s.assign(y_vars[j], 1):
-                    return False
+        # cover variables, where they exist, follow the itemset and the mask
+        if self.y_here:
+            off = self.y_here & (v0 | ~sigma_cover)
+            cov_nz = trans
+            for i in iter_bits(xnz):
+                cov_nz &= cols[i]
+            on = self.y_here & v1 & cov_nz
+            return s.assign_bits(ROLE_Y, off, 0) and s.assign_bits(ROLE_Y, on, 1)
         return True
 
 

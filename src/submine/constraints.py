@@ -39,8 +39,37 @@ class Channel(Propagator):
         return True
 
 
+class RoleChannel(Propagator):
+    """dep <= gate for pairs of variables at equal positions of two roles:
+    the gates share one role and the deps another."""
+
+    def __init__(self, gates: Sequence[int], deps: Sequence[int]):
+        self.gates = list(gates)
+        self.deps = list(deps)
+
+    def vars(self):
+        return [*self.gates, *self.deps]
+
+    def bind(self, s: Solver) -> None:
+        self.gate_role, self.bits = s.role_bits(self.gates)
+        self.dep_role, _ = s.role_bits(self.deps)
+        for g, d in zip(self.gates, self.deps):
+            if s.position(g) != s.position(d):
+                raise ValueError(f"variables {g} and {d} sit at different positions")
+
+    def propagate(self, s: Solver) -> bool:
+        _, gate0 = s.fixed(self.gate_role)
+        dep1, _ = s.fixed(self.dep_role)
+        return s.assign_bits(self.dep_role, gate0 & self.bits, 0) and s.assign_bits(
+            self.gate_role, dep1 & self.bits, 1
+        )
+
+
 class CardinalityRange(Propagator):
-    """lb <= sum(vars) <= ub over Boolean vars (ub=None leaves it open)."""
+    """lb <= sum(vars) <= ub over Boolean vars (ub=None leaves it open).
+
+    The variables must share one role; the sum is a popcount of the
+    solver's bitsets for that role."""
 
     def __init__(self, variables: Sequence[int], lb: int, ub: int | None = None):
         self.variables = list(variables)
@@ -50,42 +79,39 @@ class CardinalityRange(Propagator):
     def vars(self):
         return self.variables
 
+    def bind(self, s: Solver) -> None:
+        self.role, self.bits = s.role_bits(self.variables)
+        if self.bits.bit_count() != len(self.variables):
+            raise ValueError("cardinality over repeated variables")
+
+    def _counts(self, s: Solver) -> tuple[int, int]:
+        """(ones, free) bitsets over the variables' positions."""
+        ones, zeros = s.fixed(self.role)
+        return ones & self.bits, self.bits & ~(ones | zeros)
+
     def entailed(self, s: Solver) -> bool:
-        ones = unknown = 0
-        for v in self.variables:
-            val = s.value(v)
-            if val == 1:
-                ones += 1
-            elif val == UNASSIGNED:
-                unknown += 1
-        return ones >= self.lb and (self.ub is None or ones + unknown <= self.ub)
+        ones, free = self._counts(s)
+        n_ones = ones.bit_count()
+        return n_ones >= self.lb and (self.ub is None or n_ones + free.bit_count() <= self.ub)
 
     def propagate(self, s: Solver) -> bool:
-        ones = 0
-        free: list[int] = []
-        for v in self.variables:
-            val = s.value(v)
-            if val == 1:
-                ones += 1
-            elif val == UNASSIGNED:
-                free.append(v)
-        if self.ub is not None and ones > self.ub:
+        ones, free = self._counts(s)
+        n_ones = ones.bit_count()
+        n_free = free.bit_count()
+        if self.ub is not None and n_ones > self.ub:
             return False
-        if ones + len(free) < self.lb:
+        if n_ones + n_free < self.lb:
             return False
-        if self.ub is not None and ones == self.ub:
-            for v in free:
-                if not s.assign(v, 0):
-                    return False
-        elif ones + len(free) == self.lb:
-            for v in free:
-                if not s.assign(v, 1):
-                    return False
+        if self.ub is not None and n_ones == self.ub:
+            return s.assign_bits(self.role, free, 0)
+        if n_ones + n_free == self.lb:
+            return s.assign_bits(self.role, free, 1)
         return True
 
 
 class AllEqual(Propagator):
-    """An indicator and its member variables all take the same value."""
+    """An indicator and its member variables all take the same value.
+    The members must share one role."""
 
     def __init__(self, indicator: int, members: Sequence[int]):
         self.indicator = indicator
@@ -94,26 +120,27 @@ class AllEqual(Propagator):
     def vars(self):
         return [self.indicator, *self.members]
 
+    def bind(self, s: Solver) -> None:
+        self.role, self.bits = s.role_bits(self.members)
+
     def propagate(self, s: Solver) -> bool:
         val = s.value(self.indicator)
         if val == UNASSIGNED:
-            for v in self.members:
-                mv = s.value(v)
-                if mv != UNASSIGNED:
-                    val = mv
-                    break
-            if val == UNASSIGNED:
+            ones, zeros = s.fixed(self.role)
+            if ones & self.bits:
+                val = 1
+            elif zeros & self.bits:
+                val = 0
+            else:
                 return True
-            if not s.assign(self.indicator, val):
-                return False
-        for v in self.members:
-            if not s.assign(v, val):
-                return False
-        return True
+            s.assign(self.indicator, val)
+        return s.assign_bits(self.role, self.bits, val)
 
 
 class CategorySpan(Propagator):
-    """The chosen items touch between lb and ub groups of a partition."""
+    """The chosen items touch between lb and ub groups of a partition.
+    ``x_vars[i]`` is the variable of item i and sits at position i of its
+    role (slot 0 unused)."""
 
     def __init__(self, x_vars: Sequence[int | None], groups, lb: int, ub: int):
         self.x_vars = x_vars
@@ -124,17 +151,13 @@ class CategorySpan(Propagator):
     def vars(self):
         return [v for v in self.x_vars if v is not None]
 
+    def bind(self, s: Solver) -> None:
+        self.role, self.bits = s.indexed_role(self.x_vars)
+
     def propagate(self, s: Solver) -> bool:
-        x_one = x_poss = 0
-        for i, v in enumerate(self.x_vars):
-            if v is None:
-                continue
-            val = s.value(v)
-            if val == 1:
-                x_one |= 1 << i
-                x_poss |= 1 << i
-            elif val == UNASSIGNED:
-                x_poss |= 1 << i
+        ones, zeros = s.fixed(self.role)
+        x_one = ones & self.bits
+        x_poss = self.bits & ~zeros
         touched = reachable = 0
         for g in self.groups:
             if x_one & g:
@@ -146,18 +169,19 @@ class CategorySpan(Propagator):
             return False
         if touched == self.ub:
             # no further group may be entered
+            untouched = 0
             for g in self.groups:
-                if x_one & g:
-                    continue
-                for i in iter_bits(x_poss & g):
-                    if not s.assign(self.x_vars[i], 0):
-                        return False
+                if not x_one & g:
+                    untouched |= g
+            return s.assign_bits(self.role, x_poss & untouched, 0)
         return True
 
 
 class ExactlyOneGroup(Propagator):
     """Exactly one indicator is 1 and the active transactions equal that
-    group's member set; groups may come from several partition levels."""
+    group's member set; groups may come from several partition levels.
+    ``v_vars[j]`` is the variable of transaction j and sits at position j
+    of its role (slot 0 unused)."""
 
     def __init__(self, entries: Sequence[tuple[int, int]], v_vars: Sequence[int | None]):
         self.entries = list(entries)  # (indicator var, member bitset)
@@ -168,6 +192,9 @@ class ExactlyOneGroup(Propagator):
         out.extend(v for v in self.v_vars if v is not None)
         return out
 
+    def bind(self, s: Solver) -> None:
+        self.role, self.bits = s.indexed_role(self.v_vars)
+
     def propagate(self, s: Solver) -> bool:
         chosen = None
         for b, bits in self.entries:
@@ -177,24 +204,18 @@ class ExactlyOneGroup(Propagator):
                 chosen = (b, bits)
         if chosen is not None:
             b, bits = chosen
-            for j, v in enumerate(self.v_vars):
-                if v is None:
-                    continue
-                if not s.assign(v, 1 if bits >> j & 1 else 0):
-                    return False
+            if not (
+                s.assign_bits(self.role, self.bits & bits, 1)
+                and s.assign_bits(self.role, self.bits & ~bits, 0)
+            ):
+                return False
             for other, _ in self.entries:
                 if other != b and not s.assign(other, 0):
                     return False
             return True
-        v_one = v_zero = 0
-        for j, v in enumerate(self.v_vars):
-            if v is None:
-                continue
-            val = s.value(v)
-            if val == 1:
-                v_one |= 1 << j
-            elif val == 0:
-                v_zero |= 1 << j
+        v_one, v_zero = s.fixed(self.role)
+        v_one &= self.bits
+        v_zero &= self.bits
         live: list[int] = []
         for b, bits in self.entries:
             if s.value(b) != UNASSIGNED:
@@ -364,17 +385,15 @@ class ClosednessReified(Propagator):
 # ------------------------------------------------------------ posting API
 
 
-def post_channeling(s: Solver, h_vars, x_vars, v_vars, y_vars) -> None:
-    """Inactive items leave the itemset; inactive transactions leave the
-    cover (x <= h per item, y <= v per transaction)."""
+def post_channeling(s: Solver, h_vars, x_vars, v_vars=(), y_vars=()) -> None:
+    """Inactive items leave the itemset (x <= h per item) and, where cover
+    variables exist, inactive transactions leave the cover (y <= v).  Each
+    list holds one role, paired by position."""
     if len(h_vars) != len(x_vars) or len(v_vars) != len(y_vars):
         raise ValueError("activation/decision vectors must have equal length")
-    for h, x in zip(h_vars, x_vars):
-        if h is not None:
-            s.post(Channel(h, x))
-    for v, y in zip(v_vars, y_vars):
-        if v is not None:
-            s.post(Channel(v, y))
+    for gates, deps in ((h_vars, x_vars), (v_vars, y_vars)):
+        if gates:
+            s.post(RoleChannel(gates, deps))
 
 
 def post_group_activation(

@@ -1,9 +1,13 @@
 """Tri-state Boolean constraint solver.
 
-Variables hold one of {unassigned, 0, 1}.  Propagators watch variables and
-are woken through a FIFO queue with per-propagator dedup until fixpoint.
-Backtracking restores the trail to a decision mark; search enumerates every
-full assignment accepted by all propagators, exactly once.
+Variables hold one of {unassigned, 0, 1}.  Every variable has a role and a
+1-based position within it, in creation order.  The state is, per role, two
+bitsets over those positions: the variables fixed to 1 and the variables
+fixed to 0.  Propagators that work on whole roles read and assign these
+bitsets instead of single variables.  Propagators are woken through a FIFO
+queue with per-propagator dedup until fixpoint.  Each decision level saves
+the bitsets and backtracking restores them; search enumerates every full
+assignment accepted by all propagators, exactly once.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ class Propagator:
     def vars(self) -> Iterable[int]:
         raise NotImplementedError
 
+    def bind(self, s: "Solver") -> None:
+        """Called once by ``Solver.post`` before the first propagation."""
+
     def propagate(self, s: "Solver") -> bool:
         raise NotImplementedError
 
@@ -50,15 +57,21 @@ class Propagator:
 
 class Solver:
     def __init__(self) -> None:
-        self._values: list[int] = []
         self._roles: list[str] = []
-        self._watchers: list[list[int]] = []
+        self._rid: list[int] = []  # role index of each variable
+        self._bit: list[int] = []  # 1 << position of each variable in its role
+        self._role_ids: dict[str, int] = {}
+        self._role_size: list[int] = []
+        self._ones: list[int] = []  # per role: positions fixed to 1
+        self._zeros: list[int] = []  # per role: positions fixed to 0
+        self._mask_rids: set[int] = set()
+        # per role: propagator id -> positions of the role it watches
+        self._watchers: list[dict[int, int]] = []
         self._props: list[Propagator] = []
-        self._trail: list[int] = []
-        self._marks: list[int] = []
+        # per open level: the per-role bitsets and the unassigned mask count
+        self._marks: list[tuple[list[int], list[int], int]] = []
         self._queue: deque[int] = deque()
         self._queued: set[int] = set()
-        self._stamps: dict[str, int] = {}
         self._mask_unassigned = 0
         self.root_failed = False
         self.stats = {"nodes": 0, "masks_reached": 0, "solutions": 0}
@@ -66,11 +79,23 @@ class Solver:
     # -- variables ----------------------------------------------------------
 
     def new_var(self, role: str = ROLE_AUX) -> int:
-        v = len(self._values)
-        self._values.append(UNASSIGNED)
+        if self._marks:
+            raise RuntimeError("variables must be created at the root level")
+        v = len(self._roles)
+        rid = self._role_ids.get(role)
+        if rid is None:
+            rid = self._role_ids[role] = len(self._role_size)
+            self._role_size.append(0)
+            self._ones.append(0)
+            self._zeros.append(0)
+            self._watchers.append({})
+            if role in _MASK_ROLES:
+                self._mask_rids.add(rid)
+        self._role_size[rid] += 1
+        self._bit.append(1 << self._role_size[rid])
         self._roles.append(role)
-        self._watchers.append([])
-        if role in _MASK_ROLES:
+        self._rid.append(rid)
+        if rid in self._mask_rids:
             self._mask_unassigned += 1
         return v
 
@@ -78,57 +103,104 @@ class Solver:
         return [self.new_var(role) for _ in range(count)]
 
     def value(self, v: int) -> int:
-        return self._values[v]
+        rid = self._rid[v]
+        bit = self._bit[v]
+        if self._ones[rid] & bit:
+            return 1
+        if self._zeros[rid] & bit:
+            return 0
+        return UNASSIGNED
 
     def role(self, v: int) -> str:
         return self._roles[v]
 
+    def position(self, v: int) -> int:
+        """1-based position of v among the variables of its role."""
+        return self._bit[v].bit_length() - 1
+
+    def fixed(self, role: str) -> tuple[int, int]:
+        """Bitsets of the positions of ``role`` fixed to 1 and fixed to 0;
+        (0, 0) for a role without variables."""
+        rid = self._role_ids.get(role)
+        if rid is None:
+            return 0, 0
+        return self._ones[rid], self._zeros[rid]
+
+    def role_bits(self, variables: Iterable[int]) -> tuple[str | None, int]:
+        """The one role shared by ``variables`` and the bitset of their
+        positions; (None, 0) for no variables.  Mixed roles are an error."""
+        role = None
+        bits = 0
+        for v in variables:
+            if role is None:
+                role = self._roles[v]
+            elif self._roles[v] != role:
+                raise ValueError(f"variables mix roles {role!r} and {self._roles[v]!r}")
+            bits |= self._bit[v]
+        return role, bits
+
+    def indexed_role(self, variables: Sequence[int | None]) -> tuple[str | None, int]:
+        """``role_bits`` of a list whose entry i, where not None, must sit
+        at position i of its role."""
+        for i, v in enumerate(variables):
+            if v is not None and self.position(v) != i:
+                raise ValueError(f"variable {v} is not at position {i} of its role")
+        return self.role_bits(v for v in variables if v is not None)
+
     @property
     def num_vars(self) -> int:
-        return len(self._values)
-
-    def stamp(self, role: str) -> int:
-        """Monotone counter bumped whenever a variable of ``role`` changes."""
-        return self._stamps.get(role, 0)
+        return len(self._roles)
 
     def snapshot(self) -> tuple[int, ...]:
-        return tuple(self._values)
+        ones, zeros = self._ones, self._zeros
+        return tuple(
+            [
+                1 if ones[rid] & bit else 0 if zeros[rid] & bit else UNASSIGNED
+                for rid, bit in zip(self._rid, self._bit)
+            ]
+        )
 
-    # -- assignment and trail -------------------------------------------------
+    # -- assignment and backtracking ------------------------------------------
 
     def assign(self, v: int, val: int) -> bool:
         """Assign v := val; False iff v already holds the opposite value."""
-        cur = self._values[v]
-        if cur == val:
-            return True
-        if cur != UNASSIGNED:
+        return self._assign(self._rid[v], self._bit[v], val)
+
+    def assign_bits(self, role: str, bits: int, val: int) -> bool:
+        """Assign val to the variables of ``role`` at the positions in
+        ``bits``; False iff one of them holds the opposite value."""
+        return not bits or self._assign(self._role_ids[role], bits, val)
+
+    def _assign(self, rid: int, bits: int, val: int) -> bool:
+        ones, zeros = self._ones[rid], self._zeros[rid]
+        if bits & (zeros if val else ones):
             return False
-        self._values[v] = val
-        self._trail.append(v)
-        role = self._roles[v]
-        self._stamps[role] = self._stamps.get(role, 0) + 1
-        if role in _MASK_ROLES:
-            self._mask_unassigned -= 1
+        bits &= ~(ones | zeros)
+        if not bits:
+            return True
+        if val:
+            self._ones[rid] = ones | bits
+        else:
+            self._zeros[rid] = zeros | bits
+        if rid in self._mask_rids:
+            self._mask_unassigned -= bits.bit_count()
             if self._mask_unassigned == 0:
                 self.stats["masks_reached"] += 1
-        for pid in self._watchers[v]:
-            if pid not in self._queued:
-                self._queued.add(pid)
+        queued = self._queued
+        for pid, watched in self._watchers[rid].items():
+            if watched & bits and pid not in queued:
+                queued.add(pid)
                 self._queue.append(pid)
         return True
 
     def push_level(self) -> None:
-        self._marks.append(len(self._trail))
+        self._marks.append((self._ones[:], self._zeros[:], self._mask_unassigned))
 
     def pop_level(self) -> None:
-        mark = self._marks.pop()
-        while len(self._trail) > mark:
-            v = self._trail.pop()
-            self._values[v] = UNASSIGNED
-            role = self._roles[v]
-            self._stamps[role] = self._stamps.get(role, 0) + 1
-            if role in _MASK_ROLES:
-                self._mask_unassigned += 1
+        ones, zeros, self._mask_unassigned = self._marks.pop()
+        # in place: search_all holds on to these lists
+        self._ones[:] = ones
+        self._zeros[:] = zeros
         self._queue.clear()
         self._queued.clear()
 
@@ -141,12 +213,14 @@ class Solver:
         """
         watched = list(prop.vars())
         for v in watched:
-            if not 0 <= v < len(self._values):
+            if not 0 <= v < len(self._roles):
                 raise ValueError(f"propagator watches unknown variable {v}")
+        prop.bind(self)
         pid = len(self._props)
         self._props.append(prop)
         for v in watched:
-            self._watchers[v].append(pid)
+            by_pid = self._watchers[self._rid[v]]
+            by_pid[pid] = by_pid.get(pid, 0) | self._bit[v]
         if not self.root_failed:
             self._queued.add(pid)
             self._queue.append(pid)
@@ -184,7 +258,7 @@ class Solver:
     def default_order(self) -> list[int]:
         """Dataset-first branching: auxiliaries, then H, V, then X, then Y."""
         return sorted(
-            range(len(self._values)),
+            range(len(self._roles)),
             key=lambda v: (_ROLE_ORDER.get(self._roles[v], 9), v),
         )
 
@@ -201,13 +275,17 @@ class Solver:
         if self.root_failed:
             return 0
         branch = list(order) if order is not None else self.default_order()
-        values = self._values
+        slots = [(self._rid[v], self._bit[v]) for v in branch]
+        ones, zeros = self._ones, self._zeros
         nb = len(branch)
         count = 0
 
         def next_unassigned(start: int) -> int:
             i = start
-            while i < nb and values[branch[i]] != UNASSIGNED:
+            while i < nb:
+                rid, bit = slots[i]
+                if not (ones[rid] | zeros[rid]) & bit:
+                    break
                 i += 1
             return i
 

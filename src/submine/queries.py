@@ -403,7 +403,8 @@ def _check_context(
 
 @dataclass
 class Layout:
-    """Variable handles of an assembled solver, 1-based per axis."""
+    """Variable handles of an assembled solver, 1-based per axis.  ``y`` is
+    empty unless the model is the reified one."""
 
     x: list
     y: list
@@ -420,18 +421,22 @@ def assemble(
     trans_scheme: PartitionScheme | None = None,
     use_reified: bool = False,
 ) -> tuple[Solver, Layout]:
-    """Compile the query into a solver: variables X/Y/H/V plus group
-    auxiliaries, channeling, the dataset part, and the mining part."""
+    """Compile the query into a solver: variables X/H/V plus group
+    auxiliaries, channeling, the dataset part, and the mining part.  The
+    cover variables Y exist only in the reified model; the global
+    propagator derives the cover from X and V.  Each role is created in
+    one call, so a variable's position in its role is its item or
+    transaction index."""
     _check_context(query, db, item_scheme, trans_scheme)
     n, m = db.item_count, db.transaction_count
     s = Solver()
     h = [None] + s.new_vars(n, ROLE_H)
     v = [None] + s.new_vars(m, ROLE_V)
     x = [None] + s.new_vars(n, ROLE_X)
-    y = [None] + s.new_vars(m, ROLE_Y)
+    y = [None] + s.new_vars(m, ROLE_Y) if use_reified else []
     layout = Layout(x, y, h, v, [], [])
 
-    constraints.post_channeling(s, h[1:], x[1:], v[1:], y[1:])
+    constraints.post_channeling(s, h[1:], x[1:], v[1:] if y else [], y[1:])
 
     # dataset part
     if query.items.kind == "all":
@@ -495,21 +500,14 @@ def _collect_cp(
     deadline: float | None,
     stats: dict | None,
 ) -> set[tuple[int, int, int]]:
-    solver, layout = assemble(db, query, item_scheme, trans_scheme, use_reified)
-    n, m = db.item_count, db.transaction_count
+    solver, _ = assemble(db, query, item_scheme, trans_scheme, use_reified)
     triples: set[tuple[int, int, int]] = set()
 
-    def sink(snap):
-        ib = tb = xb = 0
-        for i in range(1, n + 1):
-            if snap[layout.h[i]] == 1:
-                ib |= 1 << i
-            if snap[layout.x[i]] == 1:
-                xb |= 1 << i
-        for j in range(1, m + 1):
-            if snap[layout.v[j]] == 1:
-                tb |= 1 << j
-        triples.add((ib, tb, xb))
+    def sink(_snap):
+        # bit i of a role's bitset is item or transaction i (see assemble)
+        triples.add(
+            (solver.fixed(ROLE_H)[0], solver.fixed(ROLE_V)[0], solver.fixed(ROLE_X)[0])
+        )
 
     should_stop = None
     if deadline is not None:

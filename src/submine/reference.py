@@ -28,6 +28,8 @@ from .queries import AxisConstraint, Query, SolutionPair, make_pair
 
 _ORACLE_MAX_ITEMS = 24
 _ORACLE_MAX_MASKS = 1 << 20
+# search nodes (or oracle subsets) between two reads of the clock
+_DEADLINE_STRIDE = 64
 
 
 class SizeLimitError(ValueError):
@@ -43,6 +45,11 @@ def count_masks(n_groups: int, lb: int, ub: int) -> int:
     if not 0 <= lb <= ub <= n_groups:
         raise ValueError(f"bounds ({lb},{ub}) invalid for {n_groups} groups")
     return sum(math.comb(n_groups, r) for r in range(lb, ub + 1))
+
+
+def _check(deadline: float) -> None:
+    if time.monotonic() > deadline:
+        raise SearchTimeout
 
 
 # --------------------------------------------------------- mask enumeration
@@ -150,6 +157,7 @@ def mine_closed(
     require: int = 0,
     forbid: int = 0,
     item_scheme: PartitionScheme | None = None,
+    deadline: float | None = None,
 ) -> list[int]:
     """All frequent closed itemsets of the sub-dataset satisfying the
     itemset-side constraints, as bitsets.
@@ -158,7 +166,8 @@ def mine_closed(
     item whose addition created it, with a prefix-preservation test to kill
     duplicates.  Constraints prune during the search where they are
     monotone (forbidden items, size bound, span upper bound, required items
-    that can no longer join) and filter at emission otherwise.
+    that can no longer join) and filter at emission otherwise.  Raises
+    SearchTimeout once ``time.monotonic()`` passes ``deadline``.
     """
     act_t = mask.active_transactions
     n_act = act_t.bit_count()
@@ -186,7 +195,13 @@ def mine_closed(
             return
         out.append(pat)
 
+    nodes = 0
+
     def grow(pat: int, cov: int, core: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if deadline is not None and nodes % _DEADLINE_STRIDE == 0:
+            _check(deadline)
         emit(pat)
         if span is not None and group_bits is not None and span_of(pat) > span[1]:
             return
@@ -238,9 +253,10 @@ def mine_frequent(
     require: int = 0,
     forbid: int = 0,
     item_scheme: PartitionScheme | None = None,
+    deadline: float | None = None,
 ) -> list[int]:
     """All frequent itemsets (no closedness) of the sub-dataset, same
-    constraint handling as mine_closed."""
+    constraint handling and deadline as mine_closed."""
     act_t = mask.active_transactions
     n_act = act_t.bit_count()
     if n_act == 0:
@@ -257,7 +273,13 @@ def mine_frequent(
     def span_of(bits: int) -> int:
         return sum(1 for g in group_bits if g & bits)
 
+    nodes = 0
+
     def grow(pat: int, cov: int, last: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if deadline is not None and nodes % _DEADLINE_STRIDE == 0:
+            _check(deadline)
         if pat:
             ok = pat.bit_count() >= min_size and not (require & ~pat)
             if ok and span is not None:
@@ -304,8 +326,8 @@ def pp_mine(
     n_masks = 0
     for mask in enum:
         n_masks += 1
-        if deadline is not None and time.monotonic() > deadline:
-            raise SearchTimeout
+        if deadline is not None:
+            _check(deadline)
         if mask.active_transactions == 0 or mask.active_items == 0:
             continue
         for pat in miner(
@@ -317,6 +339,7 @@ def pp_mine(
             require=query.require,
             forbid=query.forbid,
             item_scheme=item_scheme,
+            deadline=deadline,
         ):
             triples.add((mask.active_items, mask.active_transactions, pat))
     if stats is not None:
@@ -395,11 +418,12 @@ def brute_force_theory(
     trans_options = list(
         _oracle_axis(query.trans, db.all_transactions(), trans_scheme)
     )
+    subsets = 0
     for item_bits in _oracle_axis(query.items, db.all_items(), item_scheme):
         active = indices_of(item_bits)
         for trans_bits in trans_options:
-            if deadline is not None and time.monotonic() > deadline:
-                raise SearchTimeout
+            if deadline is not None:
+                _check(deadline)
             n_act = trans_bits.bit_count()
             if n_act == 0:
                 continue
@@ -407,6 +431,9 @@ def brute_force_theory(
             need = p * n_act
             for r in range(max(1, query.min_size), len(active) + 1):
                 for chosen in combinations(active, r):
+                    subsets += 1
+                    if deadline is not None and subsets % _DEADLINE_STRIDE == 0:
+                        _check(deadline)
                     pat = bits_of(chosen)
                     if pat & query.forbid or query.require & ~pat:
                         continue

@@ -4,6 +4,7 @@ import pytest
 
 from helpers import TABLE1_FIMI
 from submine import cli
+from submine.engine import SearchTimeout
 
 ITEM_CATS = "I1: 1 2\nI2: 3 4 5\nI3: 6 7 8 9\n"
 TRANS_CATS = "T1: 1 2\nT2: 3 4\nT3: 5 6\n"
@@ -272,3 +273,21 @@ def test_bench_row_error_recorded(tmp_path):
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert rows[0]["status"] == "error"
+
+
+@pytest.mark.parametrize(
+    "exc,code,message",
+    [
+        (SearchTimeout, cli.EXIT_TIMEOUT, "seed 0: baseline: timeout"),
+        (ValueError("bad"), cli.EXIT_ERROR, "seed 0: error in engine baseline: bad"),
+        (RuntimeError("bad"), cli.EXIT_ERROR, "seed 0: error in engine baseline: bad"),
+    ],
+)
+def test_verify_random_seeds_reports_engine_errors(exc, code, message, capsys, monkeypatch):
+    def failing(db, query, item_scheme, trans_scheme):
+        raise exc
+
+    monkeypatch.setitem(cli._ENGINE_OVERRIDES, "baseline", failing)
+    rc = cli.main(["verify", "--seeds", "3", "--seed", "7"])
+    assert rc == code
+    assert message in capsys.readouterr().err

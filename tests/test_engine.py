@@ -169,3 +169,94 @@ def test_masks_reached_counts_completions():
     s.search_all()
     # one count per entry into a fully assigned mask state
     assert s.stats["masks_reached"] == 4
+
+
+# ------------------------------------------------------- per-role bitsets
+
+
+def _rebuilt(s, role):
+    """(ones, zeros) of ``role`` read back one variable at a time."""
+    ones = zeros = 0
+    for v in range(s.num_vars):
+        if s.role(v) == role:
+            if s.value(v) == 1:
+                ones |= 1 << s.position(v)
+            elif s.value(v) == 0:
+                zeros |= 1 << s.position(v)
+    return ones, zeros
+
+
+def test_role_bitsets_follow_assign_propagate_and_pop():
+    from submine.constraints import AllEqual, RoleChannel
+    from submine.engine import ROLE_AUX, ROLE_V
+
+    roles = (ROLE_AUX, ROLE_H, ROLE_V, ROLE_X)
+    rng = random.Random(29)
+    for _ in range(40):
+        s = Solver()
+        by_role = {role: [] for role in roles}
+        for _ in range(rng.randint(8, 20)):
+            role = rng.choice(roles)
+            by_role[role].append(s.new_var(role))
+        for role, vs in by_role.items():
+            # positions count per role, in creation order, from 1
+            assert [s.position(v) for v in vs] == list(range(1, len(vs) + 1))
+        hs, xs = by_role[ROLE_H], by_role[ROLE_X]
+        k = min(len(hs), len(xs))
+        if k:
+            s.post(RoleChannel(hs[:k], xs[:k]))
+        for role in (ROLE_V, ROLE_X):
+            vs = by_role[role]
+            if len(vs) >= 2:
+                sub = rng.sample(vs, rng.randint(1, len(vs)))
+                lb = rng.randint(0, len(sub))
+                s.post(CardinalityRange(sub, lb, rng.randint(lb, len(sub))))
+        if by_role[ROLE_AUX] and len(by_role[ROLE_V]) >= 2:
+            s.post(AllEqual(by_role[ROLE_AUX][0], rng.sample(by_role[ROLE_V], 2)))
+        if s.root_failed:
+            continue
+        saved = []
+        for _ in range(30):
+            op = rng.random()
+            if op < 0.55 or not saved:
+                saved.append(s.snapshot())
+                s.push_level()
+                v = rng.randrange(s.num_vars)
+                val = rng.randint(0, 1)
+                before = s.value(v)
+                ok = s.assign(v, val)
+                assert ok == (before in (UNASSIGNED, val))
+                if ok:
+                    assert s.value(v) == val
+                    s.propagate_to_fixpoint()
+            elif op < 0.7:
+                saved.append(s.snapshot())
+                s.push_level()
+                role = rng.choice(roles)
+                bits = sum(1 << s.position(v) for v in by_role[role] if rng.random() < 0.4)
+                val = rng.randint(0, 1)
+                opposite = s.fixed(role)[val]  # zeros for 1, ones for 0
+                if s.assign_bits(role, bits, val):
+                    assert bits & opposite == 0
+                    s.propagate_to_fixpoint()
+                else:
+                    assert bits & opposite
+            else:
+                s.pop_level()
+                assert s.snapshot() == saved.pop()
+            for role in roles:
+                assert s.fixed(role) == _rebuilt(s, role)
+
+
+def test_assemble_builds_cover_variables_only_when_reified(db1):
+    from submine import Query
+    from submine.engine import ROLE_Y
+    from submine.queries import assemble
+
+    from helpers import HALF
+
+    for reified in (False, True):
+        solver, layout = assemble(db1, Query(theta=HALF), use_reified=reified)
+        y_vars = [v for v in range(solver.num_vars) if solver.role(v) == ROLE_Y]
+        assert len(y_vars) == (db1.transaction_count if reified else 0)
+        assert layout.y == ([None, *y_vars] if reified else [])

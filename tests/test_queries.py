@@ -264,3 +264,25 @@ def test_describe_mask(db1, items3):
     assert describe_mask(bits_of([1, 2, 3, 4, 5]), db1.all_items(), items3) == "I1+I2"
     assert describe_mask(bits_of([1, 3]), db1.all_items(), items3) == "{1,3}"
     assert describe_mask(bits_of([1, 3]), db1.all_items(), None) == "{1,3}"
+
+
+@pytest.mark.parametrize(
+    "items,trans,span,nodes,masks",
+    [
+        ("all", "all", None, 8, 1),  # Q1
+        ("all", "all", (2, 2), 6, 1),  # Q1'
+        ((2, 2), "all", None, 20, 3),  # Q2
+        ("all", (2, 2), None, 26, 3),  # Q3
+        ((2, 2), (2, 2), None, 56, 9),  # Q4
+    ],
+)
+def test_cp_search_counters_on_table1_queries(db1, items3, trans3, items, trans, span, nodes, masks):
+    # pinned: a change to the model or its propagators must not enlarge
+    # the search
+    def axis(bounds):
+        return AxisConstraint.all_active() if bounds == "all" else AxisConstraint.group_bounds(*bounds)
+
+    q = Query(theta=HALF, span=span, items=axis(items), trans=axis(trans))
+    stats = {}
+    run_theory(db1, q, items3, trans3, engine="cp", stats=stats)
+    assert stats == {"nodes": nodes, "masks": masks}

@@ -213,3 +213,31 @@ def test_oracle_mask_guard(db1):
     q = Query(theta=HALF, items=AxisConstraint.group_bounds(1, 24))
     with pytest.raises(SizeLimitError, match="masks"):
         brute_force_theory(db, q, scheme, None)
+
+
+# ---------------------------------------------------------------- deadlines
+
+
+def _dense_db(n_items, n_trans, density, seed):
+    rng = random.Random(seed)
+    rows = [
+        [i for i in range(1, n_items + 1) if rng.random() < density]
+        for _ in range(n_trans)
+    ]
+    return TransactionDatabase.from_rows(rows, item_count=n_items)
+
+
+@pytest.mark.parametrize(
+    "engine,n_items", [("baseline", 40), ("oracle", 24)]
+)
+def test_deadline_stops_search_inside_one_mask(engine, n_items):
+    # one mask whose mining alone runs far past the deadline
+    import time
+
+    from submine.engine import SearchTimeout
+
+    db = _dense_db(n_items, 200, 0.6, seed=4)
+    started = time.monotonic()
+    with pytest.raises(SearchTimeout):
+        run_theory(db, Query(theta=Fraction(1, 20)), engine=engine, deadline=started + 0.5)
+    assert time.monotonic() - started < 2.0
