@@ -28,16 +28,17 @@ from .queries import (
     Query,
     QueryError,
     SolutionPair,
+    UnsupportedQueryError,
     assemble,
     build_query,
+    check_query,
+    count_masks,
     parse_query,
     run_theory,
 )
 from .reference import (
     SizeLimitError,
-    UnsupportedQueryError,
     brute_force_theory,
-    count_masks,
     enumerate_masks,
     mine_closed,
     pp_mine,
@@ -62,6 +63,7 @@ __all__ = [
     "bits_of",
     "brute_force_theory",
     "build_query",
+    "check_query",
     "closure",
     "count_masks",
     "cover",

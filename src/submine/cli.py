@@ -20,12 +20,13 @@ from . import reference
 from .dataset import (
     PartitionScheme,
     TransactionDatabase,
+    bits_of,
     parse_fimi,
     parse_labels,
     parse_partition,
 )
 from .engine import SearchTimeout
-from .queries import Query, AxisConstraint, build_query, parse_query, run_theory
+from .queries import AxisConstraint, Query, build_query, parse_query, run_theory
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -55,12 +56,12 @@ def _read(path: str) -> str:
 
 def _load(args):
     db = parse_fimi(_read(args.data))
-    if getattr(args, "labels", None):
+    if args.labels:
         db = db.with_labels(parse_labels(_read(args.labels)))
     item_scheme = trans_scheme = None
-    if getattr(args, "item_cats", None):
+    if args.item_cats:
         item_scheme = parse_partition(_read(args.item_cats), db, "items")
-    if getattr(args, "trans_cats", None):
+    if args.trans_cats:
         trans_scheme = parse_partition(_read(args.trans_cats), db, "transactions")
     query = build_query(parse_query(_read(args.query)), db, item_scheme, trans_scheme)
     return db, item_scheme, trans_scheme, query
@@ -189,8 +190,11 @@ def _verify_random(args) -> int:
 
 def generate_random_instance(rng: random.Random):
     """Random small instance for cross-engine verification: a database with
-    at most 10 items and 8 transactions, random partitions on both axes,
-    a random threshold, and a random query family."""
+    at most 10 items and 8 transactions, random partitions on both axes
+    (two levels on transactions), a random threshold, and a query drawn
+    over the whole grammar: closed or not, minimum size, span, required
+    and forbidden items, and all, fixed or group-bounded activation on
+    each axis, or one-of-levels on transactions."""
     n = rng.randint(3, 10)
     m = rng.randint(3, 8)
     density = rng.uniform(0.3, 0.7)
@@ -198,28 +202,40 @@ def generate_random_instance(rng: random.Random):
         [i for i in range(1, n + 1) if rng.random() < density] for _ in range(m)
     ]
     db = TransactionDatabase.from_rows(rows, item_count=n)
-    item_scheme = _random_partition(rng, "items", n)
-    trans_scheme = _random_partition(rng, "transactions", m)
+    item_scheme = PartitionScheme.build("items", n, _random_groups(rng, n, "G"))
+    trans_scheme = PartitionScheme.build(
+        "transactions", m, _random_groups(rng, m, "G"), [_random_groups(rng, m, "L")]
+    )
     theta = rng.choice((Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)))
-    min_size = rng.choice((1, 1, 1, 2))
-    family = rng.choice(("q1", "q1'", "q2", "q3", "q4"))
     span = None
-    items = trans = AxisConstraint.all_active()
-    if family == "q1'":
+    if rng.random() < 0.25:
         span = _random_bounds(rng, item_scheme.group_count())
-    if family in ("q2", "q4"):
-        items = AxisConstraint.group_bounds(*_random_bounds(rng, item_scheme.group_count()))
-    if family in ("q3", "q4"):
-        trans = AxisConstraint.group_bounds(*_random_bounds(rng, trans_scheme.group_count()))
+    picked = rng.sample(range(1, n + 1), 3)
     query = Query(
         theta=theta,
-        closed=True,
-        min_size=min_size,
+        closed=rng.random() < 0.7,
+        min_size=rng.choice((1, 1, 1, 2)),
         span=span,
-        items=items,
-        trans=trans,
+        require=bits_of(picked[:1]) if rng.random() < 0.25 else 0,
+        forbid=bits_of(picked[1 : rng.randint(2, 3)]) if rng.random() < 0.25 else 0,
+        items=_random_axis(rng, n, item_scheme, ("all", "all", "groups", "fixed")),
+        trans=_random_axis(
+            rng, m, trans_scheme, ("all", "all", "groups", "fixed", "one_per_level")
+        ),
     )
     return db, item_scheme, trans_scheme, query
+
+
+def _random_axis(rng, size, scheme, kinds):
+    kind = rng.choice(kinds)
+    if kind == "groups":
+        return AxisConstraint.group_bounds(*_random_bounds(rng, scheme.group_count()))
+    if kind == "fixed":
+        chosen = rng.sample(range(1, size + 1), rng.randint(1, size))
+        return AxisConstraint.fixed(bits_of(chosen))
+    if kind == "one_per_level":
+        return AxisConstraint.one_per_level()
+    return AxisConstraint.all_active()
 
 
 def _random_bounds(rng, k):
@@ -227,7 +243,7 @@ def _random_bounds(rng, k):
     return lb, rng.randint(lb, k)
 
 
-def _random_partition(rng, axis, size):
+def _random_groups(rng, size, prefix):
     k = rng.randint(2, max(2, min(4, size)))
     ids = list(range(1, size + 1))
     rng.shuffle(ids)
@@ -235,9 +251,9 @@ def _random_partition(rng, axis, size):
     groups = []
     prev = 0
     for gi, cut in enumerate([*cuts, size]):
-        groups.append((f"G{gi + 1}", ids[prev:cut]))
+        groups.append((f"{prefix}{gi + 1}", ids[prev:cut]))
         prev = cut
-    return PartitionScheme.build(axis, size, [g for g in groups if g[1]])
+    return [g for g in groups if g[1]]
 
 
 def cmd_bench(args) -> int:
@@ -294,16 +310,13 @@ def _bench_row(row, args):
     name = row.get("name") or row.get("data", "?")
     engines = (row.get("engines") or "cp").split("|")
     reports = []
-
-    class _Args:
-        pass
-
-    sub = _Args()
-    sub.data = row.get("data")
-    sub.query = row.get("query")
-    sub.item_cats = row.get("item_cats") or None
-    sub.trans_cats = row.get("trans_cats") or None
-    sub.labels = row.get("labels") or None
+    sub = argparse.Namespace(
+        data=row.get("data"),
+        query=row.get("query"),
+        item_cats=row.get("item_cats"),
+        trans_cats=row.get("trans_cats"),
+        labels=row.get("labels"),
+    )
     try:
         db, item_scheme, trans_scheme, query = _load(sub)
         num_masks = reference.enumerate_masks(
@@ -316,9 +329,9 @@ def _bench_row(row, args):
 
     axis_cols = (
         str(item_scheme.group_count()) if item_scheme else "",
-        _bounds_str(query.items),
+        query.items.describe(),
         str(trans_scheme.group_count()) if trans_scheme else "",
-        _bounds_str(query.trans),
+        query.trans.describe(),
     )
     for engine in engines:
         stats: dict = {}
@@ -349,12 +362,6 @@ def _bench_row(row, args):
         rep.axis_cols = axis_cols
         reports.append(rep)
     return reports
-
-
-def _bounds_str(con: AxisConstraint) -> str:
-    if con.kind == "groups":
-        return f"({con.lb},{con.ub})"
-    return con.kind
 
 
 def main(argv=None) -> int:

@@ -145,14 +145,6 @@ class Mask:
     active_items: int
     active_transactions: int
 
-    def restrict(self, items: int | None = None, trans: int | None = None) -> "Mask":
-        return Mask(
-            self.active_items if items is None else self.active_items & items,
-            self.active_transactions
-            if trans is None
-            else self.active_transactions & trans,
-        )
-
 
 # ----------------------------------------------------------------- parsing
 
@@ -213,10 +205,6 @@ def parse_labels(source: str | IO[str]) -> dict[int, str]:
 class Group:
     name: str
     members: int  # bitset
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return indices_of(self.members)
 
     def size(self) -> int:
         return self.members.bit_count()

@@ -22,10 +22,13 @@ keys rejected)::
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import IO, Iterable
+from itertools import combinations
+from typing import IO, Iterable, Iterator
 
 from . import closedpattern, constraints
 from .dataset import (
@@ -59,13 +62,29 @@ class QueryError(ValueError):
     """Bad query description: grammar, unknown names, or bounds."""
 
 
+class UnsupportedQueryError(QueryError):
+    """The query uses a dataset constraint kind no engine understands."""
+
+
+def count_masks(n_groups: int, lb: int, ub: int) -> int:
+    """Number of ways to activate between lb and ub of n_groups groups."""
+    if not 0 <= lb <= ub <= n_groups:
+        raise ValueError(f"bounds ({lb},{ub}) invalid for {n_groups} groups")
+    return sum(math.comb(n_groups, r) for r in range(lb, ub + 1))
+
+
 @dataclass(frozen=True)
 class AxisConstraint:
     """Dataset-side constraint on one axis.
 
     kind "all" activates everything, "fixed" exactly the given bitset,
     "groups" any lb..ub whole groups of the partition, "one_per_level"
-    exactly one group drawn from any level of the scheme.
+    exactly one group drawn from any level of the scheme.  "all" and
+    "fixed" allow one mask each; the other kinds choose groups.
+
+    The methods below are the one reading of each kind.  ``universe`` is
+    the bitset of the whole axis and ``scheme`` its partition (or None);
+    every method but ``check`` expects a constraint that passed ``check``.
     """
 
     kind: str
@@ -89,6 +108,75 @@ class AxisConstraint:
     def one_per_level(cls) -> "AxisConstraint":
         return cls("one_per_level")
 
+    def check(self, axis: str, universe: int, scheme: PartitionScheme | None) -> None:
+        """Raise QueryError unless the constraint can be read on ``axis``
+        ("items" or "transactions")."""
+        if self.kind == "fixed":
+            if self.members & ~universe:
+                raise QueryError(f"fixed activation references unknown {axis}")
+        elif self.kind == "groups":
+            if scheme is None:
+                raise QueryError(f"group bounds on {axis} need a partition scheme")
+            k = scheme.group_count()
+            if not 0 <= self.lb <= self.ub <= k:
+                raise QueryError(
+                    f"bounds ({self.lb},{self.ub}) on {axis} invalid for {k} groups"
+                )
+        elif self.kind == "one_per_level":
+            if axis != "transactions":
+                raise QueryError("one-of-levels applies to transactions only")
+            if scheme is None:
+                raise QueryError("one-of-levels needs a transaction scheme")
+        elif self.kind != "all":
+            raise UnsupportedQueryError(f"dataset constraint {self.kind!r} not supported")
+
+    def single(self, universe: int) -> int:
+        """The one mask of an "all" or "fixed" constraint."""
+        return universe if self.kind == "all" else self.members
+
+    def count(self, scheme: PartitionScheme | None) -> int:
+        """Number of masks the constraint allows."""
+        if self.kind == "groups":
+            return count_masks(scheme.group_count(), self.lb, self.ub)
+        if self.kind == "one_per_level":
+            return sum(len(level) for level in scheme.levels)
+        return 1
+
+    def masks(self, universe: int, scheme: PartitionScheme | None) -> Iterator[int]:
+        """Every allowed mask once, lazily; group choices by size, then in
+        the order of ``itertools.combinations``."""
+        if self.kind == "groups":
+            for r in range(self.lb, self.ub + 1):
+                for chosen in combinations(scheme.groups, r):
+                    bits = 0
+                    for g in chosen:
+                        bits |= g.members
+                    yield bits
+        elif self.kind == "one_per_level":
+            for level in scheme.levels:
+                for g in level:
+                    yield g.members
+        else:
+            yield self.single(universe)
+
+    def satisfied(self, bits: int, universe: int, scheme: PartitionScheme | None) -> bool:
+        """Whether the mask ``bits`` is one the constraint allows."""
+        if self.kind == "groups":
+            touched = [g.members for g in scheme.groups if g.members & bits]
+            union = 0
+            for g in touched:
+                union |= g
+            return union == bits and self.lb <= len(touched) <= self.ub
+        if self.kind == "one_per_level":
+            return any(g.members == bits for level in scheme.levels for g in level)
+        return bits == self.single(universe)
+
+    def describe(self) -> str:
+        """Short form for reports: "(lb,ub)" for group bounds, else the kind."""
+        if self.kind == "groups":
+            return f"({self.lb},{self.ub})"
+        return self.kind
+
 
 @dataclass(frozen=True)
 class Query:
@@ -103,6 +191,8 @@ class Query:
     engine: str = "cp"
 
     def __post_init__(self):
+        if not isinstance(self.theta, numbers.Rational):
+            raise QueryError(f"theta must be an exact fraction, got {self.theta!r}")
         if not 0 < self.theta <= 1:
             raise QueryError(f"theta must lie in (0,1], got {self.theta}")
         if self.min_size < 1:
@@ -216,75 +306,48 @@ def parse_query(source: str | IO[str]) -> dict[str, str]:
 def _parse_theta(text: str) -> Fraction:
     try:
         if text.endswith("%"):
-            theta = Fraction(text[:-1].strip()) / 100
-        else:
-            theta = Fraction(text)
+            return Fraction(text[:-1].strip()) / 100
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise QueryError(f"cannot parse frequency {text!r}") from None
-    if not 0 < theta <= 1:
-        raise QueryError(f"theta must lie in (0,1], got {text!r}")
-    return theta
 
 
-def _resolve_items(tokens: Iterable[str], db: TransactionDatabase) -> int:
-    by_label = {}
-    if db.item_labels:
-        by_label = {lab: i for i, lab in db.item_labels.items()}
+def _parse_bounds(key: str, value: str) -> tuple[int, int]:
+    parts = value.split()
+    try:
+        lb, ub = map(int, parts)
+    except ValueError:
+        raise QueryError(f"{key}: expected 'lb ub', got {value!r}") from None
+    return lb, ub
+
+
+def _resolve(tokens: Iterable[str], size: int, what: str, by_label: dict) -> int:
+    """Bitset of the labelled or numbered indices; a label wins over a
+    number that reads the same."""
     bits = 0
     for tok in tokens:
-        if tok in by_label:
-            i = by_label[tok]
-        else:
+        i = by_label.get(tok)
+        if i is None:
             try:
                 i = int(tok)
             except ValueError:
-                raise QueryError(f"unknown item label {tok!r}") from None
-        if not 1 <= i <= db.item_count:
-            raise QueryError(f"item {i} out of range 1..{db.item_count}")
+                raise QueryError(f"unknown {what} label {tok!r}") from None
+        if not 1 <= i <= size:
+            raise QueryError(f"{what} {i} out of range 1..{size}")
         bits |= 1 << i
     return bits
 
 
-def _parse_axis(
-    key: str,
-    value: str,
-    db: TransactionDatabase,
-    scheme: PartitionScheme | None,
-    axis: str,
-) -> AxisConstraint:
-    parts = value.split()
+def _parse_axis(key: str, value: str, size: int, what: str, by_label: dict) -> AxisConstraint:
     if value == "all":
         return AxisConstraint.all_active()
     if value == "one-of-levels":
-        if axis != "transactions":
-            raise QueryError(f"{key}: one-of-levels applies to transactions")
-        if scheme is None:
-            raise QueryError(f"{key}: one-of-levels needs a transaction scheme")
         return AxisConstraint.one_per_level()
+    parts = value.split()
     if parts and parts[0] == "list":
-        if axis == "items":
-            bits = _resolve_items(parts[1:], db)
-        else:
-            bits = 0
-            for tok in parts[1:]:
-                try:
-                    j = int(tok)
-                except ValueError:
-                    raise QueryError(f"{key}: bad transaction index {tok!r}") from None
-                if not 1 <= j <= db.transaction_count:
-                    raise QueryError(
-                        f"{key}: transaction {j} out of range 1..{db.transaction_count}"
-                    )
-                bits |= 1 << j
-        return AxisConstraint.fixed(bits)
-    if len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
-        lb, ub = int(parts[0]), int(parts[1])
-        if scheme is None:
-            raise QueryError(f"{key}: group bounds need a partition scheme")
-        k = scheme.group_count()
-        if not 0 <= lb <= ub <= k:
-            raise QueryError(f"{key}: bounds ({lb},{ub}) invalid for {k} groups")
-        return AxisConstraint.group_bounds(lb, ub)
+        return AxisConstraint.fixed(_resolve(parts[1:], size, what, by_label))
+    if len(parts) == 2:
+        return AxisConstraint.group_bounds(*_parse_bounds(key, value))
     raise QueryError(f"{key}: cannot parse {value!r}")
 
 
@@ -294,7 +357,8 @@ def build_query(
     item_scheme: PartitionScheme | None = None,
     trans_scheme: PartitionScheme | None = None,
 ) -> Query:
-    """Resolve a parsed query description against a database and schemes."""
+    """Resolve a parsed query description against a database and schemes:
+    parse each value and map labels to indices, then ``check_query``."""
     unknown = set(desc) - set(_QUERY_KEYS)
     if unknown:
         raise QueryError(f"unknown keys: {sorted(unknown)}")
@@ -315,40 +379,20 @@ def build_query(
             min_size = int(desc["minsize"])
         except ValueError:
             raise QueryError(f"minsize: not an integer: {desc['minsize']!r}") from None
-        if not 1 <= min_size <= db.item_count:
-            raise QueryError(f"minsize {min_size} out of range 1..{db.item_count}")
 
-    span = None
-    if "span" in desc:
-        parts = desc["span"].split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
-            raise QueryError(f"span: expected 'lb ub', got {desc['span']!r}")
-        if item_scheme is None:
-            raise QueryError("span needs an item partition scheme")
-        lb, ub = int(parts[0]), int(parts[1])
-        if not 0 <= lb <= ub <= item_scheme.group_count():
-            raise QueryError(
-                f"span bounds ({lb},{ub}) invalid for {item_scheme.group_count()} groups"
-            )
-        span = (lb, ub)
+    span = _parse_bounds("span", desc["span"]) if "span" in desc else None
 
-    require = _resolve_items(desc["require"].split(), db) if "require" in desc else 0
-    forbid = _resolve_items(desc["forbid"].split(), db) if "forbid" in desc else 0
-
-    items = AxisConstraint.all_active()
+    labels = {lab: i for i, lab in (db.item_labels or {}).items()}
+    n, m = db.item_count, db.transaction_count
+    require = _resolve(desc.get("require", "").split(), n, "item", labels)
+    forbid = _resolve(desc.get("forbid", "").split(), n, "item", labels)
+    items = trans = AxisConstraint.all_active()
     if "items_active" in desc:
-        items = _parse_axis("items_active", desc["items_active"], db, item_scheme, "items")
-    trans = AxisConstraint.all_active()
+        items = _parse_axis("items_active", desc["items_active"], n, "item", labels)
     if "trans_active" in desc:
-        trans = _parse_axis(
-            "trans_active", desc["trans_active"], db, trans_scheme, "transactions"
-        )
+        trans = _parse_axis("trans_active", desc["trans_active"], m, "transaction", {})
 
-    engine = desc.get("engine", "cp").lower()
-    if engine not in ENGINES:
-        raise QueryError(f"unknown engine {engine!r}")
-
-    return Query(
+    query = Query(
         theta=theta,
         closed=closed,
         min_size=min_size,
@@ -357,45 +401,38 @@ def build_query(
         forbid=forbid,
         items=items,
         trans=trans,
-        engine=engine,
+        engine=desc.get("engine", "cp").lower(),
     )
+    check_query(db, query, item_scheme, trans_scheme)
+    return query
 
 
-def _check_context(
-    query: Query,
+def check_query(
     db: TransactionDatabase,
-    item_scheme: PartitionScheme | None,
-    trans_scheme: PartitionScheme | None,
+    query: Query,
+    item_scheme: PartitionScheme | None = None,
+    trans_scheme: PartitionScheme | None = None,
 ) -> None:
-    if query.items.kind == "groups":
-        if item_scheme is None:
-            raise QueryError("item group bounds need an item scheme")
-        k = item_scheme.group_count()
-        if not 0 <= query.items.lb <= query.items.ub <= k:
-            raise QueryError(
-                f"item bounds ({query.items.lb},{query.items.ub}) invalid for {k} groups"
-            )
-    if query.items.kind == "one_per_level":
-        raise QueryError("one-of-levels applies to transactions only")
-    if query.trans.kind == "groups":
-        if trans_scheme is None:
-            raise QueryError("transaction group bounds need a transaction scheme")
-        k = trans_scheme.group_count()
-        if not 0 <= query.trans.lb <= query.trans.ub <= k:
-            raise QueryError(
-                f"transaction bounds ({query.trans.lb},{query.trans.ub}) invalid for {k} groups"
-            )
-    if query.trans.kind == "one_per_level" and trans_scheme is None:
-        raise QueryError("one-of-levels needs a transaction scheme")
+    """Check a query against its data and schemes; raises QueryError
+    (UnsupportedQueryError for an unknown dataset constraint kind).  The
+    checks that need no data live in ``Query`` itself.  A query file goes
+    through here in ``build_query``; every engine goes through here in
+    ``run_theory``, ``assemble`` and the mask enumerator."""
+    n = db.item_count
+    if query.min_size > n:
+        raise QueryError(f"minsize {query.min_size} out of range 1..{n}")
+    outside = (query.require | query.forbid) & ~db.all_items()
+    if outside:
+        raise QueryError(f"item {next(iter_bits(outside))} out of range 1..{n}")
     if query.span is not None:
         if item_scheme is None:
-            raise QueryError("span needs an item scheme")
-        if not 0 <= query.span[0] <= query.span[1] <= item_scheme.group_count():
-            raise QueryError(f"span bounds {query.span} invalid")
-    if query.items.kind == "fixed" and query.items.members & ~db.all_items():
-        raise QueryError("fixed item activation references unknown items")
-    if query.trans.kind == "fixed" and query.trans.members & ~db.all_transactions():
-        raise QueryError("fixed transaction activation references unknown transactions")
+            raise QueryError("span needs an item partition scheme")
+        lb, ub = query.span
+        k = item_scheme.group_count()
+        if not 0 <= lb <= ub <= k:
+            raise QueryError(f"span bounds ({lb},{ub}) invalid for {k} groups")
+    query.items.check("items", db.all_items(), item_scheme)
+    query.trans.check("transactions", db.all_transactions(), trans_scheme)
 
 
 # ---------------------------------------------------------------- assembly
@@ -427,51 +464,40 @@ def assemble(
     propagator derives the cover from X and V.  Each role is created in
     one call, so a variable's position in its role is its item or
     transaction index."""
-    _check_context(query, db, item_scheme, trans_scheme)
+    check_query(db, query, item_scheme, trans_scheme)
     n, m = db.item_count, db.transaction_count
     s = Solver()
     h = [None] + s.new_vars(n, ROLE_H)
     v = [None] + s.new_vars(m, ROLE_V)
     x = [None] + s.new_vars(n, ROLE_X)
     y = [None] + s.new_vars(m, ROLE_Y) if use_reified else []
-    layout = Layout(x, y, h, v, [], [])
 
     constraints.post_channeling(s, h[1:], x[1:], v[1:] if y else [], y[1:])
 
-    # dataset part
-    if query.items.kind == "all":
-        for i in range(1, n + 1):
-            s.assign_root(h[i], 1)
-    elif query.items.kind == "fixed":
-        for i in range(1, n + 1):
-            s.assign_root(h[i], 1 if query.items.members >> i & 1 else 0)
-    elif query.items.kind == "groups":
-        layout.item_indicators = constraints.post_group_activation(
-            s, item_scheme, h, query.items.lb, query.items.ub
-        )
-    else:  # pragma: no cover - rejected earlier
-        raise QueryError(f"unsupported item constraint {query.items.kind!r}")
-
-    if query.trans.kind == "all":
-        for j in range(1, m + 1):
-            s.assign_root(v[j], 1)
-    elif query.trans.kind == "fixed":
-        for j in range(1, m + 1):
-            s.assign_root(v[j], 1 if query.trans.members >> j & 1 else 0)
-    elif query.trans.kind == "groups":
-        layout.trans_indicators = constraints.post_group_activation(
-            s, trans_scheme, v, query.trans.lb, query.trans.ub
-        )
-    elif query.trans.kind == "one_per_level":
-        layout.trans_indicators = constraints.post_exactly_one_group(s, trans_scheme, v)
-    else:  # pragma: no cover
-        raise QueryError(f"unsupported transaction constraint {query.trans.kind!r}")
+    # dataset part: the activation variables of each axis
+    indicators = []
+    for con, gates, universe, scheme in (
+        (query.items, h, db.all_items(), item_scheme),
+        (query.trans, v, db.all_transactions(), trans_scheme),
+    ):
+        if con.kind == "groups":
+            indicators.append(
+                constraints.post_group_activation(s, scheme, gates, con.lb, con.ub)
+            )
+        elif con.kind == "one_per_level":
+            indicators.append(constraints.post_exactly_one_group(s, scheme, gates))
+        else:
+            active = con.single(universe)
+            for i in range(1, len(gates)):
+                s.assign_root(gates[i], active >> i & 1)
+            indicators.append([])
+    layout = Layout(x, y, h, v, *indicators)
 
     # a sub-dataset with no transactions has no defined frequencies
     s.post(constraints.CardinalityRange([v[j] for j in range(1, m + 1)], 1, None))
 
     # mining part: itemsets are non-empty by definition
-    constraints.post_min_size(s, x, max(1, query.min_size))
+    constraints.post_min_size(s, x, query.min_size)
     if query.span is not None:
         constraints.post_category_span(s, x, item_scheme, query.span[0], query.span[1])
     for i in iter_bits(query.require):
@@ -548,7 +574,7 @@ def run_theory(
     chosen = engine or query.engine
     if chosen not in ENGINES:
         raise QueryError(f"unknown engine {chosen!r}")
-    _check_context(query, db, item_scheme, trans_scheme)
+    check_query(db, query, item_scheme, trans_scheme)
 
     if workers > 1 and chosen in ("cp", "baseline"):
         triples = _run_parallel(
@@ -622,26 +648,6 @@ def _run_parallel(
 # -------------------------------------------------------------- validation
 
 
-def _axis_satisfied(
-    con: AxisConstraint, bits: int, universe: int, scheme: PartitionScheme | None
-) -> bool:
-    if con.kind == "all":
-        return bits == universe
-    if con.kind == "fixed":
-        return bits == con.members
-    if con.kind == "groups":
-        chosen = [g for g in scheme.groups if g.members & bits]
-        if any(g.members & ~bits for g in chosen):
-            return False
-        union = 0
-        for g in chosen:
-            union |= g.members
-        return union == bits and con.lb <= len(chosen) <= con.ub
-    if con.kind == "one_per_level":
-        return any(g.members == bits for level in scheme.levels for g in level)
-    return False
-
-
 def validate_pair(
     db: TransactionDatabase,
     query: Query,
@@ -683,7 +689,7 @@ def validate_pair(
         touched = sum(1 for g in item_scheme.groups if g.members & itemset)
         if not query.span[0] <= touched <= query.span[1]:
             bad("category span out of bounds")
-    if not _axis_satisfied(query.items, item_bits, db.all_items(), item_scheme):
+    if not query.items.satisfied(item_bits, db.all_items(), item_scheme):
         bad("item activation violates dataset constraint")
-    if not _axis_satisfied(query.trans, trans_bits, db.all_transactions(), trans_scheme):
+    if not query.trans.satisfied(trans_bits, db.all_transactions(), trans_scheme):
         bad("transaction activation violates dataset constraint")

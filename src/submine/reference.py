@@ -10,7 +10,6 @@ dataset primitives.  All three engines must agree on every theory.
 
 from __future__ import annotations
 
-import math
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -24,7 +23,18 @@ from .dataset import (
     indices_of,
 )
 from .engine import SearchTimeout
-from .queries import AxisConstraint, Query, SolutionPair, make_pair
+
+# count_masks and UnsupportedQueryError live in queries; importers of this
+# module find them here too
+from .queries import (
+    AxisConstraint,
+    Query,
+    SolutionPair,
+    UnsupportedQueryError,
+    check_query,
+    count_masks,
+    make_pair,
+)
 
 _ORACLE_MAX_ITEMS = 24
 _ORACLE_MAX_MASKS = 1 << 20
@@ -36,60 +46,12 @@ class SizeLimitError(ValueError):
     """Instance exceeds the oracle's safety bounds."""
 
 
-class UnsupportedQueryError(ValueError):
-    """The preprocessing step does not understand a dataset constraint."""
-
-
-def count_masks(n_groups: int, lb: int, ub: int) -> int:
-    """Number of ways to activate between lb and ub of n_groups groups."""
-    if not 0 <= lb <= ub <= n_groups:
-        raise ValueError(f"bounds ({lb},{ub}) invalid for {n_groups} groups")
-    return sum(math.comb(n_groups, r) for r in range(lb, ub + 1))
-
-
 def _check(deadline: float) -> None:
     if time.monotonic() > deadline:
         raise SearchTimeout
 
 
 # --------------------------------------------------------- mask enumeration
-
-
-def _axis_count(con: AxisConstraint, scheme: PartitionScheme | None) -> int:
-    if con.kind in ("all", "fixed"):
-        return 1
-    if con.kind == "groups":
-        if scheme is None:
-            raise UnsupportedQueryError("group bounds without a partition scheme")
-        return count_masks(scheme.group_count(), con.lb, con.ub)
-    if con.kind == "one_per_level":
-        if scheme is None:
-            raise UnsupportedQueryError("one-of-levels without a partition scheme")
-        return sum(len(level) for level in scheme.levels)
-    raise UnsupportedQueryError(f"dataset constraint {con.kind!r} not supported")
-
-
-def _axis_iter(
-    con: AxisConstraint, universe: int, scheme: PartitionScheme | None
-) -> Iterator[int]:
-    if con.kind == "all":
-        yield universe
-    elif con.kind == "fixed":
-        yield con.members
-    elif con.kind == "groups":
-        groups = scheme.groups
-        for r in range(con.lb, con.ub + 1):
-            for chosen in combinations(groups, r):
-                bits = 0
-                for g in chosen:
-                    bits |= g.members
-                yield bits
-    elif con.kind == "one_per_level":
-        for level in scheme.levels:
-            for g in level:
-                yield g.members
-    else:  # pragma: no cover - caught by _axis_count
-        raise UnsupportedQueryError(f"dataset constraint {con.kind!r} not supported")
 
 
 class MaskEnumerator:
@@ -102,37 +64,24 @@ class MaskEnumerator:
         query: Query,
         item_scheme: PartitionScheme | None = None,
         trans_scheme: PartitionScheme | None = None,
-        materialize: bool = False,
     ):
+        check_query(db, query, item_scheme, trans_scheme)
         self.db = db
         self.query = query
         self.item_scheme = item_scheme
         self.trans_scheme = trans_scheme
-        self._count = _axis_count(query.items, item_scheme) * _axis_count(
-            query.trans, trans_scheme
-        )
-        self._masks: list[Mask] | None = None
-        if materialize:
-            self._masks = list(self._generate())
+        self._count = query.items.count(item_scheme) * query.trans.count(trans_scheme)
 
     def count(self) -> int:
         return self._count
 
-    def _generate(self) -> Iterator[Mask]:
+    def __iter__(self) -> Iterator[Mask]:
         trans_opts = list(
-            _axis_iter(self.query.trans, self.db.all_transactions(), self.trans_scheme)
+            self.query.trans.masks(self.db.all_transactions(), self.trans_scheme)
         )
-        for ib in _axis_iter(self.query.items, self.db.all_items(), self.item_scheme):
+        for ib in self.query.items.masks(self.db.all_items(), self.item_scheme):
             for tb in trans_opts:
                 yield Mask(ib, tb)
-
-    def __iter__(self) -> Iterator[Mask]:
-        if self._masks is not None:
-            return iter(self._masks)
-        return self._generate()
-
-    def __len__(self) -> int:
-        return self._count
 
 
 def enumerate_masks(
@@ -140,9 +89,8 @@ def enumerate_masks(
     query: Query,
     item_scheme: PartitionScheme | None = None,
     trans_scheme: PartitionScheme | None = None,
-    materialize: bool = False,
 ) -> MaskEnumerator:
-    return MaskEnumerator(db, query, item_scheme, trans_scheme, materialize)
+    return MaskEnumerator(db, query, item_scheme, trans_scheme)
 
 
 # ------------------------------------------------------------------ miners
@@ -160,14 +108,50 @@ def mine_closed(
     deadline: float | None = None,
 ) -> list[int]:
     """All frequent closed itemsets of the sub-dataset satisfying the
-    itemset-side constraints, as bitsets.
+    itemset-side constraints, as bitsets (see ``_mine``)."""
+    return _mine(db, mask, theta, True, min_size, span, require, forbid, item_scheme, deadline)
 
-    Closure-extension DFS: each closed set is reached once, from the seed
-    item whose addition created it, with a prefix-preservation test to kill
-    duplicates.  Constraints prune during the search where they are
-    monotone (forbidden items, size bound, span upper bound, required items
-    that can no longer join) and filter at emission otherwise.  Raises
-    SearchTimeout once ``time.monotonic()`` passes ``deadline``.
+
+def mine_frequent(
+    db: TransactionDatabase,
+    mask: Mask,
+    theta: Fraction,
+    min_size: int = 1,
+    span: tuple[int, int] | None = None,
+    require: int = 0,
+    forbid: int = 0,
+    item_scheme: PartitionScheme | None = None,
+    deadline: float | None = None,
+) -> list[int]:
+    """All frequent itemsets (no closedness) of the sub-dataset, same
+    constraint handling and deadline as mine_closed."""
+    return _mine(db, mask, theta, False, min_size, span, require, forbid, item_scheme, deadline)
+
+
+def _mine(
+    db: TransactionDatabase,
+    mask: Mask,
+    theta: Fraction,
+    closed: bool,
+    min_size: int,
+    span: tuple[int, int] | None,
+    require: int,
+    forbid: int,
+    item_scheme: PartitionScheme | None,
+    deadline: float | None,
+) -> list[int]:
+    """Depth-first miner behind mine_closed and mine_frequent.
+
+    Each node extends its itemset by one frequent item e above the node's
+    core (the item that created it).  The frequent miner adds e; the
+    closed miner jumps to the closure, so each closed set is reached once,
+    from the seed item whose addition created it, with a
+    prefix-preservation test to kill duplicates.  The closed search starts
+    at the closure of the empty set, the frequent one at the empty set.
+    Constraints prune during the search where they are monotone (forbidden
+    items, size bound, span upper bound, required items that can no longer
+    join) and filter at emission otherwise.  Raises SearchTimeout once
+    ``time.monotonic()`` passes ``deadline``.
     """
     act_t = mask.active_transactions
     n_act = act_t.bit_count()
@@ -186,14 +170,34 @@ def mine_closed(
     def span_of(bits: int) -> int:
         return sum(1 for g in group_bits if g & bits)
 
-    def emit(pat: int) -> None:
-        if pat == 0 or pat.bit_count() < min_size:
-            return
-        if require & ~pat:
-            return
-        if span is not None and not span[0] <= span_of(pat) <= span[1]:
-            return
-        out.append(pat)
+    if closed:
+
+        def extend(pat: int, low: int, cov: int) -> int:
+            ext = act_i  # the closure: active items of every covered row
+            while cov:
+                t = cov & -cov
+                ext &= rows[t.bit_length() - 1]
+                cov ^= t
+            below = low - 1
+            if (ext & below) != (pat & below):
+                return 0  # already reached from a smaller seed
+            return 0 if ext & forbid else ext
+
+        root = act_i
+        rest = act_t
+        while rest:
+            t = rest & -rest
+            root &= rows[t.bit_length() - 1]
+            rest ^= t
+        if root & forbid:
+            # every closed set contains the root closure, so nothing qualifies
+            return []
+    else:
+
+        def extend(pat: int, low: int, cov: int) -> int:
+            return pat | low
+
+        root = 0
 
     nodes = 0
 
@@ -202,8 +206,10 @@ def mine_closed(
         nodes += 1
         if deadline is not None and nodes % _DEADLINE_STRIDE == 0:
             _check(deadline)
-        emit(pat)
-        if span is not None and group_bits is not None and span_of(pat) > span[1]:
+        if pat and pat.bit_count() >= min_size and not require & ~pat:
+            if span is None or span[0] <= span_of(pat) <= span[1]:
+                out.append(pat)
+        if span is not None and span_of(pat) > span[1]:
             return
         missing = require & ~pat
         if missing and (missing & -missing).bit_length() - 1 <= core:
@@ -218,92 +224,11 @@ def mine_closed(
             cov_e = cov & cols[e]
             if q * cov_e.bit_count() < need:
                 continue
-            closed = act_i
-            rest = cov_e
-            while rest:
-                t = rest & -rest
-                closed &= rows[t.bit_length() - 1]
-                rest ^= t
-            below = low - 1
-            if (closed & below) != (pat & below):
-                continue  # already reached from a smaller seed
-            if closed & forbid:
-                continue
-            grow(closed, cov_e, e)
+            child = extend(pat, low, cov_e)
+            if child:
+                grow(child, cov_e, e)
 
-    root = act_i
-    rest = act_t
-    while rest:
-        t = rest & -rest
-        root &= rows[t.bit_length() - 1]
-        rest ^= t
-    if root & forbid:
-        # every closed set contains the root closure, so nothing qualifies
-        return []
     grow(root, act_t, 0)
-    return out
-
-
-def mine_frequent(
-    db: TransactionDatabase,
-    mask: Mask,
-    theta: Fraction,
-    min_size: int = 1,
-    span: tuple[int, int] | None = None,
-    require: int = 0,
-    forbid: int = 0,
-    item_scheme: PartitionScheme | None = None,
-    deadline: float | None = None,
-) -> list[int]:
-    """All frequent itemsets (no closedness) of the sub-dataset, same
-    constraint handling and deadline as mine_closed."""
-    act_t = mask.active_transactions
-    n_act = act_t.bit_count()
-    if n_act == 0:
-        return []
-    act_i = mask.active_items
-    if require & ~act_i:
-        return []
-    p, q = theta.numerator, theta.denominator
-    need = p * n_act
-    cols = db.columns
-    group_bits = [g.members for g in item_scheme.groups] if item_scheme else None
-    out: list[int] = []
-
-    def span_of(bits: int) -> int:
-        return sum(1 for g in group_bits if g & bits)
-
-    nodes = 0
-
-    def grow(pat: int, cov: int, last: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if deadline is not None and nodes % _DEADLINE_STRIDE == 0:
-            _check(deadline)
-        if pat:
-            ok = pat.bit_count() >= min_size and not (require & ~pat)
-            if ok and span is not None:
-                ok = span[0] <= span_of(pat) <= span[1]
-            if ok:
-                out.append(pat)
-            if span is not None and span_of(pat) > span[1]:
-                return
-        missing = require & ~pat
-        if missing and (missing & -missing).bit_length() - 1 <= last:
-            return
-        cand = act_i & ~pat & ~forbid & ~((1 << (last + 1)) - 1)
-        if pat.bit_count() + cand.bit_count() < min_size:
-            return
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            e = low.bit_length() - 1
-            cov_e = cov & cols[e]
-            if q * cov_e.bit_count() < need:
-                continue
-            grow(pat | low, cov_e, e)
-
-    grow(0, act_t, 0)
     return out
 
 

@@ -1,11 +1,29 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import A, B, E, F, G, HALF, K, theory_labels
-from submine import Query, QueryError, assemble, build_query, parse_query, run_theory
+from submine import (
+    FormatError,
+    Query,
+    QueryError,
+    TransactionDatabase,
+    UnsupportedQueryError,
+    assemble,
+    build_query,
+    parse_query,
+    run_theory,
+)
 from submine.dataset import bits_of
-from submine.queries import AxisConstraint, SolutionPair, describe_mask, validate_pair
+from submine.queries import (
+    ENGINES,
+    AxisConstraint,
+    SolutionPair,
+    describe_mask,
+    validate_pair,
+)
 
 
 # ----------------------------------------------------------------- grammar
@@ -76,6 +94,85 @@ def test_bounds_validation(db1, items3, trans3):
         build_query({"theta": "1/2", "span": "0 9"}, db1, items3)
     with pytest.raises(QueryError, match="one-of-levels"):
         build_query({"theta": "1/2", "trans_active": "one-of-levels"}, db1, items3, None)
+
+
+# query files: theta always, each other key now and then; a value is a
+# sample that hits one branch of the grammar (valid or not) or free text
+_AXIS = ["all", "one-of-levels", "list A G K", "list 1 9", "list Z", "1 2", "2 2", "0 3", "2 5"]
+_SAMPLES = {
+    "closed": ["true", "false", "maybe"],
+    "minsize": ["1", "2", "3", "0", "10", "two"],
+    "span": ["1 2", "2 2", "0 9", "-1 1", "1"],
+    "require": ["A", "G K", "1", "9", "Z", "0"],
+    "forbid": ["C", "B E", "9", "K"],
+    "items_active": _AXIS,
+    "trans_active": _AXIS,
+    "engine": ["cp", "baseline", "gpu"],
+}
+_THETAS = ["1/2", "1/6", "50%", "0.5", "0", "3/2", "1/0"]
+_FREE = st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp")), max_size=4)
+
+
+def _query_text(value):
+    keys = st.fixed_dictionaries(
+        {"theta": value(_THETAS)}, optional={k: value(v) for k, v in _SAMPLES.items()}
+    )
+    return keys.map(lambda d: "".join(f"{k}: {v}\n" for k, v in d.items()))
+
+
+_QUERY_TEXT = (
+    _query_text(st.sampled_from)
+    | _query_text(lambda samples: st.sampled_from(samples) | _FREE)
+    | st.text(max_size=40)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=_QUERY_TEXT,
+    with_schemes=st.booleans(),
+)
+def test_query_text_builds_or_fails_cleanly(db1, items3, trans3, text, with_schemes):
+    schemes = (items3, trans3) if with_schemes else (None, None)
+    try:
+        query = build_query(parse_query(text), db1, *schemes)
+    except (QueryError, FormatError):
+        return
+    theories = [run_theory(db1, query, *schemes, engine=e) for e in ENGINES]
+    assert theories[0] == theories[1] == theories[2]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(
+    "make,error,message",
+    [
+        (lambda: Query(theta=HALF, require=bits_of([9])), QueryError, "item 9 out of range 1..3"),
+        (lambda: Query(theta=HALF, forbid=bits_of([9])), QueryError, "item 9 out of range 1..3"),
+        (lambda: Query(theta=HALF, min_size=9), QueryError, "minsize 9 out of range 1..3"),
+        (
+            lambda: Query(theta=HALF, items=AxisConstraint("spatial-window")),
+            UnsupportedQueryError,
+            "dataset constraint 'spatial-window' not supported",
+        ),
+        (
+            lambda: Query(theta=HALF, trans=AxisConstraint.group_bounds(1, 2)),
+            QueryError,
+            "group bounds on transactions need a partition scheme",
+        ),
+        (
+            lambda: Query(theta=0.5),
+            QueryError,
+            "theta must be an exact fraction, got 0.5",
+        ),
+    ],
+    ids=["require", "forbid", "minsize", "unknown-kind", "no-scheme", "float-theta"],
+)
+def test_engines_reject_invalid_queries_alike(engine, make, error, message):
+    db = TransactionDatabase.from_rows([[1, 2], [2, 3], [1, 3]], item_count=3)
+    with pytest.raises(error) as info:
+        run_theory(db, make(), engine=engine)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_require_conflicts_forbid(db1):

@@ -82,7 +82,7 @@ def test_enumerate_masks_counts(db1, items3, trans3):
 
 def test_enumerate_masks_materialized(db1, items3, trans3):
     q = Query(theta=HALF, items=AxisConstraint.group_bounds(1, 3))
-    enum = enumerate_masks(db1, q, items3, trans3, materialize=True)
+    enum = enumerate_masks(db1, q, items3, trans3)
     assert len(list(enum)) == enum.count() == 7
 
 
