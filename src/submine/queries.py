@@ -4,12 +4,13 @@ A query bundles a minimum frequency, itemset-side constraints (closedness,
 minimum size, category span, required/forbidden items) and dataset-side
 constraints (which items/transactions are active).  ``run_theory`` returns
 the complete theory of (sub-dataset, itemset) pairs, canonically sorted,
-and re-validates every pair against the raw definitions before returning.
+and re-validates every engine's answer against the raw definitions.
 
 Query file grammar (one ``key: value`` per line, ``#`` comments, unknown
 keys rejected)::
 
-    theta: 1/2            # or 50%  or 0.5   -- minimum frequency, exact
+    theta: 1/2            # or 50%  or 0.5   -- minimum frequency, exact;
+                          # no exponent (1e-1 is refused)
     closed: true          # default true
     minsize: 2            # default 1
     span: 1 2             # itemset touches between lb and ub item groups
@@ -35,7 +36,6 @@ from .dataset import (
     Mask,
     PartitionScheme,
     TransactionDatabase,
-    bits_of,
     closure,
     cover,
     indices_of,
@@ -262,10 +262,12 @@ def make_pair(
     item_bits: int,
     trans_bits: int,
     itemset_bits: int,
+    support: int,
     item_scheme: PartitionScheme | None = None,
     trans_scheme: PartitionScheme | None = None,
 ) -> SolutionPair:
-    support = cover(db, itemset_bits, Mask(item_bits, trans_bits)).bit_count()
+    """Decode one answer triple, with the support ``validate_pair`` found
+    for it, into a SolutionPair with display names and labels."""
     return SolutionPair(
         item_mask=indices_of(item_bits),
         trans_mask=indices_of(trans_bits),
@@ -304,6 +306,10 @@ def parse_query(source: str | IO[str]) -> dict[str, str]:
 
 
 def _parse_theta(text: str) -> Fraction:
+    # an exponent would make the denominator as large as the writer likes,
+    # and every support test multiplies by it
+    if "e" in text.lower():
+        raise QueryError(f"cannot parse frequency {text!r}")
     try:
         if text.endswith("%"):
             return Fraction(text[:-1].strip()) / 100
@@ -447,8 +453,6 @@ class Layout:
     y: list
     h: list
     v: list
-    item_indicators: list[int]
-    trans_indicators: list[int]
 
 
 def assemble(
@@ -475,23 +479,18 @@ def assemble(
     constraints.post_channeling(s, h[1:], x[1:], v[1:] if y else [], y[1:])
 
     # dataset part: the activation variables of each axis
-    indicators = []
     for con, gates, universe, scheme in (
         (query.items, h, db.all_items(), item_scheme),
         (query.trans, v, db.all_transactions(), trans_scheme),
     ):
         if con.kind == "groups":
-            indicators.append(
-                constraints.post_group_activation(s, scheme, gates, con.lb, con.ub)
-            )
+            constraints.post_group_activation(s, scheme, gates, con.lb, con.ub)
         elif con.kind == "one_per_level":
-            indicators.append(constraints.post_exactly_one_group(s, scheme, gates))
+            constraints.post_exactly_one_group(s, scheme, gates)
         else:
             active = con.single(universe)
             for i in range(1, len(gates)):
                 s.assign_root(gates[i], active >> i & 1)
-            indicators.append([])
-    layout = Layout(x, y, h, v, *indicators)
 
     # a sub-dataset with no transactions has no defined frequencies
     s.post(constraints.CardinalityRange([v[j] for j in range(1, m + 1)], 1, None))
@@ -511,7 +510,7 @@ def assemble(
         closedpattern.post_closed_pattern_sub(s, db, x, h, y, v, query.theta)
     else:
         closedpattern.post_frequent_sub(s, db, x, h, y, v, query.theta)
-    return s, layout
+    return s, Layout(x, y, h, v)
 
 
 # ---------------------------------------------------------------- running
@@ -545,14 +544,20 @@ def _collect_cp(
     return triples
 
 
-def _theory_task(db, query, item_scheme, trans_scheme, engine, use_reified, deadline):
-    """Worker for the parallel mode: one fixed mask, serial run."""
+def _engine_triples(
+    db, query, item_scheme, trans_scheme, engine, use_reified, deadline, stats=None
+) -> set[tuple[int, int, int]]:
+    """One engine's answer as (item_bits, trans_bits, itemset_bits) triples;
+    also the parallel mode's pool worker, on one fixed mask each."""
     if engine == "cp":
-        return _collect_cp(db, query, item_scheme, trans_scheme, use_reified, deadline, None)
+        return _collect_cp(db, query, item_scheme, trans_scheme, use_reified, deadline, stats)
     from . import reference
 
-    pairs = reference.pp_mine(db, query, item_scheme, trans_scheme, deadline=deadline)
-    return {(bits_of(p.item_mask), bits_of(p.trans_mask), bits_of(p.items)) for p in pairs}
+    if engine == "baseline":
+        return reference.pp_mine(
+            db, query, item_scheme, trans_scheme, deadline=deadline, stats=stats
+        )
+    return reference.brute_force_theory(db, query, item_scheme, trans_scheme, deadline=deadline)
 
 
 def run_theory(
@@ -567,10 +572,11 @@ def run_theory(
     stats: dict | None = None,
 ) -> list[SolutionPair]:
     """The complete theory of the query, canonically sorted (masks then
-    itemsets, lexicographic on indices).  The solution set is identical
-    for every engine; each pair is re-validated before being returned."""
-    from . import reference
-
+    itemsets, lexicographic on indices).  Every engine answers with a set
+    of (item_bits, trans_bits, itemset_bits) triples; this is the one place
+    that checks each triple (``validate_pair``) and decodes it into a
+    SolutionPair (``make_pair``), so the result is identical for every
+    engine."""
     chosen = engine or query.engine
     if chosen not in ENGINES:
         raise QueryError(f"unknown engine {chosen!r}")
@@ -580,28 +586,15 @@ def run_theory(
         triples = _run_parallel(
             db, query, item_scheme, trans_scheme, chosen, workers, use_reified, deadline
         )
-        pairs = [
-            make_pair(db, ib, tb, xb, item_scheme, trans_scheme) for ib, tb, xb in triples
-        ]
-    elif chosen == "cp":
-        triples = _collect_cp(
-            db, query, item_scheme, trans_scheme, use_reified, deadline, stats
-        )
-        pairs = [
-            make_pair(db, ib, tb, xb, item_scheme, trans_scheme) for ib, tb, xb in triples
-        ]
-    elif chosen == "baseline":
-        pairs = reference.pp_mine(
-            db, query, item_scheme, trans_scheme, deadline=deadline, stats=stats
-        )
     else:
-        pairs = reference.brute_force_theory(
-            db, query, item_scheme, trans_scheme, deadline=deadline
+        triples = _engine_triples(
+            db, query, item_scheme, trans_scheme, chosen, use_reified, deadline, stats
         )
-
-    pairs = sorted(set(pairs), key=SolutionPair.sort_key)
-    for pair in pairs:
-        validate_pair(db, query, pair, item_scheme, trans_scheme)
+    pairs = []
+    for ib, tb, xb in triples:
+        support = validate_pair(db, query, ib, tb, xb, item_scheme, trans_scheme)
+        pairs.append(make_pair(db, ib, tb, xb, support, item_scheme, trans_scheme))
+    pairs.sort(key=SolutionPair.sort_key)
     return pairs
 
 
@@ -640,7 +633,7 @@ def _run_parallel(
         return triples
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(workers) as pool:
-        for part in pool.starmap(_theory_task, tasks):
+        for part in pool.starmap(_engine_triples, tasks):
             triples |= part
     return triples
 
@@ -651,19 +644,22 @@ def _run_parallel(
 def validate_pair(
     db: TransactionDatabase,
     query: Query,
-    pair: SolutionPair,
+    item_bits: int,
+    trans_bits: int,
+    itemset: int,
     item_scheme: PartitionScheme | None = None,
     trans_scheme: PartitionScheme | None = None,
-) -> None:
-    """Re-check a solution pair from first principles; raises RuntimeError
-    on any violation.  Runs after every engine as a self-check."""
-    item_bits = bits_of(pair.item_mask)
-    trans_bits = bits_of(pair.trans_mask)
-    itemset = bits_of(pair.items)
+) -> int:
+    """Re-check one answer triple from first principles and return its
+    support; raises RuntimeError on any violation.  Runs on every answer
+    of every engine as a self-check."""
     mask = Mask(item_bits, trans_bits)
 
     def bad(msg: str):
-        raise RuntimeError(f"solution failed self-check ({msg}): {pair}")
+        raise RuntimeError(
+            f"solution failed self-check ({msg}): itemset {indices_of(itemset)}"
+            f" in items {indices_of(item_bits)}, transactions {indices_of(trans_bits)}"
+        )
 
     if itemset == 0:
         bad("empty itemset")
@@ -671,11 +667,9 @@ def validate_pair(
         bad("itemset outside active items")
     if trans_bits == 0:
         bad("no active transactions")
-    cov = cover(db, itemset, mask)
-    if cov.bit_count() != pair.support:
-        bad("support mismatch")
+    support = cover(db, itemset, mask).bit_count()
     n_active = trans_bits.bit_count()
-    if pair.support * query.theta.denominator < query.theta.numerator * n_active:
+    if support * query.theta.denominator < query.theta.numerator * n_active:
         bad("below minimum frequency")
     if query.closed and closure(db, itemset, mask) != itemset:
         bad("not closed in the sub-dataset")
@@ -693,3 +687,4 @@ def validate_pair(
         bad("item activation violates dataset constraint")
     if not query.trans.satisfied(trans_bits, db.all_transactions(), trans_scheme):
         bad("transaction activation violates dataset constraint")
+    return support

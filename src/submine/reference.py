@@ -24,12 +24,11 @@ from .dataset import (
 )
 from .engine import SearchTimeout
 
-# count_masks and UnsupportedQueryError live in queries; importers of this
-# module find them here too
+# count_masks, make_pair and UnsupportedQueryError live in queries;
+# importers of this module find them here too
 from .queries import (
     AxisConstraint,
     Query,
-    SolutionPair,
     UnsupportedQueryError,
     check_query,
     count_masks,
@@ -242,9 +241,11 @@ def pp_mine(
     trans_scheme: PartitionScheme | None = None,
     deadline: float | None = None,
     stats: dict | None = None,
-) -> list[SolutionPair]:
+) -> set[tuple[int, int, int]]:
     """Two-step baseline: enumerate every feasible sub-dataset, then mine
-    each one with the specialized miner.  Equals the cp theory as a set."""
+    each one with the specialized miner.  Answers with the set of
+    (item_bits, trans_bits, itemset_bits) triples, which equals cp's;
+    ``run_theory`` checks and decodes them."""
     enum = enumerate_masks(db, query, item_scheme, trans_scheme)
     miner = mine_closed if query.closed else mine_frequent
     triples: set[tuple[int, int, int]] = set()
@@ -269,9 +270,7 @@ def pp_mine(
             triples.add((mask.active_items, mask.active_transactions, pat))
     if stats is not None:
         stats["masks"] = stats.get("masks", 0) + n_masks
-    return [
-        make_pair(db, ib, tb, xb, item_scheme, trans_scheme) for ib, tb, xb in triples
-    ]
+    return triples
 
 
 # ------------------------------------------------------------------ oracle
@@ -322,9 +321,10 @@ def brute_force_theory(
     item_scheme: PartitionScheme | None = None,
     trans_scheme: PartitionScheme | None = None,
     deadline: float | None = None,
-) -> list[SolutionPair]:
+) -> set[tuple[int, int, int]]:
     """Evaluate the query predicate by definition over every feasible mask
-    and every non-empty subset of active items; no solver, no miner."""
+    and every non-empty subset of active items; no solver, no miner.
+    Answers with (item_bits, trans_bits, itemset_bits) triples, as pp_mine."""
     from .dataset import closure, cover  # dataset primitives only
 
     if db.item_count > _ORACLE_MAX_ITEMS:
@@ -374,6 +374,4 @@ def brute_force_theory(
                     if query.closed and closure(db, pat, mask) != pat:
                         continue
                     triples.add((item_bits, trans_bits, pat))
-    return [
-        make_pair(db, ib, tb, xb, item_scheme, trans_scheme) for ib, tb, xb in triples
-    ]
+    return triples

@@ -44,6 +44,12 @@ def theory_labels(pairs) -> set:
     return {(p.item_mask, p.trans_mask, "".join(p.labels), p.support) for p in pairs}
 
 
+def triples_of(pairs) -> set:
+    """The (item_bits, trans_bits, itemset_bits) triples the engines answer
+    with, read back from a decoded theory."""
+    return {(bits_of(p.item_mask), bits_of(p.trans_mask), bits_of(p.items)) for p in pairs}
+
+
 def car_purchases():
     """Synthetic car-purchase data: 2 regions x 2 departments x 2 cities,
     5 purchases per city.  One Ferrari is planted in city 1, which puts

@@ -1,10 +1,12 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import A, B, E, F, G, HALF, K, theory_labels
+from helpers import A, B, E, F, G, HALF, K, theory_labels, triples_of
 from submine import (
     FormatError,
     Query,
@@ -16,6 +18,7 @@ from submine import (
     parse_query,
     run_theory,
 )
+from submine.cli import generate_random_instance
 from submine.dataset import bits_of
 from submine.queries import (
     ENGINES,
@@ -54,6 +57,8 @@ def test_parse_query_roundtrip(db1, items3, trans3):
     ("theta: 0\n", "theta"),
     ("theta: 3/2\n", "theta"),
     ("theta: huh\n", "frequency"),
+    ("theta: 5E-1\n", "frequency"),
+    ("theta: 1e-1000000\n", "frequency"),
     ("theta: 1/2\nclosed: maybe\n", "closed"),
     ("theta: 1/2\nminsize: zero\n", "minsize"),
 ])
@@ -311,15 +316,20 @@ def test_same_itemset_under_two_masks_is_two_pairs(db1, items3, trans3):
     assert len(gk) == 2 and gk[0].item_mask != gk[1].item_mask
 
 
-def test_parallel_mode_matches_serial(db1, items3, trans3):
-    q = Query(
-        theta=HALF,
-        items=AxisConstraint.group_bounds(2, 2),
-        trans=AxisConstraint.group_bounds(2, 2),
-    )
-    serial = run_theory(db1, q, items3, trans3)
+@pytest.mark.parametrize("seed", ["table1-q4", *range(10)])
+def test_parallel_mode_matches_serial(db1, items3, trans3, seed):
+    if seed == "table1-q4":
+        db, ischeme, tscheme = db1, items3, trans3
+        q = Query(
+            theta=HALF,
+            items=AxisConstraint.group_bounds(2, 2),
+            trans=AxisConstraint.group_bounds(2, 2),
+        )
+    else:
+        db, ischeme, tscheme, q = generate_random_instance(random.Random(seed))
+    serial = run_theory(db, q, ischeme, tscheme)
     for engine in ("cp", "baseline"):
-        parallel = run_theory(db1, q, items3, trans3, engine=engine, workers=2)
+        parallel = run_theory(db, q, ischeme, tscheme, engine=engine, workers=2)
         assert parallel == serial
 
 
@@ -341,19 +351,29 @@ def test_parallel_mode_over_hierarchy():
 # ------------------------------------------------------------- self-check
 
 
-def test_validate_pair_catches_corruption(db1):
-    good = run_theory(db1, Query(theta=HALF))[0]
-    bad = SolutionPair(
-        item_mask=good.item_mask,
-        trans_mask=good.trans_mask,
-        items=good.items,
-        support=good.support + 1,
-        item_desc=good.item_desc,
-        trans_desc=good.trans_desc,
-        labels=good.labels,
-    )
-    with pytest.raises(RuntimeError, match="self-check"):
-        validate_pair(db1, Query(theta=HALF), bad)
+# each case corrupts the Q1 answer EF (all items, all transactions) and
+# names the check that must catch it
+@pytest.mark.parametrize(
+    "corrupt,reason",
+    [
+        (lambda q, ib, tb, xb: (q, ib, tb, bits_of([E])), "not closed"),
+        (lambda q, ib, tb, xb: (q, ib, tb, xb | bits_of([G])), "below minimum frequency"),
+        (lambda q, ib, tb, xb: (q, ib & ~bits_of([F]), tb, xb), "itemset outside active items"),
+        (
+            lambda q, ib, tb, xb: (replace(q, trans=AxisConstraint.group_bounds(2, 2)), ib, tb, xb),
+            "transaction activation violates",
+        ),
+    ],
+    ids=["not-closed", "infrequent", "inactive-item", "trans-bounds"],
+)
+def test_validate_pair_catches_corruption(db1, trans3, corrupt, reason):
+    q1 = Query(theta=HALF)
+    (good,) = [p for p in run_theory(db1, q1) if p.labels == ("E", "F")]
+    (triple,) = triples_of([good])
+    assert validate_pair(db1, q1, *triple, None, trans3) == good.support
+    query, *bad = corrupt(q1, *triple)
+    with pytest.raises(RuntimeError, match=f"self-check \\({reason}"):
+        validate_pair(db1, query, *bad, None, trans3)
 
 
 def test_describe_mask(db1, items3):

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import A, B, E, F, G, HALF, K
+from helpers import A, B, E, F, G, HALF, K, triples_of
 from submine import Query, TransactionDatabase, run_theory
 from submine.dataset import Mask, bits_of, closure, cover, indices_of
 from submine.queries import AxisConstraint
@@ -162,9 +162,9 @@ def test_pp_mine_families(db1, items3, trans3):
         ),
         (Query(theta=HALF), 4),
     ]:
-        pairs = pp_mine(db1, q, items3, trans3)
-        assert len(pairs) == expected_pairs
-        assert set(pairs) == set(run_theory(db1, q, items3, trans3, engine="cp"))
+        triples = pp_mine(db1, q, items3, trans3)
+        assert len(triples) == expected_pairs
+        assert triples == triples_of(run_theory(db1, q, items3, trans3, engine="cp"))
 
 
 def test_pp_mine_rejects_unknown_dataset_family(db1):
@@ -186,12 +186,13 @@ def test_pp_mine_counts_masks(db1, items3, trans3):
 
 
 def test_oracle_q1(db1):
-    pairs = brute_force_theory(db1, Query(theta=HALF))
-    assert {"".join(p.labels) for p in pairs} == {"A", "B", "EF", "GK"}
+    triples = brute_force_theory(db1, Query(theta=HALF))
+    assert {"".join(db1.labels_for(x)) for _, _, x in triples} == {"A", "B", "EF", "GK"}
+    assert triples == triples_of(run_theory(db1, Query(theta=HALF), engine="cp"))
 
 
 def test_oracle_theta_one_empty(db1):
-    assert brute_force_theory(db1, Query(theta=Fraction(1))) == []
+    assert brute_force_theory(db1, Query(theta=Fraction(1))) == set()
 
 
 def test_oracle_item_guard():
