@@ -9,20 +9,21 @@ wake-up costs no scan over variables.  The cover is derived state: the
 intersection of the columns of the items fixed to 1, restricted to the
 transactions whose cover variable (where one exists) is not fixed to 0.
 
-Once the mask is fully assigned it applies, over that cover restricted to
-the active transactions:
+It runs one frequency filter on every mask state: an optimistic cover,
+over the transactions not fixed inactive, against the threshold of the
+transactions fixed active.  Once V is fixed, that is the exact cover of
+the sub-dataset.  The filter will
 
   * fail when that cover cannot reach the support threshold;
-  * drop a free item whose addition kills the threshold;
-  * (closed mode) force a free active item whose addition leaves the cover
-    unchanged;
-  * (closed mode) drop a free active item dominated by an excluded one,
-    and fail when the cover is contained in an excluded item's column.
+  * drop a free item whose addition kills the threshold.
 
-While the mask is only partially assigned it runs relaxed, always-sound
-bounds: an optimistic cover over possibly-active transactions against the
-count of definitely-active ones.  Where Y variables exist they follow the
-itemset and the mask.
+Once the whole mask (H and V) is fixed, closed mode also will
+
+  * force a free active item whose addition leaves the cover unchanged;
+  * drop a free active item dominated by an excluded one, and fail when
+    the cover is contained in an excluded item's column.
+
+Where Y variables exist they follow the itemset and the mask.
 """
 
 from __future__ import annotations
@@ -124,56 +125,46 @@ class ClosedPatternSub(Propagator):
             sigma_cover &= cols[low.bit_length() - 1]
             rest ^= low
 
+        # the support bound over the possibly-active transactions, against
+        # the definitely-active ones; exact once V is fixed
+        need = p * v1.bit_count()
+        cov = sigma_cover & ~v0 & ynz
+        if q * cov.bit_count() < need:
+            return False
+        mask_fixed = (h1 | h0) & items == items and v1 | v0 == trans
         free = xnz & ~x1
-        if (h1 | h0) & items == items and v1 | v0 == trans:
-            need = p * v1.bit_count()
-            cov = sigma_cover & v1 & ynz
-            if q * cov.bit_count() < need:
-                return False
-            fr = free
+        # with no transaction active yet and the mask open, no support can
+        # fall short and no item is taken
+        fr = free if need or mask_fixed else 0
+        while fr:
+            low = fr & -fr
+            fr ^= low
+            ci = cov & cols[low.bit_length() - 1]
+            if q * ci.bit_count() < need:
+                drop |= low
+            elif self.closed and mask_fixed and h1 & low and ci == cov:
+                take |= low
+        excluded = items & ~xnz & h1
+        if self.closed and mask_fixed and excluded:
+            # the cover rows each excluded column misses
+            zs = set()
+            ex = excluded
+            while ex:
+                i = (ex & -ex).bit_length() - 1
+                ex &= ~self.same_column[i]
+                z = cov & ~cols[i]
+                if z == 0:
+                    return False
+                zs.add(z)
+            fr = free & h1 & ~(drop | take)
             while fr:
                 low = fr & -fr
                 fr ^= low
-                i = low.bit_length() - 1
-                ci = cov & cols[i]
-                if q * ci.bit_count() < need:
-                    drop |= low
-                elif self.closed and h1 & low and ci == cov:
-                    take |= low
-            if self.closed:
-                excluded = items & ~xnz & h1
-                if excluded:
-                    # the cover rows each excluded column misses
-                    zs = set()
-                    ex = excluded
-                    while ex:
-                        i = (ex & -ex).bit_length() - 1
-                        ex &= ~self.same_column[i]
-                        z = cov & ~cols[i]
-                        if z == 0:
-                            return False
-                        zs.add(z)
-                    fr = free & h1 & ~(drop | take)
-                    while fr:
-                        low = fr & -fr
-                        fr ^= low
-                        ci = cols[low.bit_length() - 1]
-                        for z in zs:
-                            if z & ci == 0:
-                                drop |= low
-                                break
-        else:
-            floor = p * v1.bit_count()
-            ub_cov = sigma_cover & ~v0 & ynz
-            if q * ub_cov.bit_count() < floor:
-                return False
-            # with no transaction active yet, no support can fall short
-            fr = free if floor else 0
-            while fr:
-                low = fr & -fr
-                fr ^= low
-                if q * (ub_cov & cols[low.bit_length() - 1]).bit_count() < floor:
-                    drop |= low
+                ci = cols[low.bit_length() - 1]
+                for z in zs:
+                    if z & ci == 0:
+                        drop |= low
+                        break
         s.assign_bits(ROLE_X, drop, 0)
         s.assign_bits(ROLE_X, take, 1)
 

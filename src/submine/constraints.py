@@ -402,11 +402,10 @@ def post_group_activation(
     axis_vars,
     lb: int,
     ub: int,
-    level: int = 0,
 ) -> list[int]:
     """Each group activates as a whole; the number of active groups lies in
     [lb, ub].  Returns the per-group indicator variables."""
-    groups = scheme.levels[level]
+    groups = scheme.groups
     if not 0 <= lb <= ub <= len(groups):
         raise ValueError(f"group activation bounds ({lb},{ub}) invalid for {len(groups)} groups")
     indicators = []
@@ -431,20 +430,6 @@ def post_min_size(s: Solver, x_vars, k: int) -> None:
     if not 1 <= k <= n:
         raise ValueError(f"minimum size {k} out of range 1..{n}")
     s.post(CardinalityRange([v for v in x_vars if v is not None], k, None))
-
-
-def post_required_item(s: Solver, x_vars, item: int) -> None:
-    if not (1 <= item < len(x_vars)) or x_vars[item] is None:
-        raise ValueError(f"no such item: {item}")
-    s.assign_root(x_vars[item], 1)
-
-
-def post_forbidden_items(s: Solver, x_vars, items: int) -> None:
-    """Fix x_i = 0 for every item in the ``items`` bitset."""
-    for i in iter_bits(items):
-        if not (1 <= i < len(x_vars)) or x_vars[i] is None:
-            raise ValueError(f"no such item: {i}")
-        s.assign_root(x_vars[i], 0)
 
 
 def post_exactly_one_group(s: Solver, scheme: PartitionScheme, v_vars) -> list[int]:

@@ -180,8 +180,10 @@ def parse_fimi(source: str | IO[str]) -> TransactionDatabase:
 
 
 def parse_labels(source: str | IO[str]) -> dict[int, str]:
-    """Parse an item-label file: ``<id> <label>`` per line, ``#`` comments."""
+    """Parse an item-label file: ``<id> <label>`` per line, ``#`` comments.
+    An id labelled twice, or a label given to two ids, is a FormatError."""
     labels: dict[int, str] = {}
+    ids: dict[str, int] = {}  # label -> the id it names
     for lineno, raw in enumerate(_read_lines(source), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -194,7 +196,12 @@ def parse_labels(source: str | IO[str]) -> dict[int, str]:
             raise FormatError(f"line {lineno}: expected '<id> <label>'") from None
         if not rest:
             raise FormatError(f"line {lineno}: missing label for item {i}")
+        if i in labels:
+            raise FormatError(f"line {lineno}: item {i} already labelled {labels[i]!r}")
+        if rest in ids:
+            raise FormatError(f"line {lineno}: label {rest!r} already names item {ids[rest]}")
         labels[i] = rest
+        ids[rest] = i
     return labels
 
 
@@ -249,8 +256,8 @@ class PartitionScheme:
     def groups(self) -> tuple[Group, ...]:
         return self.levels[0]
 
-    def group_count(self, level: int = 0) -> int:
-        return len(self.levels[level])
+    def group_count(self) -> int:
+        return len(self.groups)
 
     @classmethod
     def build(

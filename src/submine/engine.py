@@ -1,13 +1,16 @@
 """Tri-state Boolean constraint solver.
 
-Variables hold one of {unassigned, 0, 1}.  Every variable has a role and a
-1-based position within it, in creation order.  The state is, per role, two
-bitsets over those positions: the variables fixed to 1 and the variables
-fixed to 0.  Propagators that work on whole roles read and assign these
-bitsets instead of single variables.  Propagators are woken through a FIFO
-queue with per-propagator dedup until fixpoint.  Each decision level saves
-the bitsets and backtracking restores them; search enumerates every full
-assignment accepted by all propagators, exactly once.
+Variables hold one of {unassigned, 0, 1}.  Every variable has one of five
+roles and a 1-based position within it, in creation order.  The state is,
+per role, two bitsets over those positions: the variables fixed to 1 and
+the variables fixed to 0.  Propagators that work on whole roles read and
+assign these bitsets instead of single variables, and root facts are
+assigned the same way.  Propagators are woken through a FIFO queue with
+per-propagator dedup until fixpoint.  Each decision level saves the
+bitsets and backtracking restores them.  Search branches on the lowest
+free position of the first role, in the order aux, H, V, X, Y, that still
+has one, so the sub-dataset is fixed before the itemset; it enumerates
+every full assignment accepted by all propagators, exactly once.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ ROLE_H = "H"  # item activation (mask)
 ROLE_V = "V"  # transaction activation (mask)
 ROLE_AUX = "aux"  # group indicators and other auxiliaries
 
-_ROLE_ORDER = {ROLE_AUX: 0, ROLE_H: 1, ROLE_V: 2, ROLE_X: 3, ROLE_Y: 4}
-_MASK_ROLES = (ROLE_H, ROLE_V)
+# role -> role id; also the branching order
+_ROLE_IDS = {role: rid for rid, role in enumerate((ROLE_AUX, ROLE_H, ROLE_V, ROLE_X, ROLE_Y))}
+_MASK_RIDS = frozenset((_ROLE_IDS[ROLE_H], _ROLE_IDS[ROLE_V]))
 
 
 class SearchTimeout(Exception):
@@ -58,15 +62,14 @@ class Propagator:
 class Solver:
     def __init__(self) -> None:
         self._roles: list[str] = []
-        self._rid: list[int] = []  # role index of each variable
+        self._rid: list[int] = []  # role id of each variable
         self._bit: list[int] = []  # 1 << position of each variable in its role
-        self._role_ids: dict[str, int] = {}
-        self._role_size: list[int] = []
-        self._ones: list[int] = []  # per role: positions fixed to 1
-        self._zeros: list[int] = []  # per role: positions fixed to 0
-        self._mask_rids: set[int] = set()
-        # per role: propagator id -> positions of the role it watches
-        self._watchers: list[dict[int, int]] = []
+        # per role id
+        self._role_size = [0] * len(_ROLE_IDS)
+        self._ones = [0] * len(_ROLE_IDS)  # positions fixed to 1
+        self._zeros = [0] * len(_ROLE_IDS)  # positions fixed to 0
+        # propagator id -> positions of the role it watches
+        self._watchers: list[dict[int, int]] = [{} for _ in _ROLE_IDS]
         self._props: list[Propagator] = []
         # per open level: the per-role bitsets and the unassigned mask count
         self._marks: list[tuple[list[int], list[int], int]] = []
@@ -81,21 +84,15 @@ class Solver:
     def new_var(self, role: str = ROLE_AUX) -> int:
         if self._marks:
             raise RuntimeError("variables must be created at the root level")
-        v = len(self._roles)
-        rid = self._role_ids.get(role)
+        rid = _ROLE_IDS.get(role)
         if rid is None:
-            rid = self._role_ids[role] = len(self._role_size)
-            self._role_size.append(0)
-            self._ones.append(0)
-            self._zeros.append(0)
-            self._watchers.append({})
-            if role in _MASK_ROLES:
-                self._mask_rids.add(rid)
+            raise ValueError(f"unknown role {role!r}; expected one of {', '.join(_ROLE_IDS)}")
+        v = len(self._roles)
         self._role_size[rid] += 1
         self._bit.append(1 << self._role_size[rid])
         self._roles.append(role)
         self._rid.append(rid)
-        if rid in self._mask_rids:
+        if rid in _MASK_RIDS:
             self._mask_unassigned += 1
         return v
 
@@ -121,9 +118,7 @@ class Solver:
     def fixed(self, role: str) -> tuple[int, int]:
         """Bitsets of the positions of ``role`` fixed to 1 and fixed to 0;
         (0, 0) for a role without variables."""
-        rid = self._role_ids.get(role)
-        if rid is None:
-            return 0, 0
+        rid = _ROLE_IDS[role]
         return self._ones[rid], self._zeros[rid]
 
     def role_bits(self, variables: Iterable[int]) -> tuple[str | None, int]:
@@ -152,6 +147,7 @@ class Solver:
         return len(self._roles)
 
     def snapshot(self) -> tuple[int, ...]:
+        """Every variable's value, in creation order; search never builds it."""
         ones, zeros = self._ones, self._zeros
         return tuple(
             [
@@ -169,7 +165,7 @@ class Solver:
     def assign_bits(self, role: str, bits: int, val: int) -> bool:
         """Assign val to the variables of ``role`` at the positions in
         ``bits``; False iff one of them holds the opposite value."""
-        return not bits or self._assign(self._role_ids[role], bits, val)
+        return not bits or self._assign(_ROLE_IDS[role], bits, val)
 
     def _assign(self, rid: int, bits: int, val: int) -> bool:
         ones, zeros = self._ones[rid], self._zeros[rid]
@@ -182,7 +178,7 @@ class Solver:
             self._ones[rid] = ones | bits
         else:
             self._zeros[rid] = zeros | bits
-        if rid in self._mask_rids:
+        if rid in _MASK_RIDS:
             self._mask_unassigned -= bits.bit_count()
             if self._mask_unassigned == 0:
                 self.stats["masks_reached"] += 1
@@ -228,11 +224,12 @@ class Solver:
                 self.root_failed = True
         return pid
 
-    def assign_root(self, v: int, val: int) -> bool:
-        """Assign at the root and propagate; records root failure."""
+    def assign_root(self, role: str, bits: int, val: int) -> bool:
+        """``assign_bits`` at the root, then propagate; records root
+        failure."""
         if self.root_failed:
             return False
-        if not (self.assign(v, val) and self.propagate_to_fixpoint()):
+        if not (self.assign_bits(role, bits, val) and self.propagate_to_fixpoint()):
             self.root_failed = True
             return False
         return True
@@ -255,60 +252,51 @@ class Solver:
 
     # -- search -----------------------------------------------------------------
 
-    def default_order(self) -> list[int]:
-        """Dataset-first branching: auxiliaries, then H, V, then X, then Y."""
-        return sorted(
-            range(len(self._roles)),
-            key=lambda v: (_ROLE_ORDER.get(self._roles[v], 9), v),
-        )
-
     def search_all(
         self,
-        on_solution: Callable[[tuple[int, ...]], None] | None = None,
-        order: Sequence[int] | None = None,
+        on_solution: Callable[[], None] | None = None,
         should_stop: Callable[[], bool] | None = None,
     ) -> int:
         """Exhaustive DFS over all full assignments accepted by every
-        propagator.  Value 1 is tried before 0.  Returns the solution count;
-        the sink sees each solution exactly once.  Iterative, so the depth
+        propagator.  It branches on the lowest free position of the first
+        role, in the order aux, H, V, X, Y, that still has one; value 1 is
+        tried before 0.  ``on_solution()`` is called once per solution,
+        while the solver holds it (read it through ``fixed`` or
+        ``value``).  Returns the solution count.  Iterative, so the depth
         is bounded by memory, not the interpreter's recursion limit."""
         if self.root_failed:
             return 0
-        branch = list(order) if order is not None else self.default_order()
-        slots = [(self._rid[v], self._bit[v]) for v in branch]
         ones, zeros = self._ones, self._zeros
-        nb = len(branch)
+        roles = [(rid, (1 << size + 1) - 2) for rid, size in enumerate(self._role_size)]
+        stats = self.stats
         count = 0
 
-        def next_unassigned(start: int) -> int:
-            i = start
-            while i < nb:
-                rid, bit = slots[i]
-                if not (ones[rid] | zeros[rid]) & bit:
-                    break
-                i += 1
-            return i
+        def next_free(start: int) -> list[int] | None:
+            """The frame [role id, bit, tried] of the next decision, from
+            role id ``start`` on; None once every variable is fixed."""
+            for rid, positions in roles[start:]:
+                free = positions & ~(ones[rid] | zeros[rid])
+                if free:
+                    return [rid, free & -free, 0]
+            return None
 
         def emit() -> None:
             nonlocal count
-            snap = self.snapshot()
-            if UNASSIGNED in snap:
-                raise ValueError("branching order must cover all variables")
             count += 1
-            self.stats["solutions"] += 1
+            stats["solutions"] += 1
             if on_solution is not None:
-                on_solution(snap)
+                on_solution()
 
-        start = next_unassigned(0)
-        if start == nb:
+        first = next_free(0)
+        if first is None:
             emit()
             return count
         # one frame per decision variable; a frame's parent keeps the level
         # of its successful assignment open until the frame is exhausted
-        frames: list[list[int]] = [[start, 0]]
+        frames = [first]
         while frames:
             frame = frames[-1]
-            pos, tried = frame
+            rid, bit, tried = frame
             if tried == 2:
                 frames.pop()
                 if frames:
@@ -316,17 +304,16 @@ class Solver:
                 continue
             if should_stop is not None and should_stop():
                 raise SearchTimeout
-            frame[1] += 1
-            val = 1 if tried == 0 else 0
+            frame[2] += 1
             self.push_level()
-            self.stats["nodes"] += 1
-            if self.assign(branch[pos], val) and self.propagate_to_fixpoint():
-                nxt = next_unassigned(pos + 1)
-                if nxt == nb:
+            stats["nodes"] += 1
+            if self._assign(rid, bit, 1 if tried == 0 else 0) and self.propagate_to_fixpoint():
+                nxt = next_free(rid)
+                if nxt is None:
                     emit()
                     self.pop_level()
                 else:
-                    frames.append([nxt, 0])
+                    frames.append(nxt)
             else:
                 self.pop_level()
         return count

@@ -479,9 +479,9 @@ def assemble(
     constraints.post_channeling(s, h[1:], x[1:], v[1:] if y else [], y[1:])
 
     # dataset part: the activation variables of each axis
-    for con, gates, universe, scheme in (
-        (query.items, h, db.all_items(), item_scheme),
-        (query.trans, v, db.all_transactions(), trans_scheme),
+    for con, role, gates, universe, scheme in (
+        (query.items, ROLE_H, h, db.all_items(), item_scheme),
+        (query.trans, ROLE_V, v, db.all_transactions(), trans_scheme),
     ):
         if con.kind == "groups":
             constraints.post_group_activation(s, scheme, gates, con.lb, con.ub)
@@ -489,8 +489,8 @@ def assemble(
             constraints.post_exactly_one_group(s, scheme, gates)
         else:
             active = con.single(universe)
-            for i in range(1, len(gates)):
-                s.assign_root(gates[i], active >> i & 1)
+            s.assign_root(role, active, 1)
+            s.assign_root(role, universe & ~active, 0)
 
     # a sub-dataset with no transactions has no defined frequencies
     s.post(constraints.CardinalityRange([v[j] for j in range(1, m + 1)], 1, None))
@@ -499,10 +499,8 @@ def assemble(
     constraints.post_min_size(s, x, query.min_size)
     if query.span is not None:
         constraints.post_category_span(s, x, item_scheme, query.span[0], query.span[1])
-    for i in iter_bits(query.require):
-        constraints.post_required_item(s, x, i)
-    if query.forbid:
-        constraints.post_forbidden_items(s, x, query.forbid)
+    s.assign_root(ROLE_X, query.require, 1)
+    s.assign_root(ROLE_X, query.forbid, 0)
 
     if use_reified:
         constraints.post_reified_fci(s, db, x, y, h, v, query.theta, closed=query.closed)
@@ -528,7 +526,7 @@ def _collect_cp(
     solver, _ = assemble(db, query, item_scheme, trans_scheme, use_reified)
     triples: set[tuple[int, int, int]] = set()
 
-    def sink(_snap):
+    def sink():
         # bit i of a role's bitset is item or transaction i (see assemble)
         triples.add(
             (solver.fixed(ROLE_H)[0], solver.fixed(ROLE_V)[0], solver.fixed(ROLE_X)[0])

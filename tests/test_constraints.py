@@ -8,10 +8,8 @@ from submine import PartitionScheme, Query, TransactionDatabase, run_theory
 from submine.constraints import (
     post_category_span,
     post_exactly_one_group,
-    post_forbidden_items,
     post_group_activation,
     post_min_size,
-    post_required_item,
 )
 from submine.dataset import bits_of, iter_bits
 from submine.engine import ROLE_H, ROLE_V, ROLE_X, Solver
@@ -47,7 +45,7 @@ def test_group_activation_all_or_none():
     h = [None] + s.new_vars(5, ROLE_H)
     post_group_activation(s, scheme, h, 1, 2)
     masks = set()
-    s.search_all(on_solution=lambda snap: masks.add(tuple(snap[h[i]] for i in range(1, 6))))
+    s.search_all(on_solution=lambda: masks.add(tuple(s.snapshot()[h[i]] for i in range(1, 6))))
     assert masks == {(1, 1, 0, 0, 0), (0, 0, 1, 1, 1), (1, 1, 1, 1, 1)}
 
 
@@ -72,7 +70,7 @@ def test_min_max_encoding_equivalence():
         h = [None] + s.new_vars(size, ROLE_H)
         indicators = post_group_activation(s, scheme, h, lb, ub)
         sols = []
-        s.search_all(on_solution=sols.append)
+        s.search_all(on_solution=lambda: sols.append(s.snapshot()))
         for snap in sols:
             sum_min = sum(
                 min(snap[h[i]] for i in iter_bits(g.members)) for g in scheme.groups
@@ -151,8 +149,8 @@ def test_min_size_out_of_range():
 def test_required_then_forbidden_is_root_failure():
     s = Solver()
     x = [None] + s.new_vars(3, ROLE_X)
-    post_required_item(s, x, 2)
-    post_forbidden_items(s, x, bits_of([2]))
+    s.assign_root(ROLE_X, bits_of([2]), 1)
+    s.assign_root(ROLE_X, bits_of([2]), 0)
     assert s.root_failed
 
 
@@ -194,7 +192,7 @@ def test_exactly_one_group_candidate_count():
     post_exactly_one_group(s, _nested_scheme(), v)
     masks = set()
     s.search_all(
-        on_solution=lambda snap: masks.add(tuple(snap[v[j]] for j in range(1, 9)))
+        on_solution=lambda: masks.add(tuple(s.snapshot()[v[j]] for j in range(1, 9)))
     )
     # 2 regions + 4 departments + 8 cities
     assert s.stats["solutions"] == 14

@@ -66,6 +66,19 @@ def test_parse_labels():
         parse_labels("x Ferrari\n")
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("1 A\n1 B\n", "line 2: item 1 already labelled 'A'"),
+        ("1 A\n# c\n2 A\n", "line 3: label 'A' already names item 1"),
+    ],
+    ids=["repeated-id", "repeated-label"],
+)
+def test_parse_labels_rejects_repeats(text, message):
+    with pytest.raises(FormatError, match=message):
+        parse_labels(text)
+
+
 # ------------------------------------------------------ partition parsing
 
 

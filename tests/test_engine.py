@@ -4,7 +4,12 @@ from itertools import product
 import pytest
 
 from submine.constraints import CardinalityRange, Channel
-from submine.engine import ROLE_H, ROLE_X, UNASSIGNED, Propagator, Solver
+from submine.engine import ROLE_AUX, ROLE_H, ROLE_X, UNASSIGNED, Propagator, Solver
+
+
+def _bit(s, v):
+    """The bitset of v's position within its role."""
+    return 1 << s.position(v)
 
 
 def test_channeling_forces_zero():
@@ -12,7 +17,7 @@ def test_channeling_forces_zero():
     h = s.new_var(ROLE_H)
     x = s.new_var(ROLE_X)
     s.post(Channel(h, x))
-    assert s.assign_root(h, 0)
+    assert s.assign_root(ROLE_H, _bit(s, h), 0)
     assert s.value(x) == 0
 
 
@@ -21,7 +26,7 @@ def test_channeling_contrapositive():
     h = s.new_var(ROLE_H)
     x = s.new_var(ROLE_X)
     s.post(Channel(h, x))
-    assert s.assign_root(x, 1)
+    assert s.assign_root(ROLE_X, _bit(s, x), 1)
     assert s.value(h) == 1
 
 
@@ -30,14 +35,14 @@ def test_channeling_no_forcing_from_dep_zero():
     v = s.new_var(ROLE_H)
     y = s.new_var(ROLE_X)
     s.post(Channel(v, y))
-    assert s.assign_root(y, 0)
+    assert s.assign_root(ROLE_X, _bit(s, y), 0)
     assert s.value(v) == UNASSIGNED
 
 
 def test_root_failure_signal():
     s = Solver()
     a = s.new_var()
-    s.assign_root(a, 1)
+    s.assign_root(ROLE_AUX, _bit(s, a), 1)
     s.post(CardinalityRange([a], 0, 0))  # sum must be 0 but a is already 1
     assert s.root_failed
     assert s.search_all() == 0
@@ -79,7 +84,7 @@ def test_search_channeling_truth_table():
     x = s.new_var(ROLE_X)
     s.post(Channel(h, x))
     seen = set()
-    s.search_all(on_solution=lambda snap: seen.add(snap))
+    s.search_all(on_solution=lambda: seen.add(s.snapshot()))
     assert seen == {(0, 0), (1, 0), (1, 1)}
 
 
@@ -141,7 +146,7 @@ def _random_network(rng, solver, vars_):
     return preds
 
 
-def test_search_matches_truth_table_any_order():
+def test_search_matches_truth_table():
     rng = random.Random(11)
     for _ in range(60):
         nvars = rng.randint(2, 6)
@@ -153,13 +158,18 @@ def test_search_matches_truth_table_any_order():
             for vals in product((0, 1), repeat=nvars)
             if all(p(list(vals)) for p in preds)
         }
-        order = list(vars_)
-        rng.shuffle(order)
         seen = []
-        count = s.search_all(on_solution=seen.append, order=order)
+        count = s.search_all(on_solution=lambda: seen.append(s.snapshot()))
         assert count == len(seen)
         assert len(set(seen)) == len(seen)  # no duplicates
         assert {tuple(snap[v] for v in vars_) for snap in seen} == expected
+
+
+def test_new_var_rejects_unknown_role():
+    s = Solver()
+    with pytest.raises(ValueError, match="unknown role 'Z'"):
+        s.new_var("Z")
+    assert s.num_vars == 0
 
 
 def test_masks_reached_counts_completions():
@@ -188,7 +198,7 @@ def _rebuilt(s, role):
 
 def test_role_bitsets_follow_assign_propagate_and_pop():
     from submine.constraints import AllEqual, RoleChannel
-    from submine.engine import ROLE_AUX, ROLE_V
+    from submine.engine import ROLE_V
 
     roles = (ROLE_AUX, ROLE_H, ROLE_V, ROLE_X)
     rng = random.Random(29)

@@ -198,7 +198,7 @@ def test_q1_fixes_all_activations(db1):
 def test_q1_search_visits_each_solution_once(db1):
     solver, _ = assemble(db1, Query(theta=HALF))
     seen = []
-    count = solver.search_all(on_solution=seen.append)
+    count = solver.search_all(on_solution=lambda: seen.append(solver.snapshot()))
     assert count == 4
     assert len(set(seen)) == 4
 
