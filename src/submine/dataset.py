@@ -181,7 +181,9 @@ def parse_fimi(source: str | IO[str]) -> TransactionDatabase:
 
 def parse_labels(source: str | IO[str]) -> dict[int, str]:
     """Parse an item-label file: ``<id> <label>`` per line, ``#`` comments.
-    An id labelled twice, or a label given to two ids, is a FormatError."""
+    A label that contains whitespace, an id labelled twice, or a label
+    given to two ids is a FormatError: a query could not name such a label,
+    and it would blur the space-separated itemset column of the output."""
     labels: dict[int, str] = {}
     ids: dict[str, int] = {}  # label -> the id it names
     for lineno, raw in enumerate(_read_lines(source), start=1):
@@ -196,6 +198,8 @@ def parse_labels(source: str | IO[str]) -> dict[int, str]:
             raise FormatError(f"line {lineno}: expected '<id> <label>'") from None
         if not rest:
             raise FormatError(f"line {lineno}: missing label for item {i}")
+        if len(rest.split()) > 1:
+            raise FormatError(f"line {lineno}: label {rest!r} contains whitespace")
         if i in labels:
             raise FormatError(f"line {lineno}: item {i} already labelled {labels[i]!r}")
         if rest in ids:

@@ -267,7 +267,8 @@ def make_pair(
     trans_scheme: PartitionScheme | None = None,
 ) -> SolutionPair:
     """Decode one answer triple, with the support ``validate_pair`` found
-    for it, into a SolutionPair with display names and labels."""
+    for it, into a SolutionPair with display names and labels.
+    ``run_theory`` builds the same pair from its per-mask decoding."""
     return SolutionPair(
         item_mask=indices_of(item_bits),
         trans_mask=indices_of(trans_bits),
@@ -572,9 +573,13 @@ def run_theory(
     """The complete theory of the query, canonically sorted (masks then
     itemsets, lexicographic on indices).  Every engine answers with a set
     of (item_bits, trans_bits, itemset_bits) triples; this is the one place
-    that checks each triple (``validate_pair``) and decodes it into a
-    SolutionPair (``make_pair``), so the result is identical for every
-    engine."""
+    that checks and decodes them, so the result is identical for every
+    engine.  Triples are grouped by their (item_bits, trans_bits) mask.
+    Each distinct mask is checked (``_mask_fault``), decoded into index
+    tuples and ``describe_mask`` strings, and sorted once; inside it, every
+    itemset is sorted and checked from first principles
+    (``_itemset_fault``).  A triple fails with the reason ``validate_pair``
+    gives it, and each pair equals what ``make_pair`` builds."""
     chosen = engine or query.engine
     if chosen not in ENGINES:
         raise QueryError(f"unknown engine {chosen!r}")
@@ -588,11 +593,30 @@ def run_theory(
         triples = _engine_triples(
             db, query, item_scheme, trans_scheme, chosen, use_reified, deadline, stats
         )
-    pairs = []
+    # (item_bits, trans_bits) -> [(itemset indices, itemset_bits)]
+    by_mask: dict = {}
     for ib, tb, xb in triples:
-        support = validate_pair(db, query, ib, tb, xb, item_scheme, trans_scheme)
-        pairs.append(make_pair(db, ib, tb, xb, support, item_scheme, trans_scheme))
-    pairs.sort(key=SolutionPair.sort_key)
+        by_mask.setdefault((ib, tb), []).append((indices_of(xb), xb))
+    masks = sorted((indices_of(ib), indices_of(tb), ib, tb) for ib, tb in by_mask)
+    pairs = []
+    for item_mask, trans_mask, ib, tb in masks:
+        mask_fault = _mask_fault(db, query, ib, tb, item_scheme, trans_scheme)
+        mask = Mask(ib, tb)
+        item_desc = describe_mask(ib, db.all_items(), item_scheme)
+        trans_desc = describe_mask(tb, db.all_transactions(), trans_scheme)
+        itemsets = by_mask[ib, tb]
+        itemsets.sort()
+        for items, xb in itemsets:
+            fault, support = _itemset_fault(db, query, mask, xb, item_scheme)
+            fault = fault or mask_fault
+            if fault:
+                raise _self_check_error(fault, ib, tb, xb)
+            pairs.append(
+                SolutionPair(
+                    item_mask, trans_mask, items, support,
+                    item_desc, trans_desc, db.labels_for(xb),
+                )
+            )
     return pairs
 
 
@@ -649,40 +673,57 @@ def validate_pair(
     trans_scheme: PartitionScheme | None = None,
 ) -> int:
     """Re-check one answer triple from first principles and return its
-    support; raises RuntimeError on any violation.  Runs on every answer
-    of every engine as a self-check."""
+    support; raises RuntimeError on any violation.  The itemset checks
+    come first, then the mask checks; ``run_theory`` runs the same two on
+    every answer of every engine as a self-check."""
     mask = Mask(item_bits, trans_bits)
+    fault, support = _itemset_fault(db, query, mask, itemset, item_scheme)
+    fault = fault or _mask_fault(db, query, item_bits, trans_bits, item_scheme, trans_scheme)
+    if fault:
+        raise _self_check_error(fault, item_bits, trans_bits, itemset)
+    return support
 
-    def bad(msg: str):
-        raise RuntimeError(
-            f"solution failed self-check ({msg}): itemset {indices_of(itemset)}"
-            f" in items {indices_of(item_bits)}, transactions {indices_of(trans_bits)}"
-        )
 
-    if itemset == 0:
-        bad("empty itemset")
-    if itemset & ~item_bits:
-        bad("itemset outside active items")
+def _mask_fault(db, query, item_bits, trans_bits, item_scheme, trans_scheme) -> str | None:
+    """Why the sub-dataset is not one the query allows, or None."""
     if trans_bits == 0:
-        bad("no active transactions")
+        return "no active transactions"
+    if not query.items.satisfied(item_bits, db.all_items(), item_scheme):
+        return "item activation violates dataset constraint"
+    if not query.trans.satisfied(trans_bits, db.all_transactions(), trans_scheme):
+        return "transaction activation violates dataset constraint"
+    return None
+
+
+def _itemset_fault(db, query, mask: Mask, itemset, item_scheme) -> tuple[str | None, int]:
+    """Why the itemset is not an answer in the sub-dataset (or None), and
+    its support there."""
+    if itemset == 0:
+        return "empty itemset", 0
+    if itemset & ~mask.active_items:
+        return "itemset outside active items", 0
     support = cover(db, itemset, mask).bit_count()
-    n_active = trans_bits.bit_count()
+    n_active = mask.active_transactions.bit_count()
     if support * query.theta.denominator < query.theta.numerator * n_active:
-        bad("below minimum frequency")
-    if query.closed and closure(db, itemset, mask) != itemset:
-        bad("not closed in the sub-dataset")
+        return "below minimum frequency", support
+    # with no active transactions there is no closure; _mask_fault says so
+    if query.closed and n_active and closure(db, itemset, mask) != itemset:
+        return "not closed in the sub-dataset", support
     if itemset.bit_count() < query.min_size:
-        bad("below minimum size")
+        return "below minimum size", support
     if query.require & ~itemset:
-        bad("missing required item")
+        return "missing required item", support
     if query.forbid & itemset:
-        bad("contains forbidden item")
+        return "contains forbidden item", support
     if query.span is not None:
         touched = sum(1 for g in item_scheme.groups if g.members & itemset)
         if not query.span[0] <= touched <= query.span[1]:
-            bad("category span out of bounds")
-    if not query.items.satisfied(item_bits, db.all_items(), item_scheme):
-        bad("item activation violates dataset constraint")
-    if not query.trans.satisfied(trans_bits, db.all_transactions(), trans_scheme):
-        bad("transaction activation violates dataset constraint")
-    return support
+            return "category span out of bounds", support
+    return None, support
+
+
+def _self_check_error(reason, item_bits, trans_bits, itemset) -> RuntimeError:
+    return RuntimeError(
+        f"solution failed self-check ({reason}): itemset {indices_of(itemset)}"
+        f" in items {indices_of(item_bits)}, transactions {indices_of(trans_bits)}"
+    )

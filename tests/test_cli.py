@@ -117,6 +117,16 @@ def test_mine_malformed_query(files):
     assert cli.main(_mine_args(files, str(bad))) == 1
 
 
+def test_mine_rejects_label_with_whitespace(files, capsys):
+    labels = files["dir"] / "spaced.txt"
+    labels.write_text("1 Ferrari car\n")
+    args = _mine_args(files, files["q1.query"])
+    args[args.index("--labels") + 1] = str(labels)
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert "line 1: label 'Ferrari car' contains whitespace" in err
+
+
 def test_mine_oracle_size_guard(tmp_path, files):
     big = tmp_path / "big.fimi"
     big.write_text(" ".join(str(i) for i in range(1, 31)) + "\n")

@@ -60,8 +60,11 @@ def test_parse_fimi_empty():
 
 
 def test_parse_labels():
-    labels = parse_labels("# brands\n1 Ferrari\n2 Alfa Romeo\n")
-    assert labels == {1: "Ferrari", 2: "Alfa Romeo"}
+    labels = parse_labels("# brands\n1 Ferrari\n2 Alfa-Romeo\n")
+    assert labels == {1: "Ferrari", 2: "Alfa-Romeo"}
+    # a query could not name a label with a space in it
+    with pytest.raises(FormatError, match="line 3: label 'Alfa Romeo' contains whitespace"):
+        parse_labels("# brands\n1 Ferrari\n2 Alfa Romeo\n")
     with pytest.raises(FormatError):
         parse_labels("x Ferrari\n")
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import A, B, E, F, G, HALF, K, theory_labels, triples_of
+from helpers import A, B, E, F, G, HALF, K, car_purchases, theory_labels, triples_of
 from submine import (
     FormatError,
     Query,
@@ -18,6 +19,7 @@ from submine import (
     parse_query,
     run_theory,
 )
+from submine import queries
 from submine.cli import generate_random_instance
 from submine.dataset import bits_of
 from submine.queries import (
@@ -25,6 +27,7 @@ from submine.queries import (
     AxisConstraint,
     SolutionPair,
     describe_mask,
+    make_pair,
     validate_pair,
 )
 
@@ -374,6 +377,77 @@ def test_validate_pair_catches_corruption(db1, trans3, corrupt, reason):
     query, *bad = corrupt(q1, *triple)
     with pytest.raises(RuntimeError, match=f"self-check \\({reason}"):
         validate_pair(db1, query, *bad, None, trans3)
+
+
+def test_validate_pair_names_empty_transaction_mask(db1):
+    # the itemset checks run first and must not ask for the closure of an
+    # empty cover; the mask check then names the fault
+    q1 = Query(theta=HALF)
+    with pytest.raises(RuntimeError, match="self-check \\(no active transactions"):
+        validate_pair(db1, q1, db1.all_items(), 0, bits_of([E, F]))
+
+
+def _self_check_reason(db, query, triple, item_scheme, trans_scheme):
+    with pytest.raises(RuntimeError, match="self-check") as err:
+        validate_pair(db, query, *triple, item_scheme, trans_scheme)
+    return str(err.value).split("(")[1].split(")")[0]
+
+
+# a corrupted triple that shares its mask with correct ones: run_theory
+# checks the mask once, yet must still reject the triple with the reason
+# validate_pair gives it
+@pytest.mark.parametrize("case", ["not-closed", "trans-bounds"])
+def test_run_theory_catches_corruption_in_shared_mask(db1, trans3, monkeypatch, case):
+    q1 = Query(theta=HALF)
+    answer = triples_of(run_theory(db1, q1))
+    ((ib, tb),) = {(ib, tb) for ib, tb, _ in answer}
+    if case == "not-closed":
+        query, reason = q1, "not closed"
+        bad = {(ib, tb, bits_of([E]))}
+        triples = answer | bad
+    else:
+        # Q1's mask has all three transaction groups, Q3 allows two: each
+        # of its itemsets is a Q1 answer, yet each triple is corrupt
+        query = replace(q1, trans=AxisConstraint.group_bounds(2, 2))
+        reason = "transaction activation violates"
+        bad = answer
+        triples = triples_of(run_theory(db1, query, None, trans3)) | answer
+    assert len({xb for i, t, xb in triples if (i, t) == (ib, tb)}) >= 4
+    for triple in triples - bad:
+        validate_pair(db1, query, *triple, None, trans3)
+    for triple in bad:
+        assert _self_check_reason(db1, query, triple, None, trans3).startswith(reason)
+    monkeypatch.setattr(queries, "_engine_triples", lambda *args, **kw: set(triples))
+    with pytest.raises(RuntimeError, match=f"self-check \\({reason}"):
+        run_theory(db1, query, None, trans3)
+
+
+@pytest.mark.parametrize("engine", ["cp", "baseline"])
+@pytest.mark.parametrize("seed", ["one-of-levels", *range(10)])
+def test_run_theory_matches_per_triple_path(engine, seed):
+    if seed == "one-of-levels":
+        (db, tscheme), ischeme = car_purchases(), None
+        q = Query(theta=Fraction(1, 5), closed=False, trans=AxisConstraint.one_per_level())
+    else:
+        db, ischeme, tscheme, q = generate_random_instance(random.Random(seed))
+    triples = queries._engine_triples(db, q, ischeme, tscheme, engine, False, None)
+    expected = sorted(
+        (
+            make_pair(
+                db, ib, tb, xb, validate_pair(db, q, ib, tb, xb, ischeme, tscheme),
+                ischeme, tscheme,
+            )
+            for ib, tb, xb in triples
+        ),
+        key=SolutionPair.sort_key,
+    )
+    theory = run_theory(db, q, ischeme, tscheme, engine=engine)
+    assert theory == expected
+    # descriptions and labels do not take part in ==
+    assert [p.tsv() for p in theory] == [p.tsv() for p in expected]
+    if seed == "one-of-levels":
+        per_mask = Counter((p.item_mask, p.trans_mask) for p in theory)
+        assert sum(1 for n in per_mask.values() if n >= 2) >= 3
 
 
 def test_describe_mask(db1, items3):
