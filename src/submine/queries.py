@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -653,8 +654,10 @@ def _run_parallel(
     triples: set[tuple[int, int, int]] = set()
     if not tasks:
         return triples
+    # one process per core at most, and none without a task
+    size = min(workers, len(tasks), os.cpu_count() or 1)
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers) as pool:
+    with ctx.Pool(size) as pool:
         for part in pool.starmap(_engine_triples, tasks):
             triples |= part
     return triples

@@ -1,18 +1,22 @@
 """Preprocess-then-mine baseline and the exhaustive brute-force oracle.
 
 The baseline enumerates every sub-dataset satisfying the query's dataset
-constraints, then runs a closure-extension depth-first miner on each;
-mining-side constraints are applied during the search, not as a post-pass.
-The oracle evaluates the query predicate by definition over every feasible
-mask and every non-empty subset of active items, using nothing but the
-dataset primitives.  All three engines must agree on every theory.
+constraints, then runs one closure-extension depth-first search per item
+mask that decides frequency and closedness for all of that item mask's
+transaction masks at once; mining-side constraints are applied during the
+search, not as a post-pass.  The oracle evaluates the query predicate by
+definition over every feasible mask and every non-empty subset of active
+items, using nothing but the dataset primitives.  All three engines must
+agree on every theory.
 """
 
 from __future__ import annotations
 
 import time
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, groupby
+from operator import attrgetter, or_
 from typing import Iterator
 
 from .dataset import (
@@ -107,8 +111,13 @@ def mine_closed(
     deadline: float | None = None,
 ) -> list[int]:
     """All frequent closed itemsets of the sub-dataset satisfying the
-    itemset-side constraints, as bitsets (see ``_mine``)."""
-    return _mine(db, mask, theta, True, min_size, span, require, forbid, item_scheme, deadline)
+    itemset-side constraints, as bitsets: the one-mask case of ``_mine``."""
+    trans, cells = _trans_plan([mask.active_transactions])
+    found = _mine(
+        db, mask.active_items, trans, cells, theta, True,
+        min_size, span, require, forbid, item_scheme, deadline,
+    )
+    return found.get(mask.active_transactions, [])
 
 
 def mine_frequent(
@@ -123,13 +132,32 @@ def mine_frequent(
     deadline: float | None = None,
 ) -> list[int]:
     """All frequent itemsets (no closedness) of the sub-dataset, same
-    constraint handling and deadline as mine_closed."""
-    return _mine(db, mask, theta, False, min_size, span, require, forbid, item_scheme, deadline)
+    constraint handling and deadline as mine_closed: the one-mask case of
+    ``_mine``."""
+    trans, cells = _trans_plan([mask.active_transactions])
+    found = _mine(
+        db, mask.active_items, trans, cells, theta, False,
+        min_size, span, require, forbid, item_scheme, deadline,
+    )
+    return found.get(mask.active_transactions, [])
+
+
+def _trans_plan(masks: list[int]) -> tuple[list[tuple[int, list[int]]], list[int]]:
+    """The distinct non-empty transaction masks, fewest transactions first,
+    each with the indices of the cells it is the union of; and the cells,
+    the Venn blocks of all the masks (disjoint, non-empty)."""
+    distinct = sorted({m for m in masks if m}, key=lambda m: (m.bit_count(), m))
+    cells = [reduce(or_, distinct)] if distinct else []
+    for m in distinct:
+        cells = [part for c in cells for part in (c & m, c & ~m) if part]
+    return [(m, [i for i, c in enumerate(cells) if c & m]) for m in distinct], cells
 
 
 def _mine(
     db: TransactionDatabase,
-    mask: Mask,
+    act_i: int,
+    trans: list[tuple[int, list[int]]],
+    cells: list[int],
     theta: Fraction,
     closed: bool,
     min_size: int,
@@ -138,41 +166,58 @@ def _mine(
     forbid: int,
     item_scheme: PartitionScheme | None,
     deadline: float | None,
-) -> list[int]:
-    """Depth-first miner behind mine_closed and mine_frequent.
+) -> dict[int, list[int]]:
+    """The one miner: for every transaction mask of ``trans`` (a
+    ``_trans_plan``) at once, the itemsets that are answers in the
+    sub-dataset of the items ``act_i`` and that mask, keyed by the mask.
 
-    Each node extends its itemset by one frequent item e above the node's
-    core (the item that created it).  The frequent miner adds e; the
-    closed miner jumps to the closure, so each closed set is reached once,
-    from the seed item whose addition created it, with a
-    prefix-preservation test to kill duplicates.  The closed search starts
-    at the closure of the empty set, the frequent one at the empty set.
-    Constraints prune during the search where they are monotone (forbidden
-    items, size bound, span upper bound, required items that can no longer
-    join) and filter at emission otherwise.  Raises SearchTimeout once
-    ``time.monotonic()`` passes ``deadline``.
+    Each node extends its itemset by one item e above the node's core (the
+    item that created it).  A node carries its *live* masks, those in which
+    its itemset is frequent, fewest transactions first.  A candidate is
+    rejected outright when q·|cover| < p·|M| for the smallest live M, and
+    otherwise keeps the live masks M with q·|cover ∧ M| ≥ p·|M| (exact
+    integers); a subtree dies with its last live mask.  The node's cover is
+    kept inside the union of its live masks, the *closure base*.  The
+    frequent miner adds e; the closed miner jumps to the closure over the
+    base, with a prefix-preservation test to kill duplicates.  No answer is
+    lost: an itemset Y closed in M contains the base closure of every
+    itemset on its path, because every base on that path contains M.  A
+    node emits each live mask in which its itemset is closed: its closure
+    in M is the intersection of its closures in M's cells.  With one live
+    mask, that mask is the base, so the node is closed there by
+    construction and does exactly the work of a one-mask search.  The
+    closed search starts at the closure of the empty set over all masks,
+    the frequent one at the empty set.  Constraints prune during the search
+    where they are monotone (forbidden items, size bound, span upper bound,
+    required items that can no longer join) and filter at emission
+    otherwise.  Raises SearchTimeout once ``time.monotonic()`` passes
+    ``deadline``.
     """
-    act_t = mask.active_transactions
-    n_act = act_t.bit_count()
-    if n_act == 0:
-        return []
-    act_i = mask.active_items
-    if require & ~act_i:
-        return []
+    if not trans or not act_i or require & ~act_i:
+        return {}
     p, q = theta.numerator, theta.denominator
-    need = p * n_act
+    # (mask, p·|mask|, its cell indices, its answers), least need first
+    live = [(tb, p * tb.bit_count(), ids, []) for tb, ids in trans]
+    base = reduce(or_, (tb for tb, _ in trans))
     cols = db.columns
     rows = db.rows
     group_bits = [g.members for g in item_scheme.groups] if item_scheme else None
-    out: list[int] = []
 
     def span_of(bits: int) -> int:
         return sum(1 for g in group_bits if g & bits)
 
+    def closure(cov: int) -> int:
+        ext = act_i  # the active items of every covered row
+        while cov:
+            t = cov & -cov
+            ext &= rows[t.bit_length() - 1]
+            cov ^= t
+        return ext
+
     if closed:
 
         def extend(pat: int, low: int, cov: int) -> int:
-            ext = act_i  # the closure: active items of every covered row
+            ext = act_i  # inline closure(cov): this runs once per candidate
             while cov:
                 t = cov & -cov
                 ext &= rows[t.bit_length() - 1]
@@ -182,32 +227,44 @@ def _mine(
                 return 0  # already reached from a smaller seed
             return 0 if ext & forbid else ext
 
-        root = act_i
-        rest = act_t
-        while rest:
-            t = rest & -rest
-            root &= rows[t.bit_length() - 1]
-            rest ^= t
+        def emit(pat: int, cov: int, live: list) -> None:
+            per_cell = [closure(cov & c) for c in cells]
+            for _, _, ids, found in live:
+                ext = act_i
+                for i in ids:
+                    ext &= per_cell[i]
+                if ext == pat:
+                    found.append(pat)
+
+        root = closure(base)
         if root & forbid:
             # every closed set contains the root closure, so nothing qualifies
-            return []
+            return {}
     else:
 
         def extend(pat: int, low: int, cov: int) -> int:
             return pat | low
 
+        def emit(pat: int, cov: int, live: list) -> None:
+            for m in live:
+                m[3].append(pat)
+
         root = 0
 
     nodes = 0
 
-    def grow(pat: int, cov: int, core: int) -> None:
+    def grow(pat: int, cov: int, core: int, live: list, found: list | None) -> None:
+        # found: the one live mask's answers, or None with several live masks
         nonlocal nodes
         nodes += 1
         if deadline is not None and nodes % _DEADLINE_STRIDE == 0:
             _check(deadline)
         if pat and pat.bit_count() >= min_size and not require & ~pat:
             if span is None or span[0] <= span_of(pat) <= span[1]:
-                out.append(pat)
+                if found is not None:
+                    found.append(pat)
+                else:
+                    emit(pat, cov, live)
         if span is not None and span_of(pat) > span[1]:
             return
         missing = require & ~pat
@@ -216,6 +273,7 @@ def _mine(
         cand = act_i & ~pat & ~forbid & ~((1 << (core + 1)) - 1)
         if pat.bit_count() + cand.bit_count() < min_size:
             return
+        need = live[0][1]  # with one live mask the exact test, else a cheap reject
         while cand:
             low = cand & -cand
             cand ^= low
@@ -223,12 +281,21 @@ def _mine(
             cov_e = cov & cols[e]
             if q * cov_e.bit_count() < need:
                 continue
+            kids, sink = live, found
+            if found is None:
+                kids = [m for m in live if q * (cov_e & m[0]).bit_count() >= m[1]]
+                if not kids:
+                    continue
+                if len(kids) < len(live):
+                    cov_e &= reduce(or_, (m[0] for m in kids))
+                    if len(kids) == 1:
+                        sink = kids[0][3]
             child = extend(pat, low, cov_e)
             if child:
-                grow(child, cov_e, e)
+                grow(child, cov_e, e, kids, sink)
 
-    grow(root, act_t, 0)
-    return out
+    grow(root, base, 0, live, live[0][3] if len(live) == 1 else None)
+    return {m[0]: m[3] for m in live}
 
 
 # ---------------------------------------------------------------- baseline
@@ -243,31 +310,31 @@ def pp_mine(
     stats: dict | None = None,
 ) -> set[tuple[int, int, int]]:
     """Two-step baseline: enumerate every feasible sub-dataset, then mine
-    each one with the specialized miner.  Answers with the set of
-    (item_bits, trans_bits, itemset_bits) triples, which equals cp's;
-    ``run_theory`` checks and decodes them."""
+    them, one search per item mask for all of its transaction masks
+    (``_mine``).  The enumerator yields the masks item-major; their
+    transaction masks, and so their cells, are built once per query.
+    Answers with the set of (item_bits, trans_bits, itemset_bits) triples,
+    which equals cp's; ``run_theory`` checks and decodes them."""
     enum = enumerate_masks(db, query, item_scheme, trans_scheme)
-    miner = mine_closed if query.closed else mine_frequent
     triples: set[tuple[int, int, int]] = set()
     n_masks = 0
-    for mask in enum:
-        n_masks += 1
-        if deadline is not None:
-            _check(deadline)
-        if mask.active_transactions == 0 or mask.active_items == 0:
-            continue
-        for pat in miner(
-            db,
-            mask,
-            query.theta,
-            min_size=query.min_size,
-            span=query.span,
-            require=query.require,
-            forbid=query.forbid,
-            item_scheme=item_scheme,
-            deadline=deadline,
-        ):
-            triples.add((mask.active_items, mask.active_transactions, pat))
+    planned = None
+    for ib, group in groupby(enum, key=attrgetter("active_items")):
+        tbs = []
+        for mask in group:
+            n_masks += 1
+            if deadline is not None:
+                _check(deadline)
+            tbs.append(mask.active_transactions)
+        if tbs != planned:
+            planned = tbs
+            trans, cells = _trans_plan(tbs)
+        for tb, found in _mine(
+            db, ib, trans, cells, query.theta, query.closed,
+            query.min_size, query.span, query.require, query.forbid,
+            item_scheme, deadline,
+        ).items():
+            triples.update((ib, tb, pat) for pat in found)
     if stats is not None:
         stats["masks"] = stats.get("masks", 0) + n_masks
     return triples

@@ -351,6 +351,51 @@ def test_parallel_mode_over_hierarchy():
     assert run_theory(db, q, None, scheme, workers=3) == serial
 
 
+def test_parallel_pool_size_is_bounded(monkeypatch, db1, items3, trans3):
+    # a fake pool records its size and runs the tasks in this process
+    import multiprocessing
+    import os
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, tasks):
+            return [fn(*task) for task in tasks]
+
+    class FakeContext:
+        Pool = FakePool
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: FakeContext())
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    q4 = Query(  # 9 masks
+        theta=HALF,
+        items=AxisConstraint.group_bounds(2, 2),
+        trans=AxisConstraint.group_bounds(2, 2),
+    )
+    q1 = Query(theta=HALF)  # 1 mask
+    assert run_theory(db1, q4, items3, trans3, workers=5000) == run_theory(
+        db1, q4, items3, trans3
+    )
+    assert run_theory(db1, q4, items3, trans3, workers=3) == run_theory(
+        db1, q4, items3, trans3
+    )
+    assert run_theory(db1, q1, workers=5000) == run_theory(db1, q1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown core count
+    assert run_theory(db1, q4, items3, trans3, workers=5000) == run_theory(
+        db1, q4, items3, trans3
+    )
+    assert sizes == [4, 3, 1, 1]
+
+
 # ------------------------------------------------------------- self-check
 
 

@@ -242,3 +242,167 @@ def test_deadline_stops_search_inside_one_mask(engine, n_items):
     with pytest.raises(SearchTimeout):
         run_theory(db, Query(theta=Fraction(1, 20)), engine=engine, deadline=started + 0.5)
     assert time.monotonic() - started < 2.0
+
+
+def test_deadline_stops_search_over_many_transaction_masks():
+    # one item mask with 165 transaction masks, all mined by one search
+    import time
+
+    from submine import PartitionScheme
+    from submine.engine import SearchTimeout
+
+    db = _dense_db(30, 200, 0.6, seed=4)
+    scheme = PartitionScheme.build(
+        "transactions", 200,
+        [(f"T{g}", range(1 + 20 * g, 21 + 20 * g)) for g in range(10)],
+    )
+    q = Query(theta=Fraction(1, 20), trans=AxisConstraint.group_bounds(2, 3))
+    started = time.monotonic()
+    with pytest.raises(SearchTimeout):
+        run_theory(db, q, None, scheme, engine="baseline", deadline=started + 0.5)
+    assert time.monotonic() - started < 2.0
+
+
+# ----------------------------------------------- one search, many masks
+
+
+def _per_mask_union(db, q, item_scheme, trans_scheme):
+    """pp_mine's answer rebuilt mask by mask with the one-mask miners."""
+    miner = mine_closed if q.closed else mine_frequent
+    out = set()
+    for mask in enumerate_masks(db, q, item_scheme, trans_scheme):
+        for pat in miner(
+            db, mask, q.theta, q.min_size, q.span, q.require, q.forbid, item_scheme
+        ):
+            out.add((mask.active_items, mask.active_transactions, pat))
+    return out
+
+
+def _assert_one_search_is_per_mask(db, q, item_scheme, trans_scheme):
+    got = pp_mine(db, q, item_scheme, trans_scheme)
+    assert got == _per_mask_union(db, q, item_scheme, trans_scheme)
+    assert got == brute_force_theory(db, q, item_scheme, trans_scheme)
+    return got
+
+
+def test_pp_mine_equals_per_mask_mining_random():
+    from submine.cli import generate_random_instance
+
+    many = 0  # draws where one item mask has several transaction masks
+    for seed in range(200):
+        db, ischeme, tscheme, q = generate_random_instance(random.Random(7000 + seed))
+        _assert_one_search_is_per_mask(db, q, ischeme, tscheme)
+        per_item = {}
+        for mask in enumerate_masks(db, q, ischeme, tscheme):
+            per_item.setdefault(mask.active_items, set()).add(mask.active_transactions)
+        many += max(map(len, per_item.values())) > 1
+    assert many >= 50
+
+
+# items a..e; the item scheme only serves the span variants
+_a, _b, _c, _d, _e = range(1, 6)
+
+
+def _item_scheme():
+    from submine import PartitionScheme
+
+    return PartitionScheme.build("items", 5, [("I1", [_a, _b]), ("I2", [_c, _d])])
+
+
+def _trans_scheme(size, groups, extra_levels=()):
+    from submine import PartitionScheme
+
+    return PartitionScheme.build("transactions", size, groups, extra_levels)
+
+
+def _union_only_answer():
+    # a: 1/4 in T1 (infrequent), 3/4 in T2 but closed there only with b,
+    # 4/8 in T1 ∪ T2 and closed: an answer only in the two-group mask
+    rows = [[_a], [_c], [_c], [_c, _e], [_a, _b], [_a, _b], [_a, _b], [_d],
+            [_c, _d], [_c, _d]]
+    groups = [("T1", [1, 2, 3, 4]), ("T2", [5, 6, 7, 8]), ("T3", [9, 10])]
+    return rows, _trans_scheme(10, groups), AxisConstraint.group_bounds(1, 2)
+
+
+def _closed_in_union_only():
+    # a is in every row, so it is the closure of the empty set over
+    # T1 ∪ T2, but T1 closes it with b and T2 with c; T1 ∪ T2 is no mask
+    rows = [[_a, _b, _d], [_a, _b], [_a, _c], [_a, _c, _d]]
+    groups = [("T1", [1, 2]), ("T2", [3, 4])]
+    return rows, _trans_scheme(4, groups), AxisConstraint.group_bounds(1, 1)
+
+
+def _live_set_shrinks():
+    # from root a (masks T1, T2, T1 ∪ T2 live), b keeps T1 and T1 ∪ T2 and
+    # closes to ab; then c keeps only T1, so the base narrows to T1 and
+    # abc is reached by a closure over T1 alone
+    rows = [[_a, _b, _c], [_a, _b, _c], [_a, _d], [_a, _b], [_a, _d], [_a, _d, _e]]
+    groups = [("T1", [1, 2, 3]), ("T2", [4, 5, 6])]
+    return rows, _trans_scheme(6, groups), AxisConstraint.group_bounds(1, 2)
+
+
+def _non_nested_levels():
+    # two levels whose groups cut across each other: four overlapping
+    # masks over four cells of two transactions each
+    rows = [[_a, _b, _c], [_a, _b], [_a, _c, _d], [_b, _c, _d],
+            [_a, _b, _e], [_b, _c], [_a, _d, _e], [_a, _b, _d]]
+    level1 = [("L1", [1, 2, 3, 4]), ("L2", [5, 6, 7, 8])]
+    level2 = [("M1", [1, 2, 5, 6]), ("M2", [3, 4, 7, 8])]
+    return rows, _trans_scheme(8, level1, [level2]), AxisConstraint.one_per_level()
+
+
+_CRAFTED = {
+    "union-only-answer": _union_only_answer,
+    "closed-in-union-only": _closed_in_union_only,
+    "live-set-shrinks": _live_set_shrinks,
+    "non-nested-levels": _non_nested_levels,
+}
+
+_VARIANTS = {
+    "plain": {},
+    "minsize": {"min_size": 2},
+    "require": {"require": bits_of([_a])},
+    "forbid": {"forbid": bits_of([_b])},
+    "span": {"span": (1, 1)},
+}
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "frequent"])
+@pytest.mark.parametrize("variant", sorted(_VARIANTS))
+@pytest.mark.parametrize("case", sorted(_CRAFTED))
+def test_pp_mine_crafted_many_masks(case, variant, closed):
+    rows, tscheme, trans = _CRAFTED[case]()
+    db = TransactionDatabase.from_rows(rows, item_count=5)
+    q = Query(theta=HALF, closed=closed, trans=trans, **_VARIANTS[variant])
+    _assert_one_search_is_per_mask(db, q, _item_scheme(), tscheme)
+
+
+def _itemsets_by_mask(case):
+    rows, tscheme, trans = _CRAFTED[case]()
+    db = TransactionDatabase.from_rows(rows, item_count=5)
+    got = _assert_one_search_is_per_mask(
+        db, Query(theta=HALF, trans=trans), None, tscheme
+    )
+    out = {}
+    for _, tb, pat in got:
+        out.setdefault(tuple(indices_of(tb)), set()).add(tuple(indices_of(pat)))
+    return out
+
+
+def test_pp_mine_crafted_answers():
+    union_only = _itemsets_by_mask("union-only-answer")
+    assert (_a,) in union_only[1, 2, 3, 4, 5, 6, 7, 8]
+    assert (_a,) not in union_only.get((1, 2, 3, 4), set())
+    assert (_a,) not in union_only[5, 6, 7, 8]
+    assert (_a, _b) in union_only[5, 6, 7, 8]
+
+    closed_in_union = _itemsets_by_mask("closed-in-union-only")
+    assert set(closed_in_union) == {(1, 2), (3, 4)}
+    assert all((_a,) not in found for found in closed_in_union.values())
+
+    shrinks = _itemsets_by_mask("live-set-shrinks")
+    assert (_a, _b, _c) in shrinks[1, 2, 3]
+    assert (_a, _b) in shrinks[1, 2, 3, 4, 5, 6]
+
+    levels = _itemsets_by_mask("non-nested-levels")
+    assert len(levels) == 4
