@@ -13,6 +13,7 @@ import csv
 import random
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -99,19 +100,23 @@ def cmd_mine(args) -> int:
             _deadline(args),
             workers=args.parallel,
         )
+        text = "".join(p.tsv() + "\n" for p in pairs)
+        with _output(args.out, "\n") as fh:
+            fh.write(text)
     except SearchTimeout:
         print("timeout exceeded", file=sys.stderr)
         return EXIT_TIMEOUT
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    text = "".join(p.tsv() + "\n" for p in pairs)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
+
+
+def _output(path, newline):
+    """The file at ``path`` opened for writing, or stdout (left open)."""
+    if path:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    return nullcontext(sys.stdout)
 
 
 def cmd_verify(args) -> int:
@@ -266,43 +271,42 @@ def cmd_bench(args) -> int:
     reports = []
     for row in rows:
         reports.extend(_bench_row(row, args))
-    out = args.out
-    fh = open(out, "w", encoding="utf-8", newline="") if out else sys.stdout
     try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            (
-                "name",
-                "engine",
-                "item_cats",
-                "item_bounds",
-                "trans_cats",
-                "trans_bounds",
-                "num_masks",
-                "solutions",
-                "work",
-                "time_sec",
-                "status",
-                "detail",
-            )
-        )
-        for r in reports:
+        with _output(args.out, "") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(
                 (
-                    r.name,
-                    r.engine,
-                    *r.axis_cols,
-                    r.masks,
-                    r.solutions,
-                    r.work,
-                    f"{r.time_sec:.3f}",
-                    r.status,
-                    r.detail,
+                    "name",
+                    "engine",
+                    "item_cats",
+                    "item_bounds",
+                    "trans_cats",
+                    "trans_bounds",
+                    "num_masks",
+                    "solutions",
+                    "work",
+                    "time_sec",
+                    "status",
+                    "detail",
                 )
             )
-    finally:
-        if out:
-            fh.close()
+            for r in reports:
+                writer.writerow(
+                    (
+                        r.name,
+                        r.engine,
+                        *r.axis_cols,
+                        r.masks,
+                        r.solutions,
+                        r.work,
+                        f"{r.time_sec:.3f}",
+                        r.status,
+                        r.detail,
+                    )
+                )
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     return EXIT_OK
 
 

@@ -4,7 +4,9 @@ Variable handles come in 1-based lists (slot 0 unused) matching item and
 transaction indices.  Every propagator here is sound for partial states and
 complete on full assignments; assemble-level code decides which family
 (reified decomposition or the dedicated globals) provides the mining
-semantics.
+semantics.  The dataset side of a query is one ``GroupChoice`` per axis
+that chooses groups: group bounds choose lb..ub groups of one partition,
+one-of-levels one group of any level.
 """
 
 from __future__ import annotations
@@ -27,9 +29,6 @@ class Channel(Propagator):
 
     def vars(self):
         return (self.gate, self.dep)
-
-    def entailed(self, s: Solver) -> bool:
-        return s.value(self.dep) == 0 or s.value(self.gate) == 1
 
     def propagate(self, s: Solver) -> bool:
         if s.value(self.gate) == 0:
@@ -84,19 +83,10 @@ class CardinalityRange(Propagator):
         if self.bits.bit_count() != len(self.variables):
             raise ValueError("cardinality over repeated variables")
 
-    def _counts(self, s: Solver) -> tuple[int, int]:
-        """(ones, free) bitsets over the variables' positions."""
-        ones, zeros = s.fixed(self.role)
-        return ones & self.bits, self.bits & ~(ones | zeros)
-
-    def entailed(self, s: Solver) -> bool:
-        ones, free = self._counts(s)
-        n_ones = ones.bit_count()
-        return n_ones >= self.lb and (self.ub is None or n_ones + free.bit_count() <= self.ub)
-
     def propagate(self, s: Solver) -> bool:
-        ones, free = self._counts(s)
-        n_ones = ones.bit_count()
+        ones, zeros = s.fixed(self.role)
+        n_ones = (ones & self.bits).bit_count()
+        free = self.bits & ~(ones | zeros)
         n_free = free.bit_count()
         if self.ub is not None and n_ones > self.ub:
             return False
@@ -107,34 +97,6 @@ class CardinalityRange(Propagator):
         if n_ones + n_free == self.lb:
             return s.assign_bits(self.role, free, 1)
         return True
-
-
-class AllEqual(Propagator):
-    """An indicator and its member variables all take the same value.
-    The members must share one role."""
-
-    def __init__(self, indicator: int, members: Sequence[int]):
-        self.indicator = indicator
-        self.members = list(members)
-
-    def vars(self):
-        return [self.indicator, *self.members]
-
-    def bind(self, s: Solver) -> None:
-        self.role, self.bits = s.role_bits(self.members)
-
-    def propagate(self, s: Solver) -> bool:
-        val = s.value(self.indicator)
-        if val == UNASSIGNED:
-            ones, zeros = s.fixed(self.role)
-            if ones & self.bits:
-                val = 1
-            elif zeros & self.bits:
-                val = 0
-            else:
-                return True
-            s.assign(self.indicator, val)
-        return s.assign_bits(self.role, self.bits, val)
 
 
 class CategorySpan(Propagator):
@@ -177,59 +139,95 @@ class CategorySpan(Propagator):
         return True
 
 
-class ExactlyOneGroup(Propagator):
-    """Exactly one indicator is 1 and the active transactions equal that
-    group's member set; groups may come from several partition levels.
-    ``v_vars[j]`` is the variable of transaction j and sits at position j
-    of its role (slot 0 unused)."""
+class GroupChoice(Propagator):
+    """Between lb and ub groups are chosen, and the active positions of
+    the axis are the union of the chosen groups; groups may overlap.
+    ``entries`` pairs each group's indicator variable (all of one role)
+    with its member bitset; ``axis_vars[j]`` is the variable of position
+    j of the axis and sits at position j of its role (slot 0 unused).
 
-    def __init__(self, entries: Sequence[tuple[int, int]], v_vars: Sequence[int | None]):
-        self.entries = list(entries)  # (indicator var, member bitset)
-        self.v_vars = v_vars
+    A group is chosen, ruled out, or live (indicator free).  Every
+    failure test runs before the first assignment, so a call that fails
+    fixes nothing and never completes a mask."""
+
+    def __init__(self, entries: Sequence[tuple[int, int]], axis_vars, lb: int, ub: int):
+        self.entries = list(entries)
+        self.axis_vars = axis_vars
+        self.lb = lb
+        self.ub = ub
 
     def vars(self):
         out = [b for b, _ in self.entries]
-        out.extend(v for v in self.v_vars if v is not None)
+        out.extend(v for v in self.axis_vars if v is not None)
         return out
 
     def bind(self, s: Solver) -> None:
-        self.role, self.bits = s.indexed_role(self.v_vars)
+        self.role, self.bits = s.indexed_role(self.axis_vars)
+        self.flag_role, _ = s.role_bits(b for b, _ in self.entries)
+        # (indicator's bit in its role, members)
+        self.groups = [(1 << s.position(b), members) for b, members in self.entries]
+        for _, members in self.groups:
+            if members & ~self.bits:
+                raise ValueError("group holds a position outside the axis")
 
     def propagate(self, s: Solver) -> bool:
-        chosen = None
-        for b, bits in self.entries:
-            if s.value(b) == 1:
-                if chosen is not None:
+        f1, f0 = s.fixed(self.flag_role)
+        a1, a0 = s.fixed(self.role)
+        a1 &= self.bits
+        lb, ub = self.lb, self.ub
+        n1 = covered = take = out = 0
+        live = []
+        for flag, members in self.groups:
+            if f1 & flag:
+                if members & a0:
                     return False
-                chosen = (b, bits)
-        if chosen is not None:
-            b, bits = chosen
-            if not (
-                s.assign_bits(self.role, self.bits & bits, 1)
-                and s.assign_bits(self.role, self.bits & ~bits, 0)
-            ):
+                n1 += 1
+                covered |= members
+            elif not f0 & flag:
+                if members & a0:
+                    out |= flag  # a member is inactive
+                else:
+                    live.append((flag, members))
+        while True:
+            if n1 > ub or n1 + len(live) < lb:
                 return False
-            for other, _ in self.entries:
-                if other != b and not s.assign(other, 0):
+            need = a1 & ~covered  # active positions no chosen group holds
+            if n1 == ub or (n1 == ub - 1 and need):
+                # at most one more group, and it must hold all of need
+                dropped = [g for g in live if n1 == ub or need & ~g[1]]
+                if dropped:
+                    for flag, _ in dropped:
+                        out |= flag
+                    live = [g for g in live if not out & g[0]]
+                    continue
+            pick = []
+            if need:
+                once = twice = 0
+                for _, members in live:
+                    twice |= once & members
+                    once |= members
+                if need & ~once:
                     return False
-            return True
-        v_one, v_zero = s.fixed(self.role)
-        v_one &= self.bits
-        v_zero &= self.bits
-        live: list[int] = []
-        for b, bits in self.entries:
-            if s.value(b) != UNASSIGNED:
-                continue
-            if (v_one & ~bits) or (v_zero & bits):
-                if not s.assign(b, 0):
-                    return False
-            else:
-                live.append(b)
-        if not live:
-            return False
-        if len(live) == 1:
-            return s.assign(live[0], 1)
-        return True
+                # positions only one live group holds choose that group
+                pick = [g for g in live if g[1] & need & ~twice]
+            if n1 + len(live) == lb:
+                pick = live
+            if not pick:
+                break
+            for flag, members in pick:
+                take |= flag
+                covered |= members
+            n1 += len(pick)
+            live = [g for g in live if not take & g[0]]
+        held = covered
+        for _, members in live:
+            held |= members
+        return (
+            s.assign_bits(self.flag_role, take, 1)
+            and s.assign_bits(self.flag_role, out, 0)
+            and s.assign_bits(self.role, covered, 1)
+            and s.assign_bits(self.role, self.bits & ~held, 0)
+        )
 
 
 # ------------------------------------------------ reified mining family
@@ -306,9 +304,6 @@ class FrequencyCheck(Propagator):
         out.extend(v for v in self.v_vars if v is not None)
         return out
 
-    def entailed(self, s: Solver) -> bool:
-        return s.value(self.x_var) == 0
-
     def propagate(self, s: Solver) -> bool:
         xv = s.value(self.x_var)
         if xv == 0:
@@ -350,9 +345,6 @@ class ClosednessReified(Propagator):
         out = [self.h_var, self.x_var]
         out.extend(y for y in self.y_vars if y is not None)
         return out
-
-    def entailed(self, s: Solver) -> bool:
-        return s.value(self.h_var) == 0
 
     def propagate(self, s: Solver) -> bool:
         hv = s.value(self.h_var)
@@ -396,24 +388,14 @@ def post_channeling(s: Solver, h_vars, x_vars, v_vars=(), y_vars=()) -> None:
             s.post(RoleChannel(gates, deps))
 
 
-def post_group_activation(
-    s: Solver,
-    scheme: PartitionScheme,
-    axis_vars,
-    lb: int,
-    ub: int,
-) -> list[int]:
-    """Each group activates as a whole; the number of active groups lies in
-    [lb, ub].  Returns the per-group indicator variables."""
-    groups = scheme.groups
+def post_group_choice(s: Solver, groups: Sequence[int], axis_vars, lb: int, ub: int) -> list[int]:
+    """Between lb and ub of ``groups`` (member bitsets over the axis) are
+    chosen, and the active positions are their union.  Returns the
+    per-group indicator variables."""
     if not 0 <= lb <= ub <= len(groups):
-        raise ValueError(f"group activation bounds ({lb},{ub}) invalid for {len(groups)} groups")
-    indicators = []
-    for g in groups:
-        b = s.new_var(ROLE_AUX)
-        indicators.append(b)
-        s.post(AllEqual(b, [axis_vars[i] for i in iter_bits(g.members)]))
-    s.post(CardinalityRange(indicators, lb, ub))
+        raise ValueError(f"group choice bounds ({lb},{ub}) invalid for {len(groups)} groups")
+    indicators = s.new_vars(len(groups), ROLE_AUX)
+    s.post(GroupChoice(zip(indicators, groups), axis_vars, lb, ub))
     return indicators
 
 
@@ -430,22 +412,6 @@ def post_min_size(s: Solver, x_vars, k: int) -> None:
     if not 1 <= k <= n:
         raise ValueError(f"minimum size {k} out of range 1..{n}")
     s.post(CardinalityRange([v for v in x_vars if v is not None], k, None))
-
-
-def post_exactly_one_group(s: Solver, scheme: PartitionScheme, v_vars) -> list[int]:
-    """The active transactions equal exactly one group drawn from any level
-    of the scheme.  Returns the indicator variables, one per group."""
-    if not scheme.levels:
-        raise ValueError("scheme has no levels")
-    entries = []
-    indicators = []
-    for level in scheme.levels:
-        for g in level:
-            b = s.new_var(ROLE_AUX)
-            indicators.append(b)
-            entries.append((b, g.members))
-    s.post(ExactlyOneGroup(entries, v_vars))
-    return indicators
 
 
 def post_reified_fci(

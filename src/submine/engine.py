@@ -41,9 +41,7 @@ class Propagator:
     ``propagate`` may assign watched or other variables through the solver
     and must return False exactly when it detects a contradiction.  It must
     be sound (never remove a value that some solution of its constraint
-    extends) and idempotent at fixpoint.  ``entailed`` may report that the
-    constraint holds in every extension of the current state; entailed
-    propagators are skipped when woken.
+    extends) and idempotent at fixpoint.
     """
 
     def vars(self) -> Iterable[int]:
@@ -54,9 +52,6 @@ class Propagator:
 
     def propagate(self, s: "Solver") -> bool:
         raise NotImplementedError
-
-    def entailed(self, s: "Solver") -> bool:
-        return False
 
 
 class Solver:
@@ -241,10 +236,7 @@ class Solver:
         while queue:
             pid = queue.popleft()
             queued.discard(pid)
-            prop = props[pid]
-            if prop.entailed(self):
-                continue
-            if not prop.propagate(self):
+            if not props[pid].propagate(self):
                 queue.clear()
                 queued.clear()
                 return False

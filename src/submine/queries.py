@@ -81,7 +81,8 @@ class AxisConstraint:
     kind "all" activates everything, "fixed" exactly the given bitset,
     "groups" any lb..ub whole groups of the partition, "one_per_level"
     exactly one group drawn from any level of the scheme.  "all" and
-    "fixed" allow one mask each; the other kinds choose groups.
+    "fixed" allow one mask each; the other kinds choose groups, read
+    through ``choices`` alone everywhere but in ``satisfied``.
 
     The methods below are the one reading of each kind.  ``universe`` is
     the bitset of the whole axis and ``scheme`` its partition (or None);
@@ -135,33 +136,44 @@ class AxisConstraint:
         """The one mask of an "all" or "fixed" constraint."""
         return universe if self.kind == "all" else self.members
 
-    def count(self, scheme: PartitionScheme | None) -> int:
-        """Number of masks the constraint allows."""
+    def choices(self, scheme: PartitionScheme | None) -> tuple[tuple[int, ...], int, int] | None:
+        """(groups, lb, ub) for a kind that chooses between lb and ub of
+        the groups (member bitsets), whose union is the mask: the groups
+        of the partition, or for one-of-levels every group of every level
+        with bounds (1, 1).  None for "all" and "fixed"."""
         if self.kind == "groups":
-            return count_masks(scheme.group_count(), self.lb, self.ub)
+            return tuple(g.members for g in scheme.groups), self.lb, self.ub
         if self.kind == "one_per_level":
-            return sum(len(level) for level in scheme.levels)
-        return 1
+            return tuple(g.members for level in scheme.levels for g in level), 1, 1
+        return None
+
+    def count(self, scheme: PartitionScheme | None) -> int:
+        """Number of masks the constraint allows, one per group choice."""
+        choices = self.choices(scheme)
+        if choices is None:
+            return 1
+        groups, lb, ub = choices
+        return count_masks(len(groups), lb, ub)
 
     def masks(self, universe: int, scheme: PartitionScheme | None) -> Iterator[int]:
-        """Every allowed mask once, lazily; group choices by size, then in
-        the order of ``itertools.combinations``."""
-        if self.kind == "groups":
-            for r in range(self.lb, self.ub + 1):
-                for chosen in combinations(scheme.groups, r):
-                    bits = 0
-                    for g in chosen:
-                        bits |= g.members
-                    yield bits
-        elif self.kind == "one_per_level":
-            for level in scheme.levels:
-                for g in level:
-                    yield g.members
-        else:
+        """Every allowed mask once per group choice, lazily; choices by
+        size, then in the order of ``itertools.combinations``."""
+        choices = self.choices(scheme)
+        if choices is None:
             yield self.single(universe)
+            return
+        groups, lb, ub = choices
+        for r in range(lb, ub + 1):
+            for chosen in combinations(groups, r):
+                bits = 0
+                for g in chosen:
+                    bits |= g
+                yield bits
 
     def satisfied(self, bits: int, universe: int, scheme: PartitionScheme | None) -> bool:
-        """Whether the mask ``bits`` is one the constraint allows."""
+        """Whether the mask ``bits`` is one the constraint allows.  Group
+        bounds count the groups the mask touches; the overlapping groups of
+        one-of-levels have no such reading, so they are compared whole."""
         if self.kind == "groups":
             touched = [g.members for g in scheme.groups if g.members & bits]
             union = 0
@@ -485,14 +497,14 @@ def assemble(
         (query.items, ROLE_H, h, db.all_items(), item_scheme),
         (query.trans, ROLE_V, v, db.all_transactions(), trans_scheme),
     ):
-        if con.kind == "groups":
-            constraints.post_group_activation(s, scheme, gates, con.lb, con.ub)
-        elif con.kind == "one_per_level":
-            constraints.post_exactly_one_group(s, scheme, gates)
-        else:
+        choices = con.choices(scheme)
+        if choices is None:
             active = con.single(universe)
             s.assign_root(role, active, 1)
             s.assign_root(role, universe & ~active, 0)
+        else:
+            groups, lb, ub = choices
+            constraints.post_group_choice(s, groups, gates, lb, ub)
 
     # a sub-dataset with no transactions has no defined frequencies
     s.post(constraints.CardinalityRange([v[j] for j in range(1, m + 1)], 1, None))

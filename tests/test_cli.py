@@ -111,6 +111,14 @@ def test_mine_missing_file(files):
     assert rc == 1
 
 
+def test_mine_unwritable_out(files, capsys):
+    out = files["dir"] / "missing" / "out.tsv"
+    rc = cli.main(_mine_args(files, files["q1.query"], extra=["--out", str(out)]))
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_mine_malformed_query(files):
     bad = files["dir"] / "bad.query"
     bad.write_text("theta: 1/2\nwat: 7\n")
@@ -269,6 +277,15 @@ def test_bench_empty_suite(tmp_path, capsys):
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 1  # header only
+
+
+def test_bench_unwritable_out(tmp_path, capsys):
+    suite = tmp_path / "suite.csv"
+    suite.write_text("name,data,query,item_cats,trans_cats,labels,engines\n")
+    out = tmp_path / "missing" / "report.csv"
+    rc = cli.main(["bench", "--suite", str(suite), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bench_row_error_recorded(tmp_path):

@@ -1,23 +1,32 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from helpers import A, B, C, D, E, F, G, HALF, K, table1_item_scheme
 from submine import PartitionScheme, Query, TransactionDatabase, run_theory
 from submine.constraints import (
+    GroupChoice,
     post_category_span,
-    post_exactly_one_group,
-    post_group_activation,
+    post_group_choice,
     post_min_size,
 )
 from submine.dataset import bits_of, iter_bits
-from submine.engine import ROLE_H, ROLE_V, ROLE_X, Solver
+from submine.engine import ROLE_AUX, ROLE_H, ROLE_V, ROLE_X, UNASSIGNED, Solver
 from submine.queries import AxisConstraint, assemble
 
 
 def _singleton_scheme(axis, size):
     return PartitionScheme.build(axis, size, [(f"g{i}", [i]) for i in range(1, size + 1)])
+
+
+def _members(scheme):
+    return [g.members for g in scheme.groups]
+
+
+def _all_levels(scheme):
+    return [g.members for level in scheme.levels for g in level]
 
 
 # --------------------------------------------------------- group activation
@@ -35,7 +44,7 @@ def _singleton_scheme(axis, size):
 def test_group_activation_vector_counts(k, lb, ub, expected):
     s = Solver()
     h = [None] + s.new_vars(k, ROLE_H)
-    post_group_activation(s, _singleton_scheme("items", k), h, lb, ub)
+    post_group_choice(s, _members(_singleton_scheme("items", k)), h, lb, ub)
     assert s.search_all() == expected
 
 
@@ -43,7 +52,7 @@ def test_group_activation_all_or_none():
     scheme = PartitionScheme.build("items", 5, [("a", [1, 2]), ("b", [3, 4, 5])])
     s = Solver()
     h = [None] + s.new_vars(5, ROLE_H)
-    post_group_activation(s, scheme, h, 1, 2)
+    post_group_choice(s, _members(scheme), h, 1, 2)
     masks = set()
     s.search_all(on_solution=lambda: masks.add(tuple(s.snapshot()[h[i]] for i in range(1, 6))))
     assert masks == {(1, 1, 0, 0, 0), (0, 0, 1, 1, 1), (1, 1, 1, 1, 1)}
@@ -53,7 +62,7 @@ def test_group_activation_bad_bounds():
     s = Solver()
     h = [None] + s.new_vars(3, ROLE_H)
     with pytest.raises(ValueError, match="bounds"):
-        post_group_activation(s, _singleton_scheme("items", 3), h, 2, 1)
+        post_group_choice(s, _members(_singleton_scheme("items", 3)), h, 2, 1)
 
 
 def test_min_max_encoding_equivalence():
@@ -68,7 +77,7 @@ def test_min_max_encoding_equivalence():
         ub = rng.randint(lb, k)
         s = Solver()
         h = [None] + s.new_vars(size, ROLE_H)
-        indicators = post_group_activation(s, scheme, h, lb, ub)
+        indicators = post_group_choice(s, _members(scheme), h, lb, ub)
         sols = []
         s.search_all(on_solution=lambda: sols.append(s.snapshot()))
         for snap in sols:
@@ -93,6 +102,73 @@ def _random_scheme(rng, size):
         groups.append((f"g{gi}", ids[prev:cut]))
         prev = cut
     return PartitionScheme.build("items", size, groups)
+
+
+def _group_choice_case(rng):
+    """(axis size, groups, lb, ub, one level?): one partition with random
+    bounds, or several levels, nested or not, with (1, 1)."""
+    size = rng.randint(1, 6)
+    level = _members(_random_scheme(rng, size))
+    if rng.random() < 0.5:
+        lb = rng.randint(0, len(level))
+        return size, level, lb, rng.randint(lb, len(level)), True
+    nested = rng.random() < 0.5
+    groups = list(level)
+    for _ in range(rng.randint(1, 2)):
+        if nested:  # cut each group of the level above in one or two
+            level = [part for g in level for part in _cut(rng, g)]
+        else:
+            level = _members(_random_scheme(rng, size))
+        groups.extend(level)
+    return size, groups, 1, 1, False
+
+
+def _cut(rng, bits):
+    members = list(iter_bits(bits))
+    k = rng.randint(1, len(members))
+    return [g for g in (bits_of(members[:k]), bits_of(members[k:])) if g]
+
+
+def test_group_choice_against_brute_force():
+    rng = random.Random(8)
+    for _ in range(400):
+        size, groups, lb, ub, one_level = _group_choice_case(rng)
+        k = len(groups)
+        # a full assignment: the indicators, then the axis positions 1..size
+        solutions = []
+        for r in range(lb, ub + 1):
+            for chosen in combinations(range(k), r):
+                active = 0
+                for g in chosen:
+                    active |= groups[g]
+                solutions.append(
+                    tuple(int(g in chosen) for g in range(k))
+                    + tuple(active >> j & 1 for j in range(1, size + 1))
+                )
+        state = {p: rng.randint(0, 1) for p in range(k + size) if rng.random() < 0.3}
+        extending = [sol for sol in solutions if all(sol[p] == b for p, b in state.items())]
+
+        s = Solver()
+        indicators = s.new_vars(k, ROLE_AUX)
+        v = [None] + s.new_vars(size, ROLE_V)
+        handles = indicators + v[1:]
+        for p, b in state.items():
+            s.assign(handles[p], b)
+        s.post(GroupChoice(zip(indicators, groups), v, lb, ub))
+        # fails exactly when no solution extends the state
+        assert s.root_failed == (not extending)
+        if s.root_failed:
+            continue
+        for p, var in enumerate(handles):
+            shared = {sol[p] for sol in extending}
+            if s.value(var) != UNASSIGNED:
+                assert shared == {s.value(var)}
+            elif one_level:
+                # on one partition every value all solutions share is fixed
+                assert len(shared) == 2
+        found = []
+        s.search_all(on_solution=lambda: found.append(tuple(s.value(h) for h in handles)))
+        assert sorted(found) == sorted(extending)
 
 
 # ------------------------------------------------------------ category span
@@ -189,7 +265,7 @@ def _nested_scheme():
 def test_exactly_one_group_candidate_count():
     s = Solver()
     v = [None] + s.new_vars(8, ROLE_V)
-    post_exactly_one_group(s, _nested_scheme(), v)
+    post_group_choice(s, _all_levels(_nested_scheme()), v, 1, 1)
     masks = set()
     s.search_all(
         on_solution=lambda: masks.add(tuple(s.snapshot()[v[j]] for j in range(1, 9)))
@@ -203,7 +279,7 @@ def test_exactly_one_group_single_group_forces_everything():
     scheme = PartitionScheme.build("transactions", 4, [("all", [1, 2, 3, 4])])
     s = Solver()
     v = [None] + s.new_vars(4, ROLE_V)
-    post_exactly_one_group(s, scheme, v)
+    post_group_choice(s, _all_levels(scheme), v, 1, 1)
     assert all(s.value(v[j]) == 1 for j in range(1, 5))
 
 

@@ -197,7 +197,7 @@ def _rebuilt(s, role):
 
 
 def test_role_bitsets_follow_assign_propagate_and_pop():
-    from submine.constraints import AllEqual, RoleChannel
+    from submine.constraints import GroupChoice, RoleChannel
     from submine.engine import ROLE_V
 
     roles = (ROLE_AUX, ROLE_H, ROLE_V, ROLE_X)
@@ -222,7 +222,12 @@ def test_role_bitsets_follow_assign_propagate_and_pop():
                 lb = rng.randint(0, len(sub))
                 s.post(CardinalityRange(sub, lb, rng.randint(lb, len(sub))))
         if by_role[ROLE_AUX] and len(by_role[ROLE_V]) >= 2:
-            s.post(AllEqual(by_role[ROLE_AUX][0], rng.sample(by_role[ROLE_V], 2)))
+            # one group of two members that the indicator equals
+            v_vars = [None] * (len(by_role[ROLE_V]) + 1)
+            for v in rng.sample(by_role[ROLE_V], 2):
+                v_vars[s.position(v)] = v
+            group = s.role_bits(v for v in v_vars if v is not None)[1]
+            s.post(GroupChoice([(by_role[ROLE_AUX][0], group)], v_vars, 0, 1))
         if s.root_failed:
             continue
         saved = []

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import A, B, E, F, G, HALF, K, car_purchases, theory_labels, triples_of
+from helpers import (
+    A, B, E, F, G, HALF, K, FERRARI_BITS, car_purchases, theory_labels, triples_of,
+)
 from submine import (
     FormatError,
     Query,
@@ -521,4 +523,52 @@ def test_cp_search_counters_on_table1_queries(db1, items3, trans3, items, trans,
     q = Query(theta=HALF, span=span, items=axis(items), trans=axis(trans))
     stats = {}
     run_theory(db1, q, items3, trans3, engine="cp", stats=stats)
+    assert stats == {"nodes": nodes, "masks": masks}
+
+
+_OLV = AxisConstraint.one_per_level()
+
+
+@pytest.mark.parametrize(
+    "case,query,nodes,masks",
+    [
+        (
+            "cars",
+            Query(theta=Fraction(1, 10), closed=False, require=FERRARI_BITS, trans=_OLV),
+            54,
+            14,
+        ),
+        ("cars", Query(theta=Fraction(1, 5), trans=_OLV), 194, 14),
+        ("cars", Query(theta=Fraction(1, 5), min_size=2, closed=False, trans=_OLV), 804, 14),
+        (
+            "table1",
+            Query(
+                theta=HALF,
+                items=AxisConstraint.group_bounds(0, 3),
+                trans=AxisConstraint.group_bounds(2, 2),
+            ),
+            114,
+            21,
+        ),
+        (
+            "table1",
+            Query(
+                theta=HALF,
+                items=AxisConstraint.group_bounds(3, 3),
+                trans=AxisConstraint.group_bounds(0, 1),
+            ),
+            16,
+            4,
+        ),
+    ],
+)
+def test_cp_search_counters_on_group_choices(db1, items3, trans3, case, query, nodes, masks):
+    # pinned: the dataset side of the model, one-of-levels and group bounds
+    # that admit no or every group, must not enlarge the search
+    if case == "cars":
+        (db, tscheme), ischeme = car_purchases(), None
+    else:
+        db, ischeme, tscheme = db1, items3, trans3
+    stats = {}
+    run_theory(db, query, ischeme, tscheme, engine="cp", stats=stats)
     assert stats == {"nodes": nodes, "masks": masks}
