@@ -69,8 +69,14 @@ def _load(args):
 
 
 def _deadline(args):
+    """The monotonic time ``--timeout`` seconds from now, or None without
+    the option; ValueError for NaN or a limit that is not positive."""
     timeout = getattr(args, "timeout", None)
-    return None if timeout is None else time.monotonic() + timeout
+    if timeout is None:
+        return None
+    if not timeout > 0:
+        raise ValueError(f"--timeout must be a positive number of seconds, got {timeout}")
+    return time.monotonic() + timeout
 
 
 def _run_engine(name, db, query, item_scheme, trans_scheme, deadline, workers=1, stats=None):
@@ -120,13 +126,15 @@ def _output(path, newline):
 
 
 def cmd_verify(args) -> int:
-    if args.seeds:
-        return _verify_random(args)
     try:
-        db, item_scheme, trans_scheme, query = _load(args)
+        _deadline(args)  # refuse a bad limit before any work
+        if not args.seeds:
+            db, item_scheme, trans_scheme, query = _load(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    if args.seeds:
+        return _verify_random(args)
     theories = _all_theories(db, query, item_scheme, trans_scheme, _deadline(args))
     if isinstance(theories, int):
         return theories
@@ -263,9 +271,10 @@ def _random_groups(rng, size, prefix):
 
 def cmd_bench(args) -> int:
     try:
+        _deadline(args)  # refuse a bad limit before any work
         with open(args.suite, encoding="utf-8", newline="") as fh:
             rows = list(csv.DictReader(fh))
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     reports = []
@@ -340,9 +349,7 @@ def _bench_row(row, args):
     for engine in engines:
         stats: dict = {}
         started = time.perf_counter()
-        deadline = (
-            time.monotonic() + args.timeout if args.timeout is not None else None
-        )
+        deadline = _deadline(args)
         try:
             pairs = _run_engine(
                 engine, db, query, item_scheme, trans_scheme, deadline, stats=stats

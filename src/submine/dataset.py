@@ -223,7 +223,7 @@ class Group:
 
 @dataclass(frozen=True)
 class PartitionScheme:
-    """Named disjoint groups of item or transaction indices.
+    """Named disjoint, non-empty groups of item or transaction indices.
 
     ``levels`` holds one full partition of 1..size per level; flat schemes
     have a single level.  Indices never mentioned in the input become
@@ -241,6 +241,8 @@ class PartitionScheme:
         for level in self.levels:
             seen = 0
             for g in level:
+                if not g.members:
+                    raise ValueError(f"group {g.name!r} has no members")
                 if g.members & ~universe:
                     bad = next(iter_bits(g.members & ~universe))
                     raise ValueError(
@@ -313,9 +315,9 @@ def parse_partition(
 ) -> PartitionScheme:
     """Parse a partition file.
 
-    Lines are ``name: id id ...``; optional ``level <k>`` headers introduce
-    hierarchy levels; ``#`` begins a comment line.  Unmentioned indices get
-    implicit singleton groups in every level.
+    Lines are ``name: id id ...`` with at least one id; optional
+    ``level <k>`` headers introduce hierarchy levels; ``#`` begins a comment
+    line.  Unmentioned indices get implicit singleton groups in every level.
     """
     if axis == "items":
         size = db.item_count
@@ -365,6 +367,8 @@ def parse_partition(
             if members >> i & 1:
                 raise FormatError(f"line {lineno}: index {i} repeated in {name!r}")
             members |= 1 << i
+        if not members:
+            raise FormatError(f"line {lineno}: group {name!r} has no members")
         current.append(Group(name, members))
     raw_levels.append(current)
 

@@ -492,7 +492,9 @@ def assemble(
 
     constraints.post_channeling(s, h[1:], x[1:], v[1:] if y else [], y[1:])
 
-    # dataset part: the activation variables of each axis
+    # dataset part: the activation variables of each axis; the mining part
+    # bounds support per transaction group
+    trans_choices, trans_indicators = None, ()
     for con, role, gates, universe, scheme in (
         (query.items, ROLE_H, h, db.all_items(), item_scheme),
         (query.trans, ROLE_V, v, db.all_transactions(), trans_scheme),
@@ -504,7 +506,9 @@ def assemble(
             s.assign_root(role, universe & ~active, 0)
         else:
             groups, lb, ub = choices
-            constraints.post_group_choice(s, groups, gates, lb, ub)
+            indicators = constraints.post_group_choice(s, groups, gates, lb, ub)
+            if role == ROLE_V:
+                trans_choices, trans_indicators = choices, indicators
 
     # a sub-dataset with no transactions has no defined frequencies
     s.post(constraints.CardinalityRange([v[j] for j in range(1, m + 1)], 1, None))
@@ -519,9 +523,13 @@ def assemble(
     if use_reified:
         constraints.post_reified_fci(s, db, x, y, h, v, query.theta, closed=query.closed)
     elif query.closed:
-        closedpattern.post_closed_pattern_sub(s, db, x, h, y, v, query.theta)
+        closedpattern.post_closed_pattern_sub(
+            s, db, x, h, y, v, query.theta, trans_choices, trans_indicators
+        )
     else:
-        closedpattern.post_frequent_sub(s, db, x, h, y, v, query.theta)
+        closedpattern.post_frequent_sub(
+            s, db, x, h, y, v, query.theta, trans_choices, trans_indicators
+        )
     return s, Layout(x, y, h, v)
 
 

@@ -135,6 +135,18 @@ def test_mine_rejects_label_with_whitespace(files, capsys):
     assert "line 1: label 'Ferrari car' contains whitespace" in err
 
 
+@pytest.mark.parametrize("engine", ["cp", "baseline", "oracle"])
+def test_mine_rejects_empty_group(files, capsys, engine):
+    cats = files["dir"] / "empty.cats"
+    cats.write_text("E:\nA: 1\nB: 2 3\n")
+    q = files["dir"] / "q.query"
+    q.write_text("theta: 1/2\nitems_active: 2 2\n")
+    args = _mine_args(files, str(q), engine)
+    args[args.index("--item-cats") + 1] = str(cats)
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == "error: line 1: group 'E' has no members\n"
+
+
 def test_mine_oracle_size_guard(tmp_path, files):
     big = tmp_path / "big.fimi"
     big.write_text(" ".join(str(i) for i in range(1, 31)) + "\n")
@@ -174,6 +186,41 @@ def test_mine_timeout_exit_code(tmp_path):
         ]
     )
     assert rc == 2
+
+
+_BAD_TIMEOUTS = ["nan", "-1", "0"]
+
+
+@pytest.mark.parametrize("timeout", _BAD_TIMEOUTS)
+def test_mine_rejects_bad_timeout(files, capsys, timeout):
+    rc = cli.main(_mine_args(files, files["q1.query"], extra=[f"--timeout={timeout}"]))
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --timeout must be a positive number")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("timeout", _BAD_TIMEOUTS)
+def test_verify_rejects_bad_timeout(capsys, timeout):
+    rc = cli.main(["verify", "--seeds", "2", f"--timeout={timeout}"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --timeout must be a positive number")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("timeout", _BAD_TIMEOUTS)
+def test_bench_rejects_bad_timeout(files, tmp_path, capsys, timeout):
+    suite = tmp_path / "suite.csv"
+    suite.write_text(
+        "name,data,query,item_cats,trans_cats,labels,engines\n"
+        f"t1,{files['data.fimi']},{files['q1.query']},,,,cp\n"
+    )
+    out = tmp_path / "report.csv"
+    rc = cli.main(["bench", "--suite", str(suite), "--out", str(out), f"--timeout={timeout}"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: --timeout must be a positive number")
+    assert not out.exists()
 
 
 def test_verify_agrees(files, capsys):

@@ -1,5 +1,9 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
+
+import pytest
 
 from helpers import (
     HALF,
@@ -9,8 +13,12 @@ from helpers import (
     random_mask_state,
     theory_labels,
 )
-from submine import Query, TransactionDatabase, run_theory
-from submine.dataset import bits_of
+from submine import PartitionScheme, Query, TransactionDatabase, run_theory
+from submine.cli import _random_groups
+from submine.closedpattern import post_closed_pattern_sub, post_frequent_sub
+from submine.constraints import GroupChoice, post_channeling
+from submine.dataset import Mask, bits_of, closure, frequency, iter_bits, span_bits
+from submine.engine import ROLE_AUX, ROLE_H, ROLE_V, ROLE_X, Solver
 from submine.queries import AxisConstraint
 
 
@@ -128,3 +136,118 @@ def test_fixed_mask_dominance_frequent_mode():
     rng = random.Random(43)
     for _ in range(60):
         check_state_dominance_and_soundness(rng, closed=False)
+
+
+# ------------------------------------------- the per-group support bound
+
+
+def _random_choice(rng, m):
+    """The (groups, lb, ub) of a random choice on a random transaction
+    scheme: lb..ub groups of its partition, or one-of-levels over a nested
+    or an unrelated second level."""
+    level1 = _random_groups(rng, m, "G")
+    if rng.random() < 0.5:
+        scheme = PartitionScheme.build("transactions", m, level1)
+        k = scheme.group_count()
+        lb = rng.randint(0, k)
+        con = AxisConstraint.group_bounds(lb, rng.randint(lb, k))
+    else:
+        if rng.random() < 0.5:
+            # nested: merge runs of level-1 groups
+            level2, run = [], []
+            for name, ids in level1:
+                run += ids
+                if rng.random() < 0.5:
+                    level2.append((f"L{name}", run))
+                    run = []
+            if run:
+                level2.append(("Lrest", run))
+        else:
+            level2 = _random_groups(rng, m, "L")
+        scheme = PartitionScheme.build("transactions", m, level1, [level2])
+        con = AxisConstraint.one_per_level()
+    return con.choices(scheme)
+
+
+def _answers(db, theta, closed, h_bits, v_bits):
+    """Every answer itemset of the fixed mask (h_bits, v_bits), by brute
+    force over the subsets of the active items."""
+    if not v_bits:
+        return []
+    mask = Mask(h_bits, v_bits)
+    active = list(iter_bits(h_bits))
+    out = []
+    for sel in range(1, 1 << len(active)):
+        xbits = bits_of(i for k, i in enumerate(active) if sel >> k & 1)
+        if frequency(db, xbits, mask) >= theta and (
+            not closed or closure(db, xbits, mask) == xbits
+        ):
+            out.append(xbits)
+    return out
+
+
+def check_group_bound(rng):
+    """One random trial of ``ClosedPatternSub`` with the group bound on a
+    partial state: random indicator values and a random ``x1``, one
+    fixpoint, then a check against every completion.  Returns a short tag
+    describing the outcome."""
+    n, m = rng.randint(2, 5), rng.randint(3, 7)
+    density = rng.uniform(0.3, 0.8)
+    rows = [[i for i in range(1, n + 1) if rng.random() < density] for _ in range(m)]
+    db = TransactionDatabase.from_rows(rows, item_count=n)
+    theta = rng.choice((Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)))
+    closed = rng.random() < 0.6
+    groups, lb, ub = _random_choice(rng, m)
+    h_bits = bits_of(i for i in range(1, n + 1) if rng.random() < 0.8)
+    flags = {k: rng.randint(0, 1) for k in range(len(groups)) if rng.random() < 0.3}
+    x1 = bits_of(i for i in iter_bits(h_bits) if rng.random() < 0.25)
+
+    s = Solver()
+    h = [None] + s.new_vars(n, ROLE_H)
+    v = [None] + s.new_vars(m, ROLE_V)
+    x = [None] + s.new_vars(n, ROLE_X)
+    indicators = s.new_vars(len(groups), ROLE_AUX)
+    # the state first, then the propagators: one fixpoint over all of them
+    s.assign_bits(ROLE_H, h_bits, 1)
+    s.assign_bits(ROLE_H, span_bits(1, n) & ~h_bits, 0)
+    s.assign_bits(ROLE_X, x1, 1)
+    for k, val in flags.items():
+        s.assign(indicators[k], val)
+    post_channeling(s, h[1:], x[1:])
+    s.post(GroupChoice(zip(indicators, groups), v, lb, ub))
+    post = post_closed_pattern_sub if closed else post_frequent_sub
+    post(s, db, x, h, [], v, theta, (groups, lb, ub), indicators)
+
+    answers = []  # of every completion, each a superset of x1
+    for r in range(lb, ub + 1):
+        for chosen in combinations(range(len(groups)), r):
+            if any((k in chosen) != val for k, val in flags.items()):
+                continue
+            v_bits = 0
+            for k in chosen:
+                v_bits |= groups[k]
+            answers += [a for a in _answers(db, theta, closed, h_bits, v_bits) if a & x1 == x1]
+    if s.root_failed:
+        assert not answers, "the bound failed a state with an answer"
+        return "fail"
+    dropped = s.fixed(ROLE_X)[1] & h_bits
+    for a in answers:
+        assert not a & dropped, f"the bound dropped an item of answer {a:b}"
+    return "drop" if dropped else "ok"
+
+
+def test_group_bound_against_brute_force():
+    rng = random.Random(9)
+    tags = Counter(check_group_bound(rng) for _ in range(400))
+    # the bound must have pruned, both ways, for the check to mean anything
+    assert tags["fail"] >= 20 and tags["drop"] >= 20, tags
+
+
+def test_group_bound_needs_disjoint_groups_or_one_choice(db1):
+    s, (x, _, h, v) = build_mining_solver(db1, HALF, True, reified=False)
+    indicators = s.new_vars(2, ROLE_AUX)
+    overlapping = (bits_of([1, 2, 3]), bits_of([3, 4]))
+    with pytest.raises(ValueError, match="disjoint groups or ub = 1"):
+        post_closed_pattern_sub(s, db1, x, h, [], v, HALF, (overlapping, 0, 2), indicators)
+    # one group at most: overlap is fine
+    post_closed_pattern_sub(s, db1, x, h, [], v, HALF, (overlapping, 1, 1), indicators)

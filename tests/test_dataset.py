@@ -7,6 +7,7 @@ from helpers import A, B, C, D, E, F, G, H, K, TABLE1_FIMI
 from submine.dataset import (
     EmptyDatabaseError,
     FormatError,
+    Group,
     Mask,
     PartitionScheme,
     TransactionDatabase,
@@ -115,6 +116,16 @@ def test_parse_partition_levels(db1):
     assert len(scheme.levels) == 2
     assert [g.name for g in scheme.levels[0]] == ["L", "R"]
     assert [g.name for g in scheme.levels[1]] == ["a", "b", "c"]
+
+
+def test_parse_partition_empty_group(db1):
+    with pytest.raises(FormatError, match="line 2: group 'E' has no members"):
+        parse_partition("A: 1\nE:\nB: 2 3\n", db1, "items")
+
+
+def test_scheme_rejects_empty_group():
+    with pytest.raises(ValueError, match="group 'E' has no members"):
+        PartitionScheme("items", 2, ((Group("E", 0), Group("A", bits_of([1, 2]))),))
 
 
 def test_scheme_build_rejects_overlap():

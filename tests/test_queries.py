@@ -535,8 +535,8 @@ _OLV = AxisConstraint.one_per_level()
         (
             "cars",
             Query(theta=Fraction(1, 10), closed=False, require=FERRARI_BITS, trans=_OLV),
-            54,
-            14,
+            42,
+            7,
         ),
         ("cars", Query(theta=Fraction(1, 5), trans=_OLV), 194, 14),
         ("cars", Query(theta=Fraction(1, 5), min_size=2, closed=False, trans=_OLV), 804, 14),
