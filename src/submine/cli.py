@@ -128,12 +128,14 @@ def _output(path, newline):
 def cmd_verify(args) -> int:
     try:
         _deadline(args)  # refuse a bad limit before any work
-        if not args.seeds:
+        if args.seeds is None:
             db, item_scheme, trans_scheme, query = _load(args)
+        elif args.seeds < 1:
+            raise ValueError(f"--seeds must be a positive number of instances, got {args.seeds}")
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    if args.seeds:
+    if args.seeds is not None:
         return _verify_random(args)
     theories = _all_theories(db, query, item_scheme, trans_scheme, _deadline(args))
     if isinstance(theories, int):
@@ -416,7 +418,7 @@ def main(argv=None) -> int:
     p_bench.set_defaults(func=cmd_bench)
 
     args = parser.parse_args(argv)
-    if args.command == "verify" and not args.seeds and not (args.data and args.query):
+    if args.command == "verify" and args.seeds is None and not (args.data and args.query):
         parser.error("verify needs --data and --query (or --seeds K)")
     return args.func(args)
 

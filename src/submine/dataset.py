@@ -180,7 +180,8 @@ def parse_fimi(source: str | IO[str]) -> TransactionDatabase:
 
 
 def parse_labels(source: str | IO[str]) -> dict[int, str]:
-    """Parse an item-label file: ``<id> <label>`` per line, ``#`` comments.
+    """Parse an item-label file: ``<id> <label>`` per line, split on the
+    first run of whitespace, and ``#`` comment lines.
     A label that contains whitespace, an id labelled twice, or a label
     given to two ids is a FormatError: a query could not name such a label,
     and it would blur the space-separated itemset column of the output."""
@@ -190,8 +191,8 @@ def parse_labels(source: str | IO[str]) -> dict[int, str]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+        head, *tail = line.split(maxsplit=1)
+        rest = tail[0] if tail else ""
         try:
             i = int(head)
         except ValueError:

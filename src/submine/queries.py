@@ -6,19 +6,27 @@ constraints (which items/transactions are active).  ``run_theory`` returns
 the complete theory of (sub-dataset, itemset) pairs, canonically sorted,
 and re-validates every engine's answer against the raw definitions.
 
-Query file grammar (one ``key: value`` per line, ``#`` comments, unknown
-keys rejected)::
+Query file grammar (one ``key: value`` per line, ``#`` comment lines,
+unknown keys rejected)::
 
-    theta: 1/2            # or 50%  or 0.5   -- minimum frequency, exact;
-                          # no exponent (1e-1 is refused)
-    closed: true          # default true
-    minsize: 2            # default 1
-    span: 1 2             # itemset touches between lb and ub item groups
-    require: A K          # item labels (or ids) that must appear
-    forbid: C D           # item labels (or ids) that must not appear
-    items_active: 2 3     # lb ub over item groups | all | list <labels>
-    trans_active: all     # lb ub | all | list <ids> | one-of-levels
-    engine: cp            # cp | baseline | oracle (CLI flag overrides)
+    # minimum frequency, exact: 1/2, 50% or 0.5; no exponent (1e-1 is refused)
+    theta: 1/2
+    # default true
+    closed: true
+    # default 1
+    minsize: 2
+    # the itemset touches between lb and ub item groups
+    span: 1 2
+    # item labels (or ids) that must appear
+    require: A K
+    # item labels (or ids) that must not appear
+    forbid: C D
+    # lb ub over item groups | all | list <labels>
+    items_active: 2 3
+    # lb ub | all | list <ids> | one-of-levels
+    trans_active: all
+    # cp | baseline | oracle (the CLI flag overrides)
+    engine: cp
 """
 
 from __future__ import annotations
@@ -522,13 +530,11 @@ def assemble(
 
     if use_reified:
         constraints.post_reified_fci(s, db, x, y, h, v, query.theta, closed=query.closed)
-    elif query.closed:
-        closedpattern.post_closed_pattern_sub(
-            s, db, x, h, y, v, query.theta, trans_choices, trans_indicators
-        )
     else:
-        closedpattern.post_frequent_sub(
-            s, db, x, h, y, v, query.theta, trans_choices, trans_indicators
+        s.post(
+            closedpattern.ClosedPatternSub(
+                db, x, h, v, query.theta, query.closed, trans_choices, trans_indicators
+            )
         )
     return s, Layout(x, y, h, v)
 

@@ -94,47 +94,52 @@ FERRARI_BITS = bits_of([FERRARI])
 # Machinery for checking the global propagator against the reified
 # decomposition on random partial states with a fully assigned mask.
 
-from submine.closedpattern import post_closed_pattern_sub, post_frequent_sub
+from submine.closedpattern import ClosedPatternSub
 from submine.constraints import post_channeling, post_reified_fci
 from submine.dataset import span_bits
 from submine.engine import ROLE_H, ROLE_V, ROLE_X, ROLE_Y, UNASSIGNED, Solver
 
 
 def build_mining_solver(db, theta, closed, reified):
+    """X/H/V with channeling and the mining part: the reified decomposition,
+    with its cover variables Y, or the global propagator, which has none
+    (its ``y`` handle is empty)."""
     s = Solver()
     n, m = db.item_count, db.transaction_count
     h = [None] + s.new_vars(n, ROLE_H)
     v = [None] + s.new_vars(m, ROLE_V)
     x = [None] + s.new_vars(n, ROLE_X)
-    y = [None] + s.new_vars(m, ROLE_Y)
-    post_channeling(s, h[1:], x[1:], v[1:], y[1:])
     if reified:
+        y = [None] + s.new_vars(m, ROLE_Y)
+        post_channeling(s, h[1:], x[1:], v[1:], y[1:])
         post_reified_fci(s, db, x, y, h, v, theta, closed=closed)
-    elif closed:
-        post_closed_pattern_sub(s, db, x, h, y, v, theta)
     else:
-        post_frequent_sub(s, db, x, h, y, v, theta)
+        y = []
+        post_channeling(s, h[1:], x[1:])
+        s.post(ClosedPatternSub(db, x, h, v, theta, closed))
     return s, (x, y, h, v)
 
 
 def random_mask_state(rng, n, m):
-    """A fully assigned mask plus a random partial assignment of X and Y."""
+    """A fully assigned mask plus a random partial assignment of X.  A
+    partial cover state is drawn too and discarded, so that each seed
+    keeps the trials it has always drawn."""
     h_bits = bits_of([i for i in range(1, n + 1) if rng.random() < 0.8])
     v_bits = bits_of([j for j in range(1, m + 1) if rng.random() < 0.8])
     x_state = {
         i: rng.randint(0, 1) for i in range(1, n + 1) if rng.random() < 0.3
     }
-    y_state = {
-        j: rng.randint(0, 1) for j in range(1, m + 1) if rng.random() < 0.3
-    }
-    return h_bits, v_bits, x_state, y_state
+    for _ in range(1, m + 1):
+        if rng.random() < 0.3:
+            rng.randint(0, 1)
+    return h_bits, v_bits, x_state
 
 
-def apply_state(s, handles, db, h_bits, v_bits, x_state, y_state):
+def apply_state(s, handles, db, h_bits, v_bits, x_state):
     """Load the state without intermediate propagation, then run one
-    fixpoint.  Returns (ok, fixed) where fixed maps ('x', i)/('y', j) to the
-    value the solver holds at fixpoint."""
-    x, y, h, v = handles
+    fixpoint.  Returns (ok, fixed) where fixed maps item i to the value
+    the solver holds for X_i at fixpoint."""
+    x, _, h, v = handles
     n, m = db.item_count, db.transaction_count
     for i in range(1, n + 1):
         assert s.assign(h[i], h_bits >> i & 1)
@@ -142,23 +147,19 @@ def apply_state(s, handles, db, h_bits, v_bits, x_state, y_state):
         assert s.assign(v[j], v_bits >> j & 1)
     for i, val in x_state.items():
         assert s.assign(x[i], val)
-    for j, val in y_state.items():
-        assert s.assign(y[j], val)
     if not s.propagate_to_fixpoint():
         return False, {}
     fixed = {}
     for i in range(1, n + 1):
         if s.value(x[i]) != UNASSIGNED:
-            fixed[("x", i)] = s.value(x[i])
-    for j in range(1, m + 1):
-        if s.value(y[j]) != UNASSIGNED:
-            fixed[("y", j)] = s.value(y[j])
+            fixed[i] = s.value(x[i])
     return True, fixed
 
 
-def mining_extensions(db, theta, closed, h_bits, v_bits, x_state, y_state):
-    """All full assignments extending the state that satisfy the mining
-    semantics by definition (channeling, coverage, frequency, closedness)."""
+def mining_extensions(db, theta, closed, h_bits, v_bits, x_state):
+    """The itemsets of all full assignments extending the state that
+    satisfy the mining semantics by definition (channeling, coverage,
+    frequency, closedness)."""
     n, m = db.item_count, db.transaction_count
     p, q = theta.numerator, theta.denominator
     n_act = v_bits.bit_count()
@@ -174,15 +175,10 @@ def mining_extensions(db, theta, closed, h_bits, v_bits, x_state, y_state):
         if xbits & ~h_bits:
             continue  # channeling
         ybits = 0
-        ok = True
         for j in range(1, m + 1):
-            yj = 1 if (v_bits >> j & 1) and not (xbits & ~db.rows[j]) else 0
-            if j in y_state and y_state[j] != yj:
-                ok = False
-                break
-            ybits |= yj << j
-        if not ok:
-            continue
+            if (v_bits >> j & 1) and not (xbits & ~db.rows[j]):
+                ybits |= 1 << j
+        ok = True
         for i in iter_bits(xbits):
             if q * (ybits & db.columns[i]).bit_count() < p * n_act:
                 ok = False
@@ -194,5 +190,5 @@ def mining_extensions(db, theta, closed, h_bits, v_bits, x_state, y_state):
                     ok = False
                     break
         if ok:
-            out.append((xbits, ybits))
+            out.append(xbits)
     return out

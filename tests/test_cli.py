@@ -223,6 +223,15 @@ def test_bench_rejects_bad_timeout(files, tmp_path, capsys, timeout):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_verify_rejects_bad_seeds(capsys, seeds):
+    rc = cli.main(["verify", "--seeds", seeds])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --seeds must be a positive number of instances")
+    assert captured.out == ""
+
+
 def test_verify_agrees(files, capsys):
     rc = cli.main(
         [

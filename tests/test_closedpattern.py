@@ -15,7 +15,7 @@ from helpers import (
 )
 from submine import PartitionScheme, Query, TransactionDatabase, run_theory
 from submine.cli import _random_groups
-from submine.closedpattern import post_closed_pattern_sub, post_frequent_sub
+from submine.closedpattern import ClosedPatternSub
 from submine.constraints import GroupChoice, post_channeling
 from submine.dataset import Mask, bits_of, closure, frequency, iter_bits, span_bits
 from submine.engine import ROLE_AUX, ROLE_H, ROLE_V, ROLE_X, Solver
@@ -95,34 +95,31 @@ def check_state_dominance_and_soundness(rng, closed=True):
     """One random trial; returns a short tag describing the outcome."""
     db = _random_small_db(rng)
     theta = rng.choice((Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)))
-    h_bits, v_bits, x_state, y_state = random_mask_state(
-        rng, db.item_count, db.transaction_count
-    )
+    h_bits, v_bits, x_state = random_mask_state(rng, db.item_count, db.transaction_count)
 
     cp, cp_handles = build_mining_solver(db, theta, closed, reified=False)
     re, re_handles = build_mining_solver(db, theta, closed, reified=True)
-    cp_ok, cp_fixed = apply_state(cp, cp_handles, db, h_bits, v_bits, x_state, y_state)
-    re_ok, re_fixed = apply_state(re, re_handles, db, h_bits, v_bits, x_state, y_state)
+    cp_ok, cp_fixed = apply_state(cp, cp_handles, db, h_bits, v_bits, x_state)
+    re_ok, re_fixed = apply_state(re, re_handles, db, h_bits, v_bits, x_state)
 
-    exts = mining_extensions(db, theta, closed, h_bits, v_bits, x_state, y_state)
+    exts = mining_extensions(db, theta, closed, h_bits, v_bits, x_state)
 
-    # dominance: everything the reified network fixes, the global fixes too
+    # dominance: every item the reified network fixes, the global fixes too
     if not re_ok:
         assert not cp_ok, "global propagator missed a reified failure"
     elif cp_ok:
-        for key, val in re_fixed.items():
-            assert cp_fixed.get(key) == val, f"global propagator missed fixing {key}"
+        for i, val in re_fixed.items():
+            assert cp_fixed.get(i) == val, f"global propagator missed fixing x{i}"
 
     # soundness against exhaustive extension of the original state
     if not cp_ok:
         assert not exts, "global propagator failed a satisfiable state"
         return "fail"
-    for (kind, idx), val in cp_fixed.items():
-        if (kind == "x" and idx in x_state) or (kind == "y" and idx in y_state):
+    for i, val in cp_fixed.items():
+        if i in x_state:
             continue
-        for xbits, ybits in exts:
-            bit = (xbits if kind == "x" else ybits) >> idx & 1
-            assert bit == val, f"unsound fixing {(kind, idx)}={val}"
+        for xbits in exts:
+            assert xbits >> i & 1 == val, f"unsound fixing x{i}={val}"
     return "ok"
 
 
@@ -215,8 +212,7 @@ def check_group_bound(rng):
         s.assign(indicators[k], val)
     post_channeling(s, h[1:], x[1:])
     s.post(GroupChoice(zip(indicators, groups), v, lb, ub))
-    post = post_closed_pattern_sub if closed else post_frequent_sub
-    post(s, db, x, h, [], v, theta, (groups, lb, ub), indicators)
+    s.post(ClosedPatternSub(db, x, h, v, theta, closed, (groups, lb, ub), indicators))
 
     answers = []  # of every completion, each a superset of x1
     for r in range(lb, ub + 1):
@@ -248,6 +244,6 @@ def test_group_bound_needs_disjoint_groups_or_one_choice(db1):
     indicators = s.new_vars(2, ROLE_AUX)
     overlapping = (bits_of([1, 2, 3]), bits_of([3, 4]))
     with pytest.raises(ValueError, match="disjoint groups or ub = 1"):
-        post_closed_pattern_sub(s, db1, x, h, [], v, HALF, (overlapping, 0, 2), indicators)
+        s.post(ClosedPatternSub(db1, x, h, v, HALF, True, (overlapping, 0, 2), indicators))
     # one group at most: overlap is fine
-    post_closed_pattern_sub(s, db1, x, h, [], v, HALF, (overlapping, 1, 1), indicators)
+    s.post(ClosedPatternSub(db1, x, h, v, HALF, True, (overlapping, 1, 1), indicators))

@@ -63,6 +63,7 @@ def test_parse_fimi_empty():
 def test_parse_labels():
     labels = parse_labels("# brands\n1 Ferrari\n2 Alfa-Romeo\n")
     assert labels == {1: "Ferrari", 2: "Alfa-Romeo"}
+    assert parse_labels("1\tFerrari\n2 \t Alfa-Romeo\n") == labels
     # a query could not name a label with a space in it
     with pytest.raises(FormatError, match="line 3: label 'Alfa Romeo' contains whitespace"):
         parse_labels("# brands\n1 Ferrari\n2 Alfa Romeo\n")

@@ -1,0 +1,26 @@
+"""Both demos are deterministic: their output is pinned byte for byte."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", ["table1_queries", "where_frequent"])
+def test_demo_output(demo):
+    env = dict(os.environ)
+    env["PYTHONIOENCODING"] = "utf-8"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+        capture_output=True,
+        encoding="utf-8",
+        env=env,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (ROOT / "tests" / "data" / f"{demo}.out").read_text(encoding="utf-8")

@@ -64,6 +64,7 @@ def test_parse_query_roundtrip(db1, items3, trans3):
     ("theta: huh\n", "frequency"),
     ("theta: 5E-1\n", "frequency"),
     ("theta: 1e-1000000\n", "frequency"),
+    ("theta: 1/2  # half\n", "frequency"),
     ("theta: 1/2\nclosed: maybe\n", "closed"),
     ("theta: 1/2\nminsize: zero\n", "minsize"),
 ])
