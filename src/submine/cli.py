@@ -384,9 +384,9 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_engine=True):
-        p.add_argument("--data", required=True, help="FIMI transaction file")
-        p.add_argument("--query", required=True, help="query file")
+    def add_common(p, with_engine=True, required=True):
+        p.add_argument("--data", required=required, help="FIMI transaction file")
+        p.add_argument("--query", required=required, help="query file")
         p.add_argument("--item-cats", dest="item_cats", help="item partition file")
         p.add_argument("--trans-cats", dest="trans_cats", help="transaction partition file")
         p.add_argument("--labels", help="item label file (id label per line)")
@@ -401,12 +401,7 @@ def main(argv=None) -> int:
     p_mine.set_defaults(func=cmd_mine)
 
     p_verify = sub.add_parser("verify", help="cross-check cp, baseline, oracle")
-    p_verify.add_argument("--data")
-    p_verify.add_argument("--query")
-    p_verify.add_argument("--item-cats", dest="item_cats")
-    p_verify.add_argument("--trans-cats", dest="trans_cats")
-    p_verify.add_argument("--labels")
-    p_verify.add_argument("--timeout", type=float)
+    add_common(p_verify, with_engine=False, required=False)
     p_verify.add_argument("--seeds", type=int, help="verify K random instances instead")
     p_verify.add_argument("--seed", type=int, default=20240, help="base RNG seed")
     p_verify.set_defaults(func=cmd_verify)

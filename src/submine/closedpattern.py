@@ -8,11 +8,11 @@ the itemset X and the mask (H, V) as the solver's per-role bitsets, so a
 wake-up costs no scan over variables, and derives the cover of the items
 fixed to 1 as the intersection of their columns.
 
-It runs one support test per state of V.  While V is open and the query's
-transaction axis chooses groups (``choices``, read through their indicator
-variables), the test is a per-group support bound: support over a union of
-disjoint groups is the sum of the per-group supports (the partition
-counting of Savasere, Omiecinski & Navathe, VLDB 1995).  For a cover c,
+It runs one support test per state of V.  While V is open, the test is a
+per-group support bound over the transaction axis's group choice
+(``choices``, read through the group indicator variables): support over a
+union of disjoint groups is the sum of the per-group supports (the
+partition counting of Savasere, Omiecinski & Navathe, VLDB 1995).  For a cover c,
 group g scores ``q·|c ∧ g| − p·|g|``; ``best(c)`` adds the scores of the
 chosen groups and, greedily and in descending order, those of the live
 groups that raise the sum or are needed to reach lb, up to ub.  An itemset
@@ -21,9 +21,9 @@ whose cover lies within c is frequent in no completion of the mask when
 the chosen groups.  The bound is sound only when the groups of one choice
 are disjoint (one partition level) or at most one is chosen (ub = 1,
 one-of-levels); the constructor refuses anything else.  Once V is fixed,
-the test is exact: ``q·|cover ∧ V₁| ≥ p·|V₁|``.  An open V whose axis
-chooses no groups gets no test (``assemble`` fixes such an axis at the
-root).  The test will
+the test is exact: ``q·|cover ∧ V₁| ≥ p·|V₁|``.  ``assemble`` always
+passes the choice; a propagator posted without one, as a mining-only
+solver is, runs no test while V is open.  The test will
 
   * fail when the cover of the itemset cannot reach the support threshold;
   * drop a free item whose addition kills the threshold.
@@ -47,8 +47,8 @@ from .engine import ROLE_AUX, ROLE_H, ROLE_V, ROLE_X, Propagator, Solver
 class ClosedPatternSub(Propagator):
     """Variable handles are 1-based lists (slot 0 unused) whose i-th entry
     must sit at position i of its role.  ``choices`` is the transaction
-    axis's (member bitsets, lb, ub) when it chooses groups, and
-    ``indicators`` the group indicator variables, one per bitset."""
+    axis's (member bitsets, lb, ub), as ``AxisConstraint.choices`` gives
+    it, and ``indicators`` the group indicator variables, one per bitset."""
 
     def __init__(
         self,

@@ -329,6 +329,7 @@ def parse_partition(
 
     raw_levels: list[list[Group]] = []
     current: list[Group] = []
+    seen = 0  # the indices of the current level's groups
     started = False
     last_level_no = 0
     for lineno, raw in enumerate(_read_lines(source), start=1):
@@ -346,6 +347,7 @@ def parse_partition(
             if started:
                 raw_levels.append(current)
                 current = []
+                seen = 0
             started = True
             continue
         started = True
@@ -370,21 +372,17 @@ def parse_partition(
             members |= 1 << i
         if not members:
             raise FormatError(f"line {lineno}: group {name!r} has no members")
+        if members & seen:
+            dup = next(iter_bits(members & seen))
+            raise FormatError(
+                f"line {lineno}: index {dup} appears in two groups of one level (overlap)"
+            )
+        seen |= members
         current.append(Group(name, members))
     raw_levels.append(current)
 
-    levels = []
-    for lv in raw_levels:
-        seen = 0
-        for g in lv:
-            if g.members & seen:
-                dup = next(iter_bits(g.members & seen))
-                raise FormatError(
-                    f"index {dup} appears in two groups of one level (overlap)"
-                )
-            seen |= g.members
-        levels.append(tuple(_complete_level(lv, size, axis, db)))
-    return PartitionScheme(axis, size, tuple(levels))
+    levels = tuple(tuple(_complete_level(lv, size, axis, db)) for lv in raw_levels)
+    return PartitionScheme(axis, size, levels)
 
 
 # --------------------------------------------------- covers and closures

@@ -37,7 +37,9 @@ import os
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import or_
 from typing import IO, Iterable, Iterator
 
 from . import closedpattern, constraints
@@ -84,17 +86,16 @@ def count_masks(n_groups: int, lb: int, ub: int) -> int:
 
 @dataclass(frozen=True)
 class AxisConstraint:
-    """Dataset-side constraint on one axis.
+    """Dataset-side constraint on one axis, read as a choice of groups.
 
     kind "all" activates everything, "fixed" exactly the given bitset,
     "groups" any lb..ub whole groups of the partition, "one_per_level"
-    exactly one group drawn from any level of the scheme.  "all" and
-    "fixed" allow one mask each; the other kinds choose groups, read
-    through ``choices`` alone everywhere but in ``satisfied``.
-
-    The methods below are the one reading of each kind.  ``universe`` is
-    the bitset of the whole axis and ``scheme`` its partition (or None);
-    every method but ``check`` expects a constraint that passed ``check``.
+    exactly one group drawn from any level of the scheme.  ``choices``
+    turns every kind into (groups, lb, ub), "all" and "fixed" into a
+    choice of their one mask; ``count``, ``masks``, ``satisfied`` and
+    ``assemble`` read that triple alone.  ``universe`` is the bitset of
+    the whole axis and ``scheme`` its partition (or None); every method
+    but ``check`` expects a constraint that passed ``check``.
     """
 
     kind: str
@@ -140,57 +141,43 @@ class AxisConstraint:
         elif self.kind != "all":
             raise UnsupportedQueryError(f"dataset constraint {self.kind!r} not supported")
 
-    def single(self, universe: int) -> int:
-        """The one mask of an "all" or "fixed" constraint."""
-        return universe if self.kind == "all" else self.members
-
-    def choices(self, scheme: PartitionScheme | None) -> tuple[tuple[int, ...], int, int] | None:
-        """(groups, lb, ub) for a kind that chooses between lb and ub of
-        the groups (member bitsets), whose union is the mask: the groups
-        of the partition, or for one-of-levels every group of every level
-        with bounds (1, 1).  None for "all" and "fixed"."""
+    def choices(
+        self, universe: int, scheme: PartitionScheme | None
+    ) -> tuple[tuple[int, ...], int, int]:
+        """(groups, lb, ub): the mask is the union of between lb and ub of
+        the groups (member bitsets).  The groups of the partition with the
+        constraint's bounds; every group of every level with bounds (1, 1)
+        for one-of-levels; the one mask with bounds (1, 1) for "all" and
+        "fixed".  The groups are disjoint whenever ub > 1."""
         if self.kind == "groups":
             return tuple(g.members for g in scheme.groups), self.lb, self.ub
         if self.kind == "one_per_level":
             return tuple(g.members for level in scheme.levels for g in level), 1, 1
-        return None
+        return (universe if self.kind == "all" else self.members,), 1, 1
 
-    def count(self, scheme: PartitionScheme | None) -> int:
+    def count(self, universe: int, scheme: PartitionScheme | None) -> int:
         """Number of masks the constraint allows, one per group choice."""
-        choices = self.choices(scheme)
-        if choices is None:
-            return 1
-        groups, lb, ub = choices
+        groups, lb, ub = self.choices(universe, scheme)
         return count_masks(len(groups), lb, ub)
 
     def masks(self, universe: int, scheme: PartitionScheme | None) -> Iterator[int]:
         """Every allowed mask once per group choice, lazily; choices by
         size, then in the order of ``itertools.combinations``."""
-        choices = self.choices(scheme)
-        if choices is None:
-            yield self.single(universe)
-            return
-        groups, lb, ub = choices
+        groups, lb, ub = self.choices(universe, scheme)
         for r in range(lb, ub + 1):
             for chosen in combinations(groups, r):
-                bits = 0
-                for g in chosen:
-                    bits |= g
-                yield bits
+                yield reduce(or_, chosen, 0)
 
     def satisfied(self, bits: int, universe: int, scheme: PartitionScheme | None) -> bool:
-        """Whether the mask ``bits`` is one the constraint allows.  Group
-        bounds count the groups the mask touches; the overlapping groups of
-        one-of-levels have no such reading, so they are compared whole."""
-        if self.kind == "groups":
-            touched = [g.members for g in scheme.groups if g.members & bits]
-            union = 0
-            for g in touched:
-                union |= g
-            return union == bits and self.lb <= len(touched) <= self.ub
-        if self.kind == "one_per_level":
-            return any(g.members == bits for level in scheme.levels for g in level)
-        return bits == self.single(universe)
+        """Whether the mask ``bits`` is one the constraint allows.  With at
+        most one group chosen, it must be one of them whole (or empty when
+        lb = 0); otherwise the groups are disjoint, and it must be the
+        union of the lb..ub groups it touches."""
+        groups, lb, ub = self.choices(universe, scheme)
+        if ub <= 1:
+            return (ub == 1 and bits in groups) or (lb == 0 and bits == 0)
+        touched = [g for g in groups if g & bits]
+        return reduce(or_, touched, 0) == bits and lb <= len(touched) <= ub
 
     def describe(self) -> str:
         """Short form for reports: "(lb,ub)" for group bounds, else the kind."""
@@ -500,23 +487,13 @@ def assemble(
 
     constraints.post_channeling(s, h[1:], x[1:], v[1:] if y else [], y[1:])
 
-    # dataset part: the activation variables of each axis; the mining part
-    # bounds support per transaction group
-    trans_choices, trans_indicators = None, ()
-    for con, role, gates, universe, scheme in (
-        (query.items, ROLE_H, h, db.all_items(), item_scheme),
-        (query.trans, ROLE_V, v, db.all_transactions(), trans_scheme),
-    ):
-        choices = con.choices(scheme)
-        if choices is None:
-            active = con.single(universe)
-            s.assign_root(role, active, 1)
-            s.assign_root(role, universe & ~active, 0)
-        else:
-            groups, lb, ub = choices
-            indicators = constraints.post_group_choice(s, groups, gates, lb, ub)
-            if role == ROLE_V:
-                trans_choices, trans_indicators = choices, indicators
+    # dataset part: one group choice per axis; the mining part bounds
+    # support per transaction group
+    groups, lb, ub = query.items.choices(db.all_items(), item_scheme)
+    constraints.post_group_choice(s, groups, h, lb, ub)
+    trans_choices = query.trans.choices(db.all_transactions(), trans_scheme)
+    groups, lb, ub = trans_choices
+    trans_indicators = constraints.post_group_choice(s, groups, v, lb, ub)
 
     # a sub-dataset with no transactions has no defined frequencies
     s.post(constraints.CardinalityRange([v[j] for j in range(1, m + 1)], 1, None))

@@ -73,7 +73,8 @@ class MaskEnumerator:
         self.query = query
         self.item_scheme = item_scheme
         self.trans_scheme = trans_scheme
-        self._count = query.items.count(item_scheme) * query.trans.count(trans_scheme)
+        self._count = query.items.count(db.all_items(), item_scheme)
+        self._count *= query.trans.count(db.all_transactions(), trans_scheme)
 
     def count(self) -> int:
         return self._count
@@ -112,12 +113,9 @@ def mine_closed(
 ) -> list[int]:
     """All frequent closed itemsets of the sub-dataset satisfying the
     itemset-side constraints, as bitsets: the one-mask case of ``_mine``."""
-    trans, cells = _trans_plan([mask.active_transactions])
-    found = _mine(
-        db, mask.active_items, trans, cells, theta, True,
-        min_size, span, require, forbid, item_scheme, deadline,
+    return _mine_mask(
+        db, mask, theta, True, min_size, span, require, forbid, item_scheme, deadline
     )
-    return found.get(mask.active_transactions, [])
 
 
 def mine_frequent(
@@ -132,25 +130,39 @@ def mine_frequent(
     deadline: float | None = None,
 ) -> list[int]:
     """All frequent itemsets (no closedness) of the sub-dataset, same
-    constraint handling and deadline as mine_closed: the one-mask case of
-    ``_mine``."""
-    trans, cells = _trans_plan([mask.active_transactions])
-    found = _mine(
-        db, mask.active_items, trans, cells, theta, False,
-        min_size, span, require, forbid, item_scheme, deadline,
+    constraint handling and deadline as mine_closed."""
+    return _mine_mask(
+        db, mask, theta, False, min_size, span, require, forbid, item_scheme, deadline
     )
+
+
+def _mine_mask(db, mask: Mask, theta, closed, *constraints) -> list[int]:
+    """The body of both one-mask miners."""
+    trans, cells = _trans_plan([mask.active_transactions])
+    found = _mine(db, mask.active_items, trans, cells, theta, closed, *constraints)
     return found.get(mask.active_transactions, [])
 
 
-def _trans_plan(masks: list[int]) -> tuple[list[tuple[int, list[int]]], list[int]]:
+def _trans_plan(
+    masks: list[int], deadline: float | None = None
+) -> tuple[list[tuple[int, list[int]]], list[int]]:
     """The distinct non-empty transaction masks, fewest transactions first,
     each with the indices of the cells it is the union of; and the cells,
-    the Venn blocks of all the masks (disjoint, non-empty)."""
-    distinct = sorted({m for m in masks if m}, key=lambda m: (m.bit_count(), m))
+    the Venn blocks of all the masks (disjoint, non-empty).  Each mask
+    costs a pass over the cells, so the deadline is read once per mask."""
+    distinct = sorted({m for m in masks if m})
+    distinct.sort(key=int.bit_count)  # stable: by size, then by value
     cells = [reduce(or_, distinct)] if distinct else []
     for m in distinct:
+        if deadline is not None:
+            _check(deadline)
         cells = [part for c in cells for part in (c & m, c & ~m) if part]
-    return [(m, [i for i, c in enumerate(cells) if c & m]) for m in distinct], cells
+    plan = []
+    for m in distinct:
+        if deadline is not None:
+            _check(deadline)
+        plan.append((m, [i for i, c in enumerate(cells) if c & m]))
+    return plan, cells
 
 
 def _mine(
@@ -257,7 +269,10 @@ def _mine(
         # found: the one live mask's answers, or None with several live masks
         nonlocal nodes
         nodes += 1
-        if deadline is not None and nodes % _DEADLINE_STRIDE == 0:
+        # the clock is read every _DEADLINE_STRIDE nodes, and before each
+        # pass (emit, or a candidate's filter) over as many live masks
+        watch = deadline is not None and len(live) >= _DEADLINE_STRIDE
+        if watch or deadline is not None and nodes % _DEADLINE_STRIDE == 0:
             _check(deadline)
         if pat and pat.bit_count() >= min_size and not require & ~pat:
             if span is None or span[0] <= span_of(pat) <= span[1]:
@@ -283,6 +298,8 @@ def _mine(
                 continue
             kids, sink = live, found
             if found is None:
+                if watch:
+                    _check(deadline)
                 kids = [m for m in live if q * (cov_e & m[0]).bit_count() >= m[1]]
                 if not kids:
                     continue
@@ -328,7 +345,7 @@ def pp_mine(
             tbs.append(mask.active_transactions)
         if tbs != planned:
             planned = tbs
-            trans, cells = _trans_plan(tbs)
+            trans, cells = _trans_plan(tbs, deadline)
         for tb, found in _mine(
             db, ib, trans, cells, query.theta, query.closed,
             query.min_size, query.span, query.require, query.forbid,

@@ -163,7 +163,7 @@ def _random_choice(rng, m):
             level2 = _random_groups(rng, m, "L")
         scheme = PartitionScheme.build("transactions", m, level1, [level2])
         con = AxisConstraint.one_per_level()
-    return con.choices(scheme)
+    return con.choices(span_bits(1, m), scheme)
 
 
 def _answers(db, theta, closed, h_bits, v_bits):

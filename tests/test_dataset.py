@@ -104,6 +104,8 @@ def test_parse_partition_completion(db1):
 def test_parse_partition_overlap(db1):
     with pytest.raises(FormatError, match="overlap|already"):
         parse_partition("G1: 1\nG2: 1\n", db1, "items")
+    with pytest.raises(FormatError, match=r"^line 5: index 2 .*overlap"):
+        parse_partition("level 1\nG1: 1 2\nlevel 2\nH1: 1 2\nH2: 2 3\n", db1, "items")
 
 
 def test_parse_partition_out_of_range(db1):

@@ -505,6 +505,50 @@ def test_describe_mask(db1, items3):
     assert describe_mask(bits_of([1, 3]), db1.all_items(), None) == "{1,3}"
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_axis_constraint_has_one_reading(seed):
+    # every kind on one- and two-level random schemes of a small axis:
+    # satisfied accepts exactly the masks that masks yields, count is their
+    # number, and the oracle's own enumeration yields the same masks
+    from submine import PartitionScheme
+    from submine.cli import _random_groups
+    from submine.dataset import span_bits
+    from submine.reference import _oracle_axis, enumerate_masks
+
+    rng = random.Random(seed)
+    size = rng.randint(1, 6)
+    db = TransactionDatabase.from_rows([range(1, size + 1)] * size)
+    universe = span_bits(1, size)
+    for axis, key in (("items", "items"), ("transactions", "trans")):
+        first = _random_groups(rng, size, "G")
+        for extra in ([], [_random_groups(rng, size, "L")]):
+            scheme = PartitionScheme.build(axis, size, first, extra)
+            k = scheme.group_count()
+            picked = rng.sample(range(1, size + 1), rng.randint(1, size))
+            cons = [
+                AxisConstraint.all_active(),
+                AxisConstraint.fixed(0),
+                AxisConstraint.fixed(bits_of(picked)),
+                *(
+                    AxisConstraint.group_bounds(lb, ub)
+                    for lb in range(k + 1)
+                    for ub in range(lb, k + 1)
+                ),
+            ]
+            if axis == "transactions":
+                cons.append(AxisConstraint.one_per_level())
+            schemes = {"items": (scheme, None), "transactions": (None, scheme)}[axis]
+            for con in cons:
+                masks = list(con.masks(universe, scheme))
+                allowed = set(masks)
+                assert allowed == set(_oracle_axis(con, universe, scheme)), con
+                q = Query(theta=HALF, **{key: con})
+                assert enumerate_masks(db, q, *schemes).count() == len(masks), con
+                for b in range(1 << size):
+                    bits = b << 1
+                    assert con.satisfied(bits, universe, scheme) == (bits in allowed), (con, bits)
+
+
 @pytest.mark.parametrize(
     "items,trans,span,nodes,masks",
     [

@@ -263,6 +263,49 @@ def test_deadline_stops_search_over_many_transaction_masks():
     assert time.monotonic() - started < 2.0
 
 
+def test_deadline_stops_baseline_after_collecting_many_masks():
+    # 2^18 - 1 transaction masks, collected well before the deadline;
+    # planning them and filtering them at the few nodes of the search each
+    # run far past it
+    import time
+
+    from submine import PartitionScheme
+    from submine.engine import SearchTimeout
+
+    rng = random.Random(0)
+    db = TransactionDatabase.from_rows(
+        [rng.sample(range(1, 9), 4) for _ in range(18)], item_count=8
+    )
+    scheme = PartitionScheme.build("transactions", 18, [])  # one group per row
+    q = Query(theta=HALF, min_size=5, trans=AxisConstraint.group_bounds(1, 18))
+    started = time.monotonic()
+    with pytest.raises(SearchTimeout):
+        run_theory(db, q, None, scheme, engine="baseline", deadline=started + 1.0)
+    assert time.monotonic() - started < 2.0
+
+
+def test_mine_reads_the_deadline_over_many_live_masks():
+    # 127 live masks but at most 2^3 nodes, fewer than the node stride
+    import time
+
+    from submine.engine import SearchTimeout
+    from submine.reference import _DEADLINE_STRIDE, _mine, _trans_plan
+
+    db = TransactionDatabase.from_rows([[1, 2, 3]] * 7, item_count=3)
+    masks = [bits_of(c) for r in range(1, 8) for c in combinations(range(1, 8), r)]
+    trans, cells = _trans_plan(masks)
+    assert len(trans) > _DEADLINE_STRIDE > 1 << db.item_count
+
+    def mine(deadline):
+        return _mine(
+            db, db.all_items(), trans, cells, HALF, False, 1, None, 0, 0, None, deadline
+        )
+
+    assert len(mine(None)) == len(trans)
+    with pytest.raises(SearchTimeout):
+        mine(time.monotonic() - 1)
+
+
 # ----------------------------------------------- one search, many masks
 
 
