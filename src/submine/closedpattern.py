@@ -33,6 +33,19 @@ Once the whole mask (H and V) is fixed, closed mode also will
   * force a free active item whose addition leaves the cover unchanged;
   * drop a free active item dominated by an excluded one, and fail when
     the cover is contained in an excluded item's column.
+
+Under a fixed mask a wake-up redoes only what changed on the search path
+(after the reversible cover state of CoverSize, Schaus, Aoga & Guns,
+CPAIOR 2017).  The propagator keeps, in a reversible solver slot, the X₁,
+the cover ``cols(X₁) ∧ V₁`` and the excluded columns already tested at the
+last fixpoint on the path; backtracking restores it with the variables.
+When X₁ is unchanged, so is the cover: the support test, the per-item
+tests and the forcing rule already ran on it, so the wake-up only tests
+the newly excluded columns against the free active items.  When X₁ grew,
+the cover is the saved one intersected with the new columns only, and
+every rule runs on it.  The slot follows the path, not the mask: one-of-
+levels reaches the same mask in sibling subtrees under different group
+indicators, each with its own X.
 """
 
 from __future__ import annotations
@@ -94,6 +107,8 @@ class ClosedPatternSub(Propagator):
         for i in range(1, n + 1):
             by_column[db.columns[i]] = by_column.get(db.columns[i], 0) | 1 << i
         self.same_column = [0] + [by_column[db.columns[i]] for i in range(1, n + 1)]
+        # per item, the transactions its column misses
+        self.outside = [self.trans_universe & ~c for c in db.columns]
 
     def vars(self):
         out = list(self.indicators)
@@ -108,6 +123,9 @@ class ClosedPatternSub(Propagator):
         if s.role_bits(self.indicators)[0] not in (ROLE_AUX, None):
             raise ValueError(f"expected indicators of role {ROLE_AUX!r}")
         self.flags = [1 << s.position(b) for b in self.indicators]
+        # (x1, cov, tested) of the last fixpoint on the search path under a
+        # fixed mask, else None
+        self.slot = s.new_slot()
 
     def _open_groups(self, s: Solver) -> tuple[list[int], list[int]]:
         """Indices of the chosen and of the live groups."""
@@ -150,12 +168,6 @@ class ClosedPatternSub(Propagator):
         v1, v0 = s.fixed(ROLE_V)
         v1 &= trans
         v0 &= trans
-        cov = trans
-        rest = x1
-        while rest:
-            low = rest & -rest
-            cov &= cols[low.bit_length() - 1]
-            rest ^= low
         drop = 0  # free items to fix to 0
 
         if v1 | v0 != trans:
@@ -163,6 +175,7 @@ class ClosedPatternSub(Propagator):
                 return True
             # the per-group support bound; V's zeros stay in the cover,
             # which can only weaken the bound, so covers recur across masks
+            cov = _cover(cols, trans, x1)
             groups = self._open_groups(s)
             if x1 and self._best(cov, *groups) < 0:
                 return False
@@ -174,44 +187,72 @@ class ClosedPatternSub(Propagator):
                     drop |= low
             return s.assign_bits(ROLE_X, drop, 0)
 
-        # V is fixed: the exact support test
-        p, q = self.p, self.q
-        cov &= v1
-        need = p * v1.bit_count()
-        if q * cov.bit_count() < need:
-            return False
-        take = 0  # free items to fix to 1
         h1, h0 = s.fixed(ROLE_H)
         h1 &= items
         mask_fixed = (h1 | h0) & items == items
-        fr = free
-        while fr:
-            low = fr & -fr
-            fr ^= low
-            ci = cov & cols[low.bit_length() - 1]
-            if q * ci.bit_count() < need:
-                drop |= low
-            elif self.closed and mask_fixed and h1 & low and ci == cov:
-                take |= low
-        excluded = x0 & h1
-        if self.closed and mask_fixed and excluded:
-            # the cover rows each excluded column misses
-            zs = set()
-            ex = excluded
-            while ex:
-                i = (ex & -ex).bit_length() - 1
-                ex &= ~self.same_column[i]
-                z = cov & ~cols[i]
-                if z == 0:
-                    return False
-                zs.add(z)
-            fr = free & h1 & ~(drop | take)
+        saved = s.slots[self.slot] if mask_fixed else None
+        take = 0  # free items to fix to 1
+        if saved is not None and saved[0] == x1:
+            # the support test, the per-item tests and the forcing rule
+            # already ran on this cover
+            _, cov, tested = saved
+        else:
+            # V is fixed: the exact support test, on the saved cover
+            # narrowed by the items fixed to 1 since, if there is one
+            if saved is None:
+                cov = _cover(cols, v1, x1)
+            else:
+                cov = _cover(cols, saved[1], x1 & ~saved[0])
+            tested = 0
+            p, q = self.p, self.q
+            need = p * v1.bit_count()
+            if q * cov.bit_count() < need:
+                return False
+            fr = free
             while fr:
                 low = fr & -fr
                 fr ^= low
-                ci = cols[low.bit_length() - 1]
-                for z in zs:
-                    if z & ci == 0:
-                        drop |= low
-                        break
+                ci = cov & cols[low.bit_length() - 1]
+                if q * ci.bit_count() < need:
+                    drop |= low
+                elif self.closed and mask_fixed and h1 & low and ci == cov:
+                    take |= low
+        if mask_fixed:
+            excluded = x0 & h1 & ~tested
+            if self.closed and excluded:
+                # the cover rows each newly excluded column misses, kept
+                # only while a free active item is left to test against them
+                fr = free & h1 & ~(drop | take)
+                same, outside = self.same_column, self.outside
+                zs = set()
+                while excluded:
+                    i = (excluded & -excluded).bit_length() - 1
+                    excluded &= ~same[i]
+                    tested |= same[i]
+                    z = cov & outside[i]
+                    if z == 0:
+                        return False
+                    if fr:
+                        zs.add(z)
+                while fr:
+                    low = fr & -fr
+                    fr ^= low
+                    ci = cols[low.bit_length() - 1]
+                    for z in zs:
+                        if z & ci == 0:
+                            drop |= low
+                            break
+            # an item dropped here needs no exclusion test: its column
+            # misses a cover row, and every item it dominates is dropped
+            # already, by the support test or by its own dominator
+            s.slots[self.slot] = (x1, cov, tested | drop)
         return s.assign_bits(ROLE_X, drop, 0) and s.assign_bits(ROLE_X, take, 1)
+
+
+def _cover(cols: Sequence[int], cov: int, items: int) -> int:
+    """``cov`` intersected with the column of each item in ``items``."""
+    while items:
+        low = items & -items
+        cov &= cols[low.bit_length() - 1]
+        items ^= low
+    return cov

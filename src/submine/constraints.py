@@ -18,26 +18,6 @@ from .dataset import PartitionScheme, TransactionDatabase, iter_bits, span_bits
 from .engine import ROLE_AUX, UNASSIGNED, Propagator, Solver
 
 
-class Channel(Propagator):
-    """gate = 0 forces dep = 0; dep = 1 forces gate = 1 (dep <= gate)."""
-
-    __slots__ = ("gate", "dep")
-
-    def __init__(self, gate: int, dep: int):
-        self.gate = gate
-        self.dep = dep
-
-    def vars(self):
-        return (self.gate, self.dep)
-
-    def propagate(self, s: Solver) -> bool:
-        if s.value(self.gate) == 0:
-            return s.assign(self.dep, 0)
-        if s.value(self.dep) == 1:
-            return s.assign(self.gate, 1)
-        return True
-
-
 class RoleChannel(Propagator):
     """dep <= gate for pairs of variables at equal positions of two roles:
     the gates share one role and the deps another."""

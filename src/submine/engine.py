@@ -6,11 +6,13 @@ per role, two bitsets over those positions: the variables fixed to 1 and
 the variables fixed to 0.  Propagators that work on whole roles read and
 assign these bitsets instead of single variables, and root facts are
 assigned the same way.  Propagators are woken through a FIFO queue with
-per-propagator dedup until fixpoint.  Each decision level saves the
-bitsets and backtracking restores them.  Search branches on the lowest
-free position of the first role, in the order aux, H, V, X, Y, that still
-has one, so the sub-dataset is fixed before the itemset; it enumerates
-every full assignment accepted by all propagators, exactly once.
+per-propagator dedup until fixpoint.  A propagator may also ask for a
+reversible slot, one value of its own state.  Each decision level saves
+the bitsets and the slots, and backtracking restores them.  Search
+branches on the lowest free position of the first role, in the order aux,
+H, V, X, Y, that still has one, so the sub-dataset is fixed before the
+itemset; it enumerates every full assignment accepted by all propagators,
+exactly once.
 """
 
 from __future__ import annotations
@@ -66,8 +68,11 @@ class Solver:
         # propagator id -> positions of the role it watches
         self._watchers: list[dict[int, int]] = [{} for _ in _ROLE_IDS]
         self._props: list[Propagator] = []
-        # per open level: the per-role bitsets and the unassigned mask count
-        self._marks: list[tuple[list[int], list[int], int]] = []
+        # reversible propagator state, one value per slot (see new_slot)
+        self.slots: list[object] = []
+        # per open level: the per-role bitsets, the unassigned mask count
+        # and the slots
+        self._marks: list[tuple[list[int], list[int], int, list[object]]] = []
         self._queue: deque[int] = deque()
         self._queued: set[int] = set()
         self._mask_unassigned = 0
@@ -93,6 +98,16 @@ class Solver:
 
     def new_vars(self, count: int, role: str) -> list[int]:
         return [self.new_var(role) for _ in range(count)]
+
+    def new_slot(self) -> int:
+        """Index of a new reversible slot in ``slots``, holding None.
+        Backtracking restores each slot to its value at the parent's
+        fixpoint.  A level saves references only, so store values that are
+        never mutated, such as tuples of ints."""
+        if self._marks:
+            raise RuntimeError("slots must be created at the root level")
+        self.slots.append(None)
+        return len(self.slots) - 1
 
     def value(self, v: int) -> int:
         rid = self._rid[v]
@@ -185,13 +200,14 @@ class Solver:
         return True
 
     def push_level(self) -> None:
-        self._marks.append((self._ones[:], self._zeros[:], self._mask_unassigned))
+        self._marks.append((self._ones[:], self._zeros[:], self._mask_unassigned, self.slots[:]))
 
     def pop_level(self) -> None:
-        ones, zeros, self._mask_unassigned = self._marks.pop()
+        ones, zeros, self._mask_unassigned, slots = self._marks.pop()
         # in place: search_all holds on to these lists
         self._ones[:] = ones
         self._zeros[:] = zeros
+        self.slots[:] = slots
         self._queue.clear()
         self._queued.clear()
 

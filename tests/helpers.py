@@ -97,7 +97,29 @@ FERRARI_BITS = bits_of([FERRARI])
 from submine.closedpattern import ClosedPatternSub
 from submine.constraints import post_channeling, post_reified_fci
 from submine.dataset import span_bits
-from submine.engine import ROLE_H, ROLE_V, ROLE_X, ROLE_Y, UNASSIGNED, Solver
+from submine.engine import ROLE_H, ROLE_V, ROLE_X, ROLE_Y, UNASSIGNED, Propagator, Solver
+
+
+class Channel(Propagator):
+    """gate = 0 forces dep = 0; dep = 1 forces gate = 1 (dep <= gate).  A
+    toy propagator over single variables for the engine tests; the model
+    channels whole roles with ``RoleChannel``."""
+
+    __slots__ = ("gate", "dep")
+
+    def __init__(self, gate: int, dep: int):
+        self.gate = gate
+        self.dep = dep
+
+    def vars(self):
+        return (self.gate, self.dep)
+
+    def propagate(self, s: Solver) -> bool:
+        if s.value(self.gate) == 0:
+            return s.assign(self.dep, 0)
+        if s.value(self.dep) == 1:
+            return s.assign(self.gate, 1)
+        return True
 
 
 def build_mining_solver(db, theta, closed, reified):

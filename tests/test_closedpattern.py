@@ -247,3 +247,106 @@ def test_group_bound_needs_disjoint_groups_or_one_choice(db1):
         s.post(ClosedPatternSub(db1, x, h, v, HALF, True, (overlapping, 0, 2), indicators))
     # one group at most: overlap is fine
     s.post(ClosedPatternSub(db1, x, h, v, HALF, True, (overlapping, 1, 1), indicators))
+
+
+# -------------------------------------------- state carried along a path
+
+_PATH_ROLES = (ROLE_AUX, ROLE_H, ROLE_V, ROLE_X)
+
+
+def _path_model(db, theta, closed, choice, state=None):
+    """Channeling, the transaction group choice if any, and the mining
+    propagator.  ``state`` (role -> (ones, zeros)) is loaded before the
+    first propagator is posted, so the solver runs one fixpoint on it."""
+    n, m = db.item_count, db.transaction_count
+    s = Solver()
+    h = [None] + s.new_vars(n, ROLE_H)
+    v = [None] + s.new_vars(m, ROLE_V)
+    x = [None] + s.new_vars(n, ROLE_X)
+    indicators = s.new_vars(len(choice[0]), ROLE_AUX) if choice else []
+    for role, (ones, zeros) in (state or {}).items():
+        s.assign_bits(role, ones, 1)
+        s.assign_bits(role, zeros, 0)
+    post_channeling(s, h[1:], x[1:])
+    if choice:
+        groups, lb, ub = choice
+        s.post(GroupChoice(zip(indicators, groups), v, lb, ub))
+    s.post(ClosedPatternSub(db, x, h, v, theta, closed, choice, indicators))
+    return s, {ROLE_AUX: len(indicators), ROLE_H: n, ROLE_V: m, ROLE_X: n}
+
+
+def check_search_replay(rng, closed, with_choice, steps=60):
+    """Random DFS paths through one random model: push a level, fix one
+    free variable (mostly in search order), propagate, and now and then
+    pop back a few levels.  Every node must get the verdict and the X
+    fixings of a fresh propagator posted on the node's state.  Returns
+    the number of nodes reached with the mask fixed."""
+    n, m = rng.randint(3, 7), rng.randint(3, 7)
+    density = rng.uniform(0.4, 0.9)
+    rows = [[i for i in range(1, n + 1) if rng.random() < density] for _ in range(m)]
+    db = TransactionDatabase.from_rows(rows, item_count=n)
+    theta = rng.choice((Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)))
+    choice = _random_choice(rng, m) if with_choice else None
+    s, sizes = _path_model(db, theta, closed, choice)
+    if s.root_failed:
+        return 0
+    depth = masked = 0
+    for _ in range(steps):
+        frees = []  # (role, free positions), in search order
+        for role in _PATH_ROLES:
+            ones, zeros = s.fixed(role)
+            bits = span_bits(1, sizes[role]) & ~(ones | zeros)
+            if bits:
+                frees.append((role, bits))
+        if not frees or depth and rng.random() < 0.15:
+            if not depth:
+                break
+            for _ in range(rng.randint(1, min(depth, 3))):
+                s.pop_level()
+                depth -= 1
+            continue
+        role, bits = frees[0] if rng.random() < 0.9 else rng.choice(frees)
+        bit = 1 << rng.choice(list(iter_bits(bits)))
+        s.push_level()
+        depth += 1
+        assert s.assign_bits(role, bit, rng.randint(0, 1))
+        state = {role: s.fixed(role) for role in _PATH_ROLES}
+        ok = s.propagate_to_fixpoint()
+        fresh, _ = _path_model(db, theta, closed, choice, state)
+        assert ok == (not fresh.root_failed), (rows, theta, choice, state)
+        if ok:
+            assert s.fixed(ROLE_X) == fresh.fixed(ROLE_X), (rows, theta, choice, state)
+            h1, h0 = s.fixed(ROLE_H)
+            v1, v0 = s.fixed(ROLE_V)
+            masked += (h1 | h0).bit_count() == n and (v1 | v0).bit_count() == m
+        else:
+            s.pop_level()
+            depth -= 1
+    return masked
+
+
+@pytest.mark.parametrize("closed", [True, False])
+@pytest.mark.parametrize("with_choice", [True, False])
+def test_search_replay_matches_fresh_propagator(closed, with_choice):
+    rng = random.Random(2017 + 2 * closed + with_choice)
+    masked = sum(check_search_replay(rng, closed, with_choice) for _ in range(40))
+    # the reversible state is in play only under a fixed mask
+    assert masked >= 100, masked
+
+
+def test_same_mask_reached_in_sibling_subtrees():
+    # level 1 and level 2 each hold one group over all rows, so one-of-levels
+    # reaches the full mask once per level; item 5's column lies inside
+    # those of items 1 and 2, so the closedness rules fire in both subtrees
+    rows = [[1, 2, 3, 5], [1, 2, 5], [1, 3], [2, 3], [1, 4], [2, 4]]
+    db = TransactionDatabase.from_rows(rows, item_count=5)
+    everything = [("T", range(1, 7))]
+    scheme = PartitionScheme.build("transactions", 6, everything, [[("U", range(1, 7))]])
+    q = Query(theta=Fraction(1, 3), trans=AxisConstraint.one_per_level())
+    stats = {}
+    cp = run_theory(db, q, None, scheme, engine="cp", stats=stats)
+    assert theory_labels(cp) == theory_labels(run_theory(db, q, None, scheme, engine="baseline"))
+    assert theory_labels(cp) == theory_labels(run_theory(db, q, None, scheme, engine="oracle"))
+    assert {p.items for p in cp} == {(1,), (2,), (3,), (4,), (1, 2, 5), (1, 3), (2, 3)}
+    # pinned: the counts of the propagator that kept no state across calls
+    assert stats == {"nodes": 26, "masks": 2}

@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from submine.constraints import CardinalityRange, Channel
+from helpers import Channel
+from submine.constraints import CardinalityRange
 from submine.engine import ROLE_AUX, ROLE_H, ROLE_X, UNASSIGNED, Propagator, Solver
 
 
@@ -69,6 +70,22 @@ def test_fixpoint_chain_failure():
     s.push_level()
     assert not (s.assign(h, 0) and s.propagate_to_fixpoint())
     s.pop_level()
+
+
+def test_slots_follow_the_levels():
+    s = Solver()
+    a, b = s.new_slot(), s.new_slot()
+    s.slots[a] = "root"
+    s.push_level()
+    s.slots[a], s.slots[b] = "one", (1,)
+    s.push_level()
+    s.slots[b] = (2,)
+    s.pop_level()
+    assert s.slots == ["one", (1,)]
+    with pytest.raises(RuntimeError, match="root level"):
+        s.new_slot()
+    s.pop_level()
+    assert s.slots == ["root", None]
 
 
 def test_fixpoint_empty_network():
