@@ -322,7 +322,7 @@ def cmd_bench(args) -> int:
 
 
 def _bench_row(row, args):
-    name = row.get("name") or row.get("data", "?")
+    name = row.get("name") or row.get("data") or "?"
     engines = (row.get("engines") or "cp").split("|")
     reports = []
     sub = argparse.Namespace(
@@ -333,6 +333,9 @@ def _bench_row(row, args):
         labels=row.get("labels"),
     )
     try:
+        for key in ("data", "query"):
+            if not row.get(key):
+                raise ValueError(f"suite row has no {key} file")
         db, item_scheme, trans_scheme, query = _load(sub)
         num_masks = reference.enumerate_masks(
             db, query, item_scheme, trans_scheme
@@ -353,6 +356,8 @@ def _bench_row(row, args):
         started = time.perf_counter()
         deadline = _deadline(args)
         try:
+            if not engine:
+                raise ValueError("empty engine name")
             pairs = _run_engine(
                 engine, db, query, item_scheme, trans_scheme, deadline, stats=stats
             )

@@ -1,9 +1,13 @@
 """Global frequent(-closed) itemset propagator over a circumscribed
 sub-dataset.
 
-``ClosedPatternSub`` filters the itemset variables directly from bitset
-covers instead of going through the reified decomposition; it accepts
-exactly the same full assignments.  It has no cover variables: it reads
+``ClosedPatternSub`` is the whole mining semantics of the model
+(coverage, frequency, closedness): it filters the itemset variables
+directly from bitset covers and accepts exactly the full assignments that
+satisfy the definition.  Under a fixed mask it is also exact on partial
+states, as ClosedPattern is (Lazaar et al., CP 2016): it fails exactly
+when no itemset extends the state, and fixes a free item exactly when
+every extension agrees on it.  It has no cover variables: it reads
 the itemset X and the mask (H, V) as the solver's per-role bitsets, so a
 wake-up costs no scan over variables, and derives the cover of the items
 fixed to 1 as the intersection of their columns.

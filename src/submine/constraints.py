@@ -2,20 +2,20 @@
 
 Variable handles come in 1-based lists (slot 0 unused) matching item and
 transaction indices.  Every propagator here is sound for partial states and
-complete on full assignments; assemble-level code decides which family
-(reified decomposition or the dedicated globals) provides the mining
-semantics.  The dataset side of a query is one ``GroupChoice`` per axis
-that chooses groups: group bounds choose lb..ub groups of one partition,
-one-of-levels one group of any level.
+complete on full assignments.  They cover channeling, the dataset side and
+the itemset-side constraints other than mining; the mining semantics
+(coverage, frequency, closedness) is the one global ``ClosedPatternSub``
+in ``closedpattern``.  The dataset side of a query is one ``GroupChoice``
+per axis that chooses groups: group bounds choose lb..ub groups of one
+partition, one-of-levels one group of any level.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
-from .dataset import PartitionScheme, TransactionDatabase, iter_bits, span_bits
-from .engine import ROLE_AUX, UNASSIGNED, Propagator, Solver
+from .dataset import PartitionScheme
+from .engine import ROLE_AUX, Propagator, Solver
 
 
 class RoleChannel(Propagator):
@@ -210,162 +210,16 @@ class GroupChoice(Propagator):
         )
 
 
-# ------------------------------------------------ reified mining family
-
-
-class ReifiedCoverage(Propagator):
-    """y_j = 1 iff v_j = 1 and the chosen itemset is contained in row j."""
-
-    def __init__(self, x_vars, v_var: int, y_var: int, row_bits: int, n_items: int):
-        self.x_vars = x_vars
-        self.v_var = v_var
-        self.y_var = y_var
-        self.row = row_bits
-        self.universe = span_bits(1, n_items)
-
-    def vars(self):
-        out = [v for v in self.x_vars if v is not None]
-        out.append(self.v_var)
-        out.append(self.y_var)
-        return out
-
-    def propagate(self, s: Solver) -> bool:
-        x_one = x_poss = 0
-        for i, v in enumerate(self.x_vars):
-            if v is None:
-                continue
-            val = s.value(v)
-            if val == 1:
-                x_one |= 1 << i
-                x_poss |= 1 << i
-            elif val == UNASSIGNED:
-                x_poss |= 1 << i
-        if x_one & ~self.row:
-            return s.assign(self.y_var, 0)
-        vv = s.value(self.v_var)
-        if vv == 0:
-            return s.assign(self.y_var, 0)
-        yv = s.value(self.y_var)
-        if yv == 1:
-            if not s.assign(self.v_var, 1):
-                return False
-            for i in iter_bits(x_poss & ~self.row):
-                if not s.assign(self.x_vars[i], 0):
-                    return False
-            return True
-        if (x_poss & ~self.row) == 0:
-            # containment is entailed
-            if vv == 1:
-                return s.assign(self.y_var, 1)
-            if yv == 0:
-                return s.assign(self.v_var, 0)
-        return True
-
-
-class FrequencyCheck(Propagator):
-    """x_i = 1 implies q * sum(y_j over column i) >= p * sum(v_j).
-
-    Deliberately lazy: it only concludes once every cover variable of the
-    item's column and every activation variable is assigned, so the reified
-    network does no support-bound guessing.
-    """
-
-    def __init__(self, x_var: int, y_vars, v_vars, col_bits: int, p: int, q: int):
-        self.x_var = x_var
-        self.y_vars = y_vars
-        self.v_vars = v_vars
-        self.col = col_bits
-        self.p = p
-        self.q = q
-
-    def vars(self):
-        out = [self.x_var]
-        out.extend(y for j, y in enumerate(self.y_vars) if y is not None and self.col >> j & 1)
-        out.extend(v for v in self.v_vars if v is not None)
-        return out
-
-    def propagate(self, s: Solver) -> bool:
-        xv = s.value(self.x_var)
-        if xv == 0:
-            return True
-        ones = 0
-        for j, y in enumerate(self.y_vars):
-            if y is None or not self.col >> j & 1:
-                continue
-            val = s.value(y)
-            if val == UNASSIGNED:
-                return True
-            ones += val
-        active = 0
-        for v in self.v_vars:
-            if v is None:
-                continue
-            val = s.value(v)
-            if val == UNASSIGNED:
-                return True
-            active += val
-        if self.q * ones >= self.p * active:
-            return True
-        if xv == 1:
-            return False
-        return s.assign(self.x_var, 0)
-
-
-class ClosednessReified(Propagator):
-    """For an active item i: x_i = 1 iff no covering transaction misses i."""
-
-    def __init__(self, h_var: int, x_var: int, y_vars, col_bits: int, m_trans: int):
-        self.h_var = h_var
-        self.x_var = x_var
-        self.y_vars = y_vars
-        self.col = col_bits
-        self.universe = span_bits(1, m_trans)
-
-    def vars(self):
-        out = [self.h_var, self.x_var]
-        out.extend(y for y in self.y_vars if y is not None)
-        return out
-
-    def propagate(self, s: Solver) -> bool:
-        hv = s.value(self.h_var)
-        if hv != 1:
-            return True  # dormant until the item is known active
-        y_one = y_nz = 0
-        for j, y in enumerate(self.y_vars):
-            if y is None:
-                continue
-            val = s.value(y)
-            if val == 1:
-                y_one |= 1 << j
-                y_nz |= 1 << j
-            elif val == UNASSIGNED:
-                y_nz |= 1 << j
-        outside = self.universe & ~self.col
-        xv = s.value(self.x_var)
-        if xv == 1:
-            for j in iter_bits(y_nz & outside):
-                if not s.assign(self.y_vars[j], 0):
-                    return False
-            return True
-        if (y_nz & outside) == 0:
-            return s.assign(self.x_var, 1)
-        if y_one & outside:
-            return s.assign(self.x_var, 0)
-        return True
-
-
 # ------------------------------------------------------------ posting API
 
 
-def post_channeling(s: Solver, h_vars, x_vars, v_vars=(), y_vars=()) -> None:
-    """Inactive items leave the itemset (x <= h per item) and, where cover
-    variables exist, inactive transactions leave the cover (y <= v).  Each
-    list holds one role, paired by position."""
-    if len(h_vars) != len(x_vars) or len(v_vars) != len(y_vars):
+def post_channeling(s: Solver, h_vars, x_vars) -> None:
+    """Inactive items leave the itemset: x <= h per item.  Each list holds
+    one role, paired by position."""
+    if len(h_vars) != len(x_vars):
         raise ValueError("activation/decision vectors must have equal length")
-    for gates, deps in ((h_vars, x_vars), (v_vars, y_vars)):
-        if gates:
-            s.post(RoleChannel(gates, deps))
+    if h_vars:
+        s.post(RoleChannel(h_vars, x_vars))
 
 
 def post_group_choice(s: Solver, groups: Sequence[int], axis_vars, lb: int, ub: int) -> list[int]:
@@ -392,29 +246,3 @@ def post_min_size(s: Solver, x_vars, k: int) -> None:
     if not 1 <= k <= n:
         raise ValueError(f"minimum size {k} out of range 1..{n}")
     s.post(CardinalityRange([v for v in x_vars if v is not None], k, None))
-
-
-def post_reified_fci(
-    s: Solver,
-    db: TransactionDatabase,
-    x_vars,
-    y_vars,
-    h_vars,
-    v_vars,
-    theta: Fraction,
-    closed: bool = True,
-) -> None:
-    """The reified mining family: per-transaction coverage, per-item minimum
-    frequency, and (optionally) per-item closedness, each ranging over the
-    activated part of the data.  Channeling must already be posted."""
-    if not 0 < theta <= 1:
-        raise ValueError(f"theta must lie in (0,1], got {theta}")
-    p, q = theta.numerator, theta.denominator
-    n, m = db.item_count, db.transaction_count
-    for j in range(1, m + 1):
-        s.post(ReifiedCoverage(x_vars, v_vars[j], y_vars[j], db.rows[j], n))
-    for i in range(1, n + 1):
-        s.post(FrequencyCheck(x_vars[i], y_vars, v_vars, db.columns[i], p, q))
-    if closed:
-        for i in range(1, n + 1):
-            s.post(ClosednessReified(h_vars[i], x_vars[i], y_vars, db.columns[i], m))

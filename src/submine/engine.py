@@ -1,6 +1,6 @@
 """Tri-state Boolean constraint solver.
 
-Variables hold one of {unassigned, 0, 1}.  Every variable has one of five
+Variables hold one of {unassigned, 0, 1}.  Every variable has one of four
 roles and a 1-based position within it, in creation order.  The state is,
 per role, two bitsets over those positions: the variables fixed to 1 and
 the variables fixed to 0.  Propagators that work on whole roles read and
@@ -10,7 +10,7 @@ per-propagator dedup until fixpoint.  A propagator may also ask for a
 reversible slot, one value of its own state.  Each decision level saves
 the bitsets and the slots, and backtracking restores them.  Search
 branches on the lowest free position of the first role, in the order aux,
-H, V, X, Y, that still has one, so the sub-dataset is fixed before the
+H, V, X, that still has one, so the sub-dataset is fixed before the
 itemset; it enumerates every full assignment accepted by all propagators,
 exactly once.
 """
@@ -23,13 +23,12 @@ from typing import Callable, Iterable, Sequence
 UNASSIGNED = -1
 
 ROLE_X = "X"  # itemset membership
-ROLE_Y = "Y"  # cover membership
 ROLE_H = "H"  # item activation (mask)
 ROLE_V = "V"  # transaction activation (mask)
 ROLE_AUX = "aux"  # group indicators and other auxiliaries
 
 # role -> role id; also the branching order
-_ROLE_IDS = {role: rid for rid, role in enumerate((ROLE_AUX, ROLE_H, ROLE_V, ROLE_X, ROLE_Y))}
+_ROLE_IDS = {role: rid for rid, role in enumerate((ROLE_AUX, ROLE_H, ROLE_V, ROLE_X))}
 _MASK_RIDS = frozenset((_ROLE_IDS[ROLE_H], _ROLE_IDS[ROLE_V]))
 
 
@@ -267,7 +266,7 @@ class Solver:
     ) -> int:
         """Exhaustive DFS over all full assignments accepted by every
         propagator.  It branches on the lowest free position of the first
-        role, in the order aux, H, V, X, Y, that still has one; value 1 is
+        role, in the order aux, H, V, X, that still has one; value 1 is
         tried before 0.  ``on_solution()`` is called once per solution,
         while the solver holds it (read it through ``fixed`` or
         ``value``).  Returns the solution count.  Iterative, so the depth

@@ -52,7 +52,7 @@ from .dataset import (
     indices_of,
     iter_bits,
 )
-from .engine import ROLE_H, ROLE_V, ROLE_X, ROLE_Y, Solver
+from .engine import ROLE_H, ROLE_V, ROLE_X, Solver
 
 ENGINES = ("cp", "baseline", "oracle")
 
@@ -455,11 +455,10 @@ def check_query(
 
 @dataclass
 class Layout:
-    """Variable handles of an assembled solver, 1-based per axis.  ``y`` is
-    empty unless the model is the reified one."""
+    """Variable handles of an assembled solver, 1-based per axis: the
+    itemset X and the mask (H, V)."""
 
     x: list
-    y: list
     h: list
     v: list
 
@@ -469,23 +468,20 @@ def assemble(
     query: Query,
     item_scheme: PartitionScheme | None = None,
     trans_scheme: PartitionScheme | None = None,
-    use_reified: bool = False,
 ) -> tuple[Solver, Layout]:
     """Compile the query into a solver: variables X/H/V plus group
-    auxiliaries, channeling, the dataset part, and the mining part.  The
-    cover variables Y exist only in the reified model; the global
-    propagator derives the cover from X and V.  Each role is created in
-    one call, so a variable's position in its role is its item or
-    transaction index."""
+    auxiliaries, channeling, the dataset part, and the mining part, one
+    ``ClosedPatternSub`` that derives the cover from X and V.  Each role
+    is created in one call, so a variable's position in its role is its
+    item or transaction index."""
     check_query(db, query, item_scheme, trans_scheme)
     n, m = db.item_count, db.transaction_count
     s = Solver()
     h = [None] + s.new_vars(n, ROLE_H)
     v = [None] + s.new_vars(m, ROLE_V)
     x = [None] + s.new_vars(n, ROLE_X)
-    y = [None] + s.new_vars(m, ROLE_Y) if use_reified else []
 
-    constraints.post_channeling(s, h[1:], x[1:], v[1:] if y else [], y[1:])
+    constraints.post_channeling(s, h[1:], x[1:])
 
     # dataset part: one group choice per axis; the mining part bounds
     # support per transaction group
@@ -505,15 +501,12 @@ def assemble(
     s.assign_root(ROLE_X, query.require, 1)
     s.assign_root(ROLE_X, query.forbid, 0)
 
-    if use_reified:
-        constraints.post_reified_fci(s, db, x, y, h, v, query.theta, closed=query.closed)
-    else:
-        s.post(
-            closedpattern.ClosedPatternSub(
-                db, x, h, v, query.theta, query.closed, trans_choices, trans_indicators
-            )
+    s.post(
+        closedpattern.ClosedPatternSub(
+            db, x, h, v, query.theta, query.closed, trans_choices, trans_indicators
         )
-    return s, Layout(x, y, h, v)
+    )
+    return s, Layout(x, h, v)
 
 
 # ---------------------------------------------------------------- running
@@ -524,11 +517,10 @@ def _collect_cp(
     query: Query,
     item_scheme,
     trans_scheme,
-    use_reified: bool,
     deadline: float | None,
     stats: dict | None,
 ) -> set[tuple[int, int, int]]:
-    solver, _ = assemble(db, query, item_scheme, trans_scheme, use_reified)
+    solver, _ = assemble(db, query, item_scheme, trans_scheme)
     triples: set[tuple[int, int, int]] = set()
 
     def sink():
@@ -548,12 +540,12 @@ def _collect_cp(
 
 
 def _engine_triples(
-    db, query, item_scheme, trans_scheme, engine, use_reified, deadline, stats=None
+    db, query, item_scheme, trans_scheme, engine, deadline, stats=None
 ) -> set[tuple[int, int, int]]:
     """One engine's answer as (item_bits, trans_bits, itemset_bits) triples;
     also the parallel mode's pool worker, on one fixed mask each."""
     if engine == "cp":
-        return _collect_cp(db, query, item_scheme, trans_scheme, use_reified, deadline, stats)
+        return _collect_cp(db, query, item_scheme, trans_scheme, deadline, stats)
     from . import reference
 
     if engine == "baseline":
@@ -571,7 +563,6 @@ def run_theory(
     engine: str | None = None,
     workers: int = 1,
     deadline: float | None = None,
-    use_reified: bool = False,
     stats: dict | None = None,
 ) -> list[SolutionPair]:
     """The complete theory of the query, canonically sorted (masks then
@@ -590,13 +581,9 @@ def run_theory(
     check_query(db, query, item_scheme, trans_scheme)
 
     if workers > 1 and chosen in ("cp", "baseline"):
-        triples = _run_parallel(
-            db, query, item_scheme, trans_scheme, chosen, workers, use_reified, deadline
-        )
+        triples = _run_parallel(db, query, item_scheme, trans_scheme, chosen, workers, deadline)
     else:
-        triples = _engine_triples(
-            db, query, item_scheme, trans_scheme, chosen, use_reified, deadline, stats
-        )
+        triples = _engine_triples(db, query, item_scheme, trans_scheme, chosen, deadline, stats)
     # (item_bits, trans_bits) -> [(itemset indices, itemset_bits)]
     by_mask: dict = {}
     for ib, tb, xb in triples:
@@ -625,7 +612,7 @@ def run_theory(
 
 
 def _run_parallel(
-    db, query, item_scheme, trans_scheme, engine, workers, use_reified, deadline
+    db, query, item_scheme, trans_scheme, engine, workers, deadline
 ) -> set[tuple[int, int, int]]:
     import multiprocessing
 
@@ -649,7 +636,6 @@ def _run_parallel(
             item_scheme,
             trans_scheme,
             engine,
-            use_reified,
             deadline,
         )
         for mask in masks

@@ -91,13 +91,13 @@ FERRARI_BITS = bits_of([FERRARI])
 
 
 # ------------------------------------------------------------------------
-# Machinery for checking the global propagator against the reified
-# decomposition on random partial states with a fully assigned mask.
+# Machinery for checking the global propagator against the definition
+# on random partial states with a fully assigned mask.
 
 from submine.closedpattern import ClosedPatternSub
-from submine.constraints import post_channeling, post_reified_fci
+from submine.constraints import post_channeling
 from submine.dataset import span_bits
-from submine.engine import ROLE_H, ROLE_V, ROLE_X, ROLE_Y, UNASSIGNED, Propagator, Solver
+from submine.engine import ROLE_H, ROLE_V, ROLE_X, UNASSIGNED, Propagator, Solver
 
 
 class Channel(Propagator):
@@ -122,24 +122,17 @@ class Channel(Propagator):
         return True
 
 
-def build_mining_solver(db, theta, closed, reified):
-    """X/H/V with channeling and the mining part: the reified decomposition,
-    with its cover variables Y, or the global propagator, which has none
-    (its ``y`` handle is empty)."""
+def build_mining_solver(db, theta, closed):
+    """X/H/V with channeling and the mining part, the global propagator;
+    returns the solver and the handles (x, h, v)."""
     s = Solver()
     n, m = db.item_count, db.transaction_count
     h = [None] + s.new_vars(n, ROLE_H)
     v = [None] + s.new_vars(m, ROLE_V)
     x = [None] + s.new_vars(n, ROLE_X)
-    if reified:
-        y = [None] + s.new_vars(m, ROLE_Y)
-        post_channeling(s, h[1:], x[1:], v[1:], y[1:])
-        post_reified_fci(s, db, x, y, h, v, theta, closed=closed)
-    else:
-        y = []
-        post_channeling(s, h[1:], x[1:])
-        s.post(ClosedPatternSub(db, x, h, v, theta, closed))
-    return s, (x, y, h, v)
+    post_channeling(s, h[1:], x[1:])
+    s.post(ClosedPatternSub(db, x, h, v, theta, closed))
+    return s, (x, h, v)
 
 
 def random_mask_state(rng, n, m):
@@ -161,7 +154,7 @@ def apply_state(s, handles, db, h_bits, v_bits, x_state):
     """Load the state without intermediate propagation, then run one
     fixpoint.  Returns (ok, fixed) where fixed maps item i to the value
     the solver holds for X_i at fixpoint."""
-    x, _, h, v = handles
+    x, h, v = handles
     n, m = db.item_count, db.transaction_count
     for i in range(1, n + 1):
         assert s.assign(h[i], h_bits >> i & 1)

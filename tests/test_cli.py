@@ -359,6 +359,33 @@ def test_bench_row_error_recorded(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "cells,statuses,detail",
+    [
+        ({"query": "q1.query"}, ["error"], "suite row has no data file"),
+        ({"data": "data.fimi"}, ["error"], "suite row has no query file"),
+        (
+            {"data": "data.fimi", "query": "q1.query", "engines": "cp|"},
+            ["ok", "error"],
+            "empty engine name",
+        ),
+    ],
+    ids=["no-data", "no-query", "blank-engine"],
+)
+def test_bench_row_without_data_query_or_engine(files, tmp_path, cells, statuses, detail):
+    suite = tmp_path / "suite.csv"
+    with open(suite, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, ["name", *cells])
+        writer.writeheader()
+        writer.writerow({"name": "x", **{k: files.get(v, v) for k, v in cells.items()}})
+    out = tmp_path / "report.csv"
+    assert cli.main(["bench", "--suite", str(suite), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == statuses
+    assert rows[-1]["detail"] == detail
+
+
+@pytest.mark.parametrize(
     "exc,code,message",
     [
         (SearchTimeout, cli.EXIT_TIMEOUT, "seed 0: baseline: timeout"),

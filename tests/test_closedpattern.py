@@ -71,16 +71,14 @@ def test_frequent_sub_single_transaction():
     }
 
 
-def test_global_equals_reified_equals_oracle_random():
+def test_global_equals_oracle_random():
     from submine.cli import generate_random_instance
 
     rng = random.Random(77)
     for _ in range(20):
         db, ischeme, tscheme, query = generate_random_instance(rng)
         via_global = run_theory(db, query, ischeme, tscheme, engine="cp")
-        via_reified = run_theory(db, query, ischeme, tscheme, engine="cp", use_reified=True)
         via_oracle = run_theory(db, query, ischeme, tscheme, engine="oracle")
-        assert theory_labels(via_global) == theory_labels(via_reified)
         assert theory_labels(via_global) == theory_labels(via_oracle)
 
 
@@ -91,48 +89,47 @@ def _random_small_db(rng):
     return TransactionDatabase.from_rows(rows, item_count=n)
 
 
-def check_state_dominance_and_soundness(rng, closed=True):
-    """One random trial; returns a short tag describing the outcome."""
+def check_state_exact(rng, closed=True):
+    """One random trial: under a fixed mask the global propagator is exact
+    against the definition.  It fails iff no itemset extends the state,
+    and it fixes a free item to v iff every extension has v.  Returns a
+    short tag describing the outcome."""
     db = _random_small_db(rng)
     theta = rng.choice((Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)))
     h_bits, v_bits, x_state = random_mask_state(rng, db.item_count, db.transaction_count)
 
-    cp, cp_handles = build_mining_solver(db, theta, closed, reified=False)
-    re, re_handles = build_mining_solver(db, theta, closed, reified=True)
-    cp_ok, cp_fixed = apply_state(cp, cp_handles, db, h_bits, v_bits, x_state)
-    re_ok, re_fixed = apply_state(re, re_handles, db, h_bits, v_bits, x_state)
-
+    s, handles = build_mining_solver(db, theta, closed)
+    ok, fixed = apply_state(s, handles, db, h_bits, v_bits, x_state)
     exts = mining_extensions(db, theta, closed, h_bits, v_bits, x_state)
 
-    # dominance: every item the reified network fixes, the global fixes too
-    if not re_ok:
-        assert not cp_ok, "global propagator missed a reified failure"
-    elif cp_ok:
-        for i, val in re_fixed.items():
-            assert cp_fixed.get(i) == val, f"global propagator missed fixing x{i}"
-
-    # soundness against exhaustive extension of the original state
-    if not cp_ok:
-        assert not exts, "global propagator failed a satisfiable state"
+    assert ok == bool(exts), (
+        "global propagator failed a satisfiable state"
+        if exts
+        else "global propagator accepted a state with no extension"
+    )
+    if not ok:
         return "fail"
-    for i, val in cp_fixed.items():
+    for i in range(1, db.item_count + 1):
         if i in x_state:
             continue
-        for xbits in exts:
-            assert xbits >> i & 1 == val, f"unsound fixing x{i}={val}"
+        values = {xbits >> i & 1 for xbits in exts}
+        agreed = values.pop() if len(values) == 1 else None
+        assert fixed.get(i) == agreed, (
+            f"x{i} fixed to {fixed.get(i)}, extensions agree on {agreed}"
+        )
     return "ok"
 
 
 def test_fixed_mask_dominance_and_soundness():
     rng = random.Random(42)
     for _ in range(150):
-        check_state_dominance_and_soundness(rng, closed=True)
+        check_state_exact(rng, closed=True)
 
 
 def test_fixed_mask_dominance_frequent_mode():
     rng = random.Random(43)
     for _ in range(60):
-        check_state_dominance_and_soundness(rng, closed=False)
+        check_state_exact(rng, closed=False)
 
 
 # ------------------------------------------- the per-group support bound
@@ -240,7 +237,7 @@ def test_group_bound_against_brute_force():
 
 
 def test_group_bound_needs_disjoint_groups_or_one_choice(db1):
-    s, (x, _, h, v) = build_mining_solver(db1, HALF, True, reified=False)
+    s, (x, h, v) = build_mining_solver(db1, HALF, True)
     indicators = s.new_vars(2, ROLE_AUX)
     overlapping = (bits_of([1, 2, 3]), bits_of([3, 4]))
     with pytest.raises(ValueError, match="disjoint groups or ub = 1"):

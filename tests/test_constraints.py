@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from helpers import A, B, C, D, E, F, G, HALF, K, table1_item_scheme
+from helpers import E, F, G, HALF, K, table1_item_scheme
 from submine import PartitionScheme, Query, TransactionDatabase, run_theory
 from submine.constraints import (
     GroupChoice,
@@ -14,7 +14,6 @@ from submine.constraints import (
 )
 from submine.dataset import bits_of, iter_bits
 from submine.engine import ROLE_AUX, ROLE_H, ROLE_V, ROLE_X, UNASSIGNED, Solver
-from submine.queries import AxisConstraint, assemble
 
 
 def _singleton_scheme(axis, size):
@@ -282,43 +281,3 @@ def test_exactly_one_group_single_group_forces_everything():
     post_group_choice(s, _all_levels(scheme), v, 1, 1)
     assert all(s.value(v[j]) == 1 for j in range(1, 5))
 
-
-# ----------------------------------------------------------- reified model
-
-
-def test_reified_q1_solutions(db1):
-    theory = run_theory(db1, Query(theta=HALF), use_reified=True)
-    assert {"".join(p.labels) for p in theory} == {"A", "B", "EF", "GK"}
-
-
-def test_reified_theta_one_is_empty(db1):
-    # the intersection of all six rows is empty and itemsets are non-empty
-    assert run_theory(db1, Query(theta=Fraction(1))) == []
-    assert run_theory(db1, Query(theta=Fraction(1)), use_reified=True) == []
-
-
-def test_reified_on_item_sub_dataset(db1):
-    q = Query(theta=HALF, items=AxisConstraint.fixed(bits_of([A, B, C, D, E])))
-    theory = run_theory(db1, q, use_reified=True)
-    assert {"".join(p.labels) for p in theory} == {"A", "B", "E"}
-
-
-def test_reified_root_propagation_is_quiet(db1):
-    # at the root of the plain FCI network nothing is decided yet
-    solver, layout = assemble(db1, Query(theta=HALF), use_reified=True)
-    assert not solver.root_failed
-    from submine.engine import UNASSIGNED
-
-    assert all(solver.value(layout.x[i]) == UNASSIGNED for i in range(1, 10))
-    assert all(solver.value(layout.y[j]) == UNASSIGNED for j in range(1, 7))
-
-
-def test_reified_matches_oracle_on_random_instances():
-    from submine.cli import generate_random_instance
-
-    rng = random.Random(123)
-    for _ in range(15):
-        db, ischeme, tscheme, query = generate_random_instance(rng)
-        got = run_theory(db, query, ischeme, tscheme, engine="cp", use_reified=True)
-        want = run_theory(db, query, ischeme, tscheme, engine="oracle")
-        assert got == want

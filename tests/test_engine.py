@@ -279,16 +279,3 @@ def test_role_bitsets_follow_assign_propagate_and_pop():
             for role in roles:
                 assert s.fixed(role) == _rebuilt(s, role)
 
-
-def test_assemble_builds_cover_variables_only_when_reified(db1):
-    from submine import Query
-    from submine.engine import ROLE_Y
-    from submine.queries import assemble
-
-    from helpers import HALF
-
-    for reified in (False, True):
-        solver, layout = assemble(db1, Query(theta=HALF), use_reified=reified)
-        y_vars = [v for v in range(solver.num_vars) if solver.role(v) == ROLE_Y]
-        assert len(y_vars) == (db1.transaction_count if reified else 0)
-        assert layout.y == ([None, *y_vars] if reified else [])

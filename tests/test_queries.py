@@ -478,7 +478,7 @@ def test_run_theory_matches_per_triple_path(engine, seed):
         q = Query(theta=Fraction(1, 5), closed=False, trans=AxisConstraint.one_per_level())
     else:
         db, ischeme, tscheme, q = generate_random_instance(random.Random(seed))
-    triples = queries._engine_triples(db, q, ischeme, tscheme, engine, False, None)
+    triples = queries._engine_triples(db, q, ischeme, tscheme, engine, None)
     expected = sorted(
         (
             make_pair(
