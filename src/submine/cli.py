@@ -142,7 +142,12 @@ def cmd_verify(args) -> int:
         return theories
     for name, pairs in theories.items():
         print(f"{name}: {len(pairs)} pairs")
-    return _diff_theories(theories)
+    mismatches = _diff_theories(theories)
+    if mismatches:
+        print("\n".join(mismatches))
+        return EXIT_ERROR
+    print("theories agree")
+    return EXIT_OK
 
 
 def _all_theories(db, query, item_scheme, trans_scheme, deadline, where=""):
@@ -161,22 +166,20 @@ def _all_theories(db, query, item_scheme, trans_scheme, deadline, where=""):
     return theories
 
 
-def _diff_theories(theories) -> int:
+def _diff_theories(theories) -> list[str]:
+    """One report for each engine whose theory differs from the first
+    engine's, naming the first differing pair; empty when all agree."""
     names = list(theories)
     base = names[0]
-    ok = True
+    out = []
     for other in names[1:]:
         left, right = set(theories[base]), set(theories[other])
         if left != right:
-            ok = False
             diff = sorted(left ^ right, key=lambda p: p.sort_key())
             where = "only in " + (base if diff[0] in left else other)
-            print(f"MISMATCH {base} vs {other}: first differing pair ({where}):")
-            print("  " + diff[0].tsv())
-    if ok:
-        print("theories agree")
-        return EXIT_OK
-    return EXIT_ERROR
+            out.append(f"MISMATCH {base} vs {other}: first differing pair ({where}):")
+            out.append("  " + diff[0].tsv())
+    return out
 
 
 def _verify_random(args) -> int:
@@ -190,12 +193,10 @@ def _verify_random(args) -> int:
         if isinstance(results, int):
             return results
         sizes = {name: len(pairs) for name, pairs in results.items()}
-        agree = (
-            set(results["cp"]) == set(results["baseline"]) == set(results["oracle"])
-        )
-        status = "ok" if agree else "MISMATCH"
-        print(f"seed {k}: {status} {sizes}")
-        if not agree:
+        mismatches = _diff_theories(results)
+        print(f"seed {k}: {'MISMATCH' if mismatches else 'ok'} {sizes}")
+        if mismatches:
+            print("\n".join(mismatches))
             failures += 1
     if failures:
         print(f"{failures}/{args.seeds} random instances disagree", file=sys.stderr)
@@ -209,7 +210,8 @@ def generate_random_instance(rng: random.Random):
     (two levels on transactions), a random threshold, and a query drawn
     over the whole grammar: closed or not, minimum size, span, required
     and forbidden items, and all, fixed or group-bounded activation on
-    each axis, or one-of-levels on transactions."""
+    each axis, or one-of-levels on transactions.  Group and span bounds
+    draw lb from 0 up."""
     n = rng.randint(3, 10)
     m = rng.randint(3, 8)
     density = rng.uniform(0.3, 0.7)
@@ -254,8 +256,8 @@ def _random_axis(rng, size, scheme, kinds):
 
 
 def _random_bounds(rng, k):
-    lb = rng.randint(1, k)
-    return lb, rng.randint(lb, k)
+    lb = rng.randint(0, k)
+    return lb, rng.randint(max(lb, 1), k)
 
 
 def _random_groups(rng, size, prefix):

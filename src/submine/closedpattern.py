@@ -2,15 +2,18 @@
 sub-dataset.
 
 ``ClosedPatternSub`` is the whole mining semantics of the model
-(coverage, frequency, closedness): it filters the itemset variables
-directly from bitset covers and accepts exactly the full assignments that
-satisfy the definition.  Under a fixed mask it is also exact on partial
-states, as ClosedPattern is (Lazaar et al., CP 2016): it fails exactly
-when no itemset extends the state, and fixes a free item exactly when
-every extension agrees on it.  It has no cover variables: it reads
-the itemset X and the mask (H, V) as the solver's per-role bitsets, so a
-wake-up costs no scan over variables, and derives the cover of the items
-fixed to 1 as the intersection of their columns.
+(channeling, coverage, frequency, closedness): it filters the itemset
+variables directly from bitset covers and accepts exactly the full
+assignments that satisfy the definition.  Under a fixed mask it is also
+exact on partial states, as ClosedPattern is (Lazaar et al., CP 2016): it
+fails exactly when no itemset extends the state, and fixes a free item
+exactly when every extension agrees on it.  It has no cover variables: it
+reads the itemset X and the mask (H, V) as the solver's per-role bitsets,
+so a wake-up costs no scan over variables, and derives the cover of the
+items fixed to 1 as the intersection of their columns.  Every wake-up
+starts with the channeling X ⊆ H: it fixes X to 0 on the inactive items
+and H to 1 on the items of the itemset, and the rules below run on the
+bitsets that leaves.
 
 It runs one support test per state of V.  While V is open, the test is a
 per-group support bound over the transaction axis's group choice
@@ -63,9 +66,10 @@ from .engine import ROLE_AUX, ROLE_H, ROLE_V, ROLE_X, Propagator, Solver
 
 class ClosedPatternSub(Propagator):
     """Variable handles are 1-based lists (slot 0 unused) whose i-th entry
-    must sit at position i of its role.  ``choices`` is the transaction
-    axis's (member bitsets, lb, ub), as ``AxisConstraint.choices`` gives
-    it, and ``indicators`` the group indicator variables, one per bitset."""
+    must sit at position i of its role; X and H cover items 1..n and V
+    transactions 1..m.  ``choices`` is the transaction axis's (member
+    bitsets, lb, ub), as ``AxisConstraint.choices`` gives it, and
+    ``indicators`` the group indicator variables, one per bitset."""
 
     def __init__(
         self,
@@ -122,8 +126,11 @@ class ClosedPatternSub(Propagator):
 
     def bind(self, s: Solver) -> None:
         for role, vs in ((ROLE_X, self.x_vars), (ROLE_H, self.h_vars), (ROLE_V, self.v_vars)):
-            if s.indexed_role(vs)[0] not in (role, None):
-                raise ValueError(f"expected variables of role {role!r}")
+            universe = self.trans_universe if role == ROLE_V else self.item_universe
+            got, bits = s.indexed_role(vs)
+            if got not in (role, None) or bits != universe:
+                n = universe.bit_length() - 1
+                raise ValueError(f"expected variables of role {role!r} at positions 1..{n}")
         if s.role_bits(self.indicators)[0] not in (ROLE_AUX, None):
             raise ValueError(f"expected indicators of role {ROLE_AUX!r}")
         self.flags = [1 << s.position(b) for b in self.indicators]
@@ -166,8 +173,12 @@ class ClosedPatternSub(Propagator):
         cols = self.db.columns
         items = self.item_universe
         trans = self.trans_universe
-        x1, x0 = s.fixed(ROLE_X)
-        x1 &= items
+        # channeling, X ⊆ H: inactive items leave X, and X's items are active
+        x1 = s.fixed(ROLE_X)[0] & items
+        h0 = s.fixed(ROLE_H)[1] & items
+        if not (s.assign_bits(ROLE_X, h0, 0) and s.assign_bits(ROLE_H, x1, 1)):
+            return False
+        x0 = s.fixed(ROLE_X)[1]
         free = items & ~(x1 | x0)
         v1, v0 = s.fixed(ROLE_V)
         v1 &= trans

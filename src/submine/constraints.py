@@ -1,47 +1,22 @@
-"""Propagators wiring masks, itemsets, and covers together.
+"""Propagators for the dataset side and the itemset-side constraints.
 
 Variable handles come in 1-based lists (slot 0 unused) matching item and
 transaction indices.  Every propagator here is sound for partial states and
-complete on full assignments.  They cover channeling, the dataset side and
-the itemset-side constraints other than mining; the mining semantics
-(coverage, frequency, closedness) is the one global ``ClosedPatternSub``
-in ``closedpattern``.  The dataset side of a query is one ``GroupChoice``
-per axis that chooses groups: group bounds choose lb..ub groups of one
-partition, one-of-levels one group of any level.
+complete on full assignments.  They cover the dataset side, the sizes of
+the itemset and of the sub-dataset, and the category span; the mining
+semantics (channeling, coverage, frequency, closedness) is the one global
+``ClosedPatternSub`` in ``closedpattern``.  The dataset side of a query is
+one ``GroupChoice`` per axis that chooses groups: group bounds choose
+lb..ub groups of one partition, one-of-levels one group of any level.
+``queries.assemble`` posts each of them; only ``post_group_choice``
+stands between, because it creates the group indicator variables.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .dataset import PartitionScheme
 from .engine import ROLE_AUX, Propagator, Solver
-
-
-class RoleChannel(Propagator):
-    """dep <= gate for pairs of variables at equal positions of two roles:
-    the gates share one role and the deps another."""
-
-    def __init__(self, gates: Sequence[int], deps: Sequence[int]):
-        self.gates = list(gates)
-        self.deps = list(deps)
-
-    def vars(self):
-        return [*self.gates, *self.deps]
-
-    def bind(self, s: Solver) -> None:
-        self.gate_role, self.bits = s.role_bits(self.gates)
-        self.dep_role, _ = s.role_bits(self.deps)
-        for g, d in zip(self.gates, self.deps):
-            if s.position(g) != s.position(d):
-                raise ValueError(f"variables {g} and {d} sit at different positions")
-
-    def propagate(self, s: Solver) -> bool:
-        _, gate0 = s.fixed(self.gate_role)
-        dep1, _ = s.fixed(self.dep_role)
-        return s.assign_bits(self.dep_role, gate0 & self.bits, 0) and s.assign_bits(
-            self.gate_role, dep1 & self.bits, 1
-        )
 
 
 class CardinalityRange(Propagator):
@@ -213,15 +188,6 @@ class GroupChoice(Propagator):
 # ------------------------------------------------------------ posting API
 
 
-def post_channeling(s: Solver, h_vars, x_vars) -> None:
-    """Inactive items leave the itemset: x <= h per item.  Each list holds
-    one role, paired by position."""
-    if len(h_vars) != len(x_vars):
-        raise ValueError("activation/decision vectors must have equal length")
-    if h_vars:
-        s.post(RoleChannel(h_vars, x_vars))
-
-
 def post_group_choice(s: Solver, groups: Sequence[int], axis_vars, lb: int, ub: int) -> list[int]:
     """Between lb and ub of ``groups`` (member bitsets over the axis) are
     chosen, and the active positions are their union.  Returns the
@@ -231,18 +197,3 @@ def post_group_choice(s: Solver, groups: Sequence[int], axis_vars, lb: int, ub: 
     indicators = s.new_vars(len(groups), ROLE_AUX)
     s.post(GroupChoice(zip(indicators, groups), axis_vars, lb, ub))
     return indicators
-
-
-def post_category_span(s: Solver, x_vars, scheme: PartitionScheme, lb: int, ub: int) -> None:
-    if scheme.axis != "items":
-        raise ValueError("category span is defined over item partitions")
-    if not 0 <= lb <= ub:
-        raise ValueError(f"span bounds ({lb},{ub}) invalid")
-    s.post(CategorySpan(x_vars, scheme.groups, lb, ub))
-
-
-def post_min_size(s: Solver, x_vars, k: int) -> None:
-    n = sum(1 for v in x_vars if v is not None)
-    if not 1 <= k <= n:
-        raise ValueError(f"minimum size {k} out of range 1..{n}")
-    s.post(CardinalityRange([v for v in x_vars if v is not None], k, None))

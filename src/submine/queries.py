@@ -432,8 +432,13 @@ def check_query(
     (UnsupportedQueryError for an unknown dataset constraint kind).  The
     checks that need no data live in ``Query`` itself.  A query file goes
     through here in ``build_query``; every engine goes through here in
-    ``run_theory``, ``assemble`` and the mask enumerator."""
-    n = db.item_count
+    ``run_theory``, ``assemble`` and the mask enumerator.  Each scheme
+    must partition its own axis of the data, read or not."""
+    n, m = db.item_count, db.transaction_count
+    for scheme, axis, size in ((item_scheme, "items", n), (trans_scheme, "transactions", m)):
+        if scheme is not None and (scheme.axis, scheme.size) != (axis, size):
+            got = f"{scheme.axis} 1..{scheme.size}"
+            raise QueryError(f"the {axis} scheme partitions {got}, not {axis} 1..{size}")
     if query.min_size > n:
         raise QueryError(f"minsize {query.min_size} out of range 1..{n}")
     outside = (query.require | query.forbid) & ~db.all_items()
@@ -453,35 +458,25 @@ def check_query(
 # ---------------------------------------------------------------- assembly
 
 
-@dataclass
-class Layout:
-    """Variable handles of an assembled solver, 1-based per axis: the
-    itemset X and the mask (H, V)."""
-
-    x: list
-    h: list
-    v: list
-
-
 def assemble(
     db: TransactionDatabase,
     query: Query,
     item_scheme: PartitionScheme | None = None,
     trans_scheme: PartitionScheme | None = None,
-) -> tuple[Solver, Layout]:
+) -> Solver:
     """Compile the query into a solver: variables X/H/V plus group
-    auxiliaries, channeling, the dataset part, and the mining part, one
-    ``ClosedPatternSub`` that derives the cover from X and V.  Each role
+    indicators, one ``GroupChoice`` per axis for the dataset part, the
+    size and span bounds, and the mining part, one ``ClosedPatternSub``
+    that channels X to H and derives the cover from X and V.  Each role
     is created in one call, so a variable's position in its role is its
-    item or transaction index."""
+    item or transaction index; read a state through ``Solver.fixed``.
+    ``check_query`` has checked every bound posted here."""
     check_query(db, query, item_scheme, trans_scheme)
     n, m = db.item_count, db.transaction_count
     s = Solver()
     h = [None] + s.new_vars(n, ROLE_H)
     v = [None] + s.new_vars(m, ROLE_V)
     x = [None] + s.new_vars(n, ROLE_X)
-
-    constraints.post_channeling(s, h[1:], x[1:])
 
     # dataset part: one group choice per axis; the mining part bounds
     # support per transaction group
@@ -492,12 +487,12 @@ def assemble(
     trans_indicators = constraints.post_group_choice(s, groups, v, lb, ub)
 
     # a sub-dataset with no transactions has no defined frequencies
-    s.post(constraints.CardinalityRange([v[j] for j in range(1, m + 1)], 1, None))
+    s.post(constraints.CardinalityRange(v[1:], 1))
 
-    # mining part: itemsets are non-empty by definition
-    constraints.post_min_size(s, x, query.min_size)
+    # itemset part: itemsets are non-empty by definition
+    s.post(constraints.CardinalityRange(x[1:], query.min_size))
     if query.span is not None:
-        constraints.post_category_span(s, x, item_scheme, query.span[0], query.span[1])
+        s.post(constraints.CategorySpan(x, item_scheme.groups, *query.span))
     s.assign_root(ROLE_X, query.require, 1)
     s.assign_root(ROLE_X, query.forbid, 0)
 
@@ -506,7 +501,7 @@ def assemble(
             db, x, h, v, query.theta, query.closed, trans_choices, trans_indicators
         )
     )
-    return s, Layout(x, h, v)
+    return s
 
 
 # ---------------------------------------------------------------- running
@@ -520,7 +515,7 @@ def _collect_cp(
     deadline: float | None,
     stats: dict | None,
 ) -> set[tuple[int, int, int]]:
-    solver, _ = assemble(db, query, item_scheme, trans_scheme)
+    solver = assemble(db, query, item_scheme, trans_scheme)
     triples: set[tuple[int, int, int]] = set()
 
     def sink():

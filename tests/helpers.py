@@ -95,15 +95,14 @@ FERRARI_BITS = bits_of([FERRARI])
 # on random partial states with a fully assigned mask.
 
 from submine.closedpattern import ClosedPatternSub
-from submine.constraints import post_channeling
 from submine.dataset import span_bits
 from submine.engine import ROLE_H, ROLE_V, ROLE_X, UNASSIGNED, Propagator, Solver
 
 
 class Channel(Propagator):
     """gate = 0 forces dep = 0; dep = 1 forces gate = 1 (dep <= gate).  A
-    toy propagator over single variables for the engine tests; the model
-    channels whole roles with ``RoleChannel``."""
+    toy propagator over single variables for the engine tests; in the
+    model, ``ClosedPatternSub`` channels X to H itself."""
 
     __slots__ = ("gate", "dep")
 
@@ -123,14 +122,13 @@ class Channel(Propagator):
 
 
 def build_mining_solver(db, theta, closed):
-    """X/H/V with channeling and the mining part, the global propagator;
-    returns the solver and the handles (x, h, v)."""
+    """X/H/V and the mining part, the global propagator alone, which
+    also channels X to H; returns the solver and the handles (x, h, v)."""
     s = Solver()
     n, m = db.item_count, db.transaction_count
     h = [None] + s.new_vars(n, ROLE_H)
     v = [None] + s.new_vars(m, ROLE_V)
     x = [None] + s.new_vars(n, ROLE_X)
-    post_channeling(s, h[1:], x[1:])
     s.post(ClosedPatternSub(db, x, h, v, theta, closed))
     return s, (x, h, v)
 

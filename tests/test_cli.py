@@ -272,6 +272,31 @@ def test_verify_random_seeds(capsys):
     assert out.count("ok") == 5
 
 
+def test_verify_random_seeds_names_the_differing_pair(capsys, monkeypatch):
+    # harness hook: a baseline that drops the first pair of its theory
+    dropped = []
+
+    def broken(db, query, item_scheme, trans_scheme):
+        from submine.queries import run_theory
+
+        pairs = run_theory(db, query, item_scheme, trans_scheme, engine="baseline")
+        dropped.extend(pairs[:1])
+        return pairs[1:]
+
+    monkeypatch.setitem(cli._ENGINE_OVERRIDES, "baseline", broken)
+    rc = cli.main(["verify", "--seeds", "5", "--seed", "7"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert dropped
+    for pair in dropped:
+        assert (
+            "MISMATCH cp vs baseline: first differing pair (only in cp):\n"
+            f"  {pair.tsv()}\n"
+        ) in captured.out
+    assert captured.out.count("MISMATCH") == 2 * len(dropped)
+    assert f"{len(dropped)}/5 random instances disagree" in captured.err
+
+
 def test_bench_reports_mask_counts(files, tmp_path, capsys):
     q2 = tmp_path / "q2.query"
     q2.write_text("theta: 50%\nitems_active: 2 3\n")

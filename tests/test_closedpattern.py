@@ -16,7 +16,7 @@ from helpers import (
 from submine import PartitionScheme, Query, TransactionDatabase, run_theory
 from submine.cli import _random_groups
 from submine.closedpattern import ClosedPatternSub
-from submine.constraints import GroupChoice, post_channeling
+from submine.constraints import GroupChoice
 from submine.dataset import Mask, bits_of, closure, frequency, iter_bits, span_bits
 from submine.engine import ROLE_AUX, ROLE_H, ROLE_V, ROLE_X, Solver
 from submine.queries import AxisConstraint
@@ -132,6 +132,21 @@ def test_fixed_mask_dominance_frequent_mode():
         check_state_exact(rng, closed=False)
 
 
+def test_bind_refuses_lists_short_of_the_axis(db1):
+    s = Solver()
+    h = [None] + s.new_vars(9, ROLE_H)
+    v = [None] + s.new_vars(6, ROLE_V)
+    x = [None] + s.new_vars(9, ROLE_X)
+    for handles, role, size in (
+        ((x[:-1], h, v), "X", 9),
+        ((x, h[:-1], v), "H", 9),
+        ((x, h, v[:-1]), "V", 6),
+    ):
+        with pytest.raises(ValueError, match=f"role '{role}' at positions 1..{size}$"):
+            s.post(ClosedPatternSub(db1, *handles, HALF))
+    s.post(ClosedPatternSub(db1, x, h, v, HALF))
+
+
 # ------------------------------------------- the per-group support bound
 
 
@@ -207,7 +222,6 @@ def check_group_bound(rng):
     s.assign_bits(ROLE_X, x1, 1)
     for k, val in flags.items():
         s.assign(indicators[k], val)
-    post_channeling(s, h[1:], x[1:])
     s.post(GroupChoice(zip(indicators, groups), v, lb, ub))
     s.post(ClosedPatternSub(db, x, h, v, theta, closed, (groups, lb, ub), indicators))
 
@@ -252,9 +266,10 @@ _PATH_ROLES = (ROLE_AUX, ROLE_H, ROLE_V, ROLE_X)
 
 
 def _path_model(db, theta, closed, choice, state=None):
-    """Channeling, the transaction group choice if any, and the mining
-    propagator.  ``state`` (role -> (ones, zeros)) is loaded before the
-    first propagator is posted, so the solver runs one fixpoint on it."""
+    """The transaction group choice if any, and the mining propagator,
+    which also channels X to H.  ``state`` (role -> (ones, zeros)) is
+    loaded before the first propagator is posted, so the solver runs one
+    fixpoint on it."""
     n, m = db.item_count, db.transaction_count
     s = Solver()
     h = [None] + s.new_vars(n, ROLE_H)
@@ -264,7 +279,6 @@ def _path_model(db, theta, closed, choice, state=None):
     for role, (ones, zeros) in (state or {}).items():
         s.assign_bits(role, ones, 1)
         s.assign_bits(role, zeros, 0)
-    post_channeling(s, h[1:], x[1:])
     if choice:
         groups, lb, ub = choice
         s.post(GroupChoice(zip(indicators, groups), v, lb, ub))

@@ -6,12 +6,7 @@ import pytest
 
 from helpers import E, F, G, HALF, K, table1_item_scheme
 from submine import PartitionScheme, Query, TransactionDatabase, run_theory
-from submine.constraints import (
-    GroupChoice,
-    post_category_span,
-    post_group_choice,
-    post_min_size,
-)
+from submine.constraints import CategorySpan, GroupChoice, post_group_choice
 from submine.dataset import bits_of, iter_bits
 from submine.engine import ROLE_AUX, ROLE_H, ROLE_V, ROLE_X, UNASSIGNED, Solver
 
@@ -177,7 +172,7 @@ def _span_consistent(assignment, lb, ub):
     scheme = table1_item_scheme()
     s = Solver()
     x = [None] + s.new_vars(9, ROLE_X)
-    post_category_span(s, x, scheme, lb, ub)
+    s.post(CategorySpan(x, scheme.groups, lb, ub))
     s.push_level()
     ok = True
     for i in range(1, 10):
@@ -212,13 +207,6 @@ def test_span_counts_groups_on_full_assignments():
 def test_min_size_two_filters_q1(db1):
     theory = run_theory(db1, Query(theta=HALF, min_size=2))
     assert {"".join(p.labels) for p in theory} == {"EF", "GK"}
-
-
-def test_min_size_out_of_range():
-    s = Solver()
-    x = [None] + s.new_vars(4, ROLE_X)
-    with pytest.raises(ValueError, match="out of range"):
-        post_min_size(s, x, 5)
 
 
 def test_required_then_forbidden_is_root_failure():

@@ -214,7 +214,7 @@ def _rebuilt(s, role):
 
 
 def test_role_bitsets_follow_assign_propagate_and_pop():
-    from submine.constraints import GroupChoice, RoleChannel
+    from submine.constraints import GroupChoice
     from submine.engine import ROLE_V
 
     roles = (ROLE_AUX, ROLE_H, ROLE_V, ROLE_X)
@@ -228,10 +228,8 @@ def test_role_bitsets_follow_assign_propagate_and_pop():
         for role, vs in by_role.items():
             # positions count per role, in creation order, from 1
             assert [s.position(v) for v in vs] == list(range(1, len(vs) + 1))
-        hs, xs = by_role[ROLE_H], by_role[ROLE_X]
-        k = min(len(hs), len(xs))
-        if k:
-            s.post(RoleChannel(hs[:k], xs[:k]))
+        for h, x in zip(by_role[ROLE_H], by_role[ROLE_X]):
+            s.post(Channel(h, x))
         for role in (ROLE_V, ROLE_X):
             vs = by_role[role]
             if len(vs) >= 2:

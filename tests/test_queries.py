@@ -12,6 +12,7 @@ from helpers import (
 )
 from submine import (
     FormatError,
+    PartitionScheme,
     Query,
     QueryError,
     TransactionDatabase,
@@ -24,6 +25,7 @@ from submine import (
 from submine import queries
 from submine.cli import generate_random_instance
 from submine.dataset import bits_of
+from submine.engine import ROLE_H, ROLE_V
 from submine.queries import (
     ENGINES,
     AxisConstraint,
@@ -186,6 +188,22 @@ def test_engines_reject_invalid_queries_alike(engine, make, error, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+def test_engines_reject_schemes_that_do_not_fit_alike(db1, items3, trans3, engine):
+    # the two schemes swapped, and a 4-item scheme on the 9 items
+    bounds = AxisConstraint.group_bounds(1, 2)
+    short = PartitionScheme.build("items", 4, [("P", [1, 2])])
+    for schemes, trans, wrong in (
+        ((trans3, items3), bounds, "transactions 1..6"),
+        ((short, None), AxisConstraint.all_active(), "items 1..4"),
+    ):
+        q = Query(theta=HALF, items=bounds, trans=trans)
+        with pytest.raises(QueryError) as info:
+            run_theory(db1, q, *schemes, engine=engine)
+        assert type(info.value) is QueryError
+        assert str(info.value) == f"the items scheme partitions {wrong}, not items 1..9"
+
+
 def test_require_conflicts_forbid(db1):
     with pytest.raises(QueryError, match="required and forbidden"):
         Query(theta=HALF, require=bits_of([A]), forbid=bits_of([A]))
@@ -195,14 +213,14 @@ def test_require_conflicts_forbid(db1):
 
 
 def test_q1_fixes_all_activations(db1):
-    solver, layout = assemble(db1, Query(theta=HALF))
-    fixed = [solver.value(layout.h[i]) for i in range(1, 10)]
-    fixed += [solver.value(layout.v[j]) for j in range(1, 7)]
+    solver = assemble(db1, Query(theta=HALF))
+    mask_roles = (ROLE_H, ROLE_V)
+    fixed = [solver.value(v) for v in range(solver.num_vars) if solver.role(v) in mask_roles]
     assert fixed == [1] * 15  # 9 items + 6 transactions
 
 
 def test_q1_search_visits_each_solution_once(db1):
-    solver, _ = assemble(db1, Query(theta=HALF))
+    solver = assemble(db1, Query(theta=HALF))
     seen = []
     count = solver.search_all(on_solution=lambda: seen.append(solver.snapshot()))
     assert count == 4
@@ -510,7 +528,6 @@ def test_axis_constraint_has_one_reading(seed):
     # every kind on one- and two-level random schemes of a small axis:
     # satisfied accepts exactly the masks that masks yields, count is their
     # number, and the oracle's own enumeration yields the same masks
-    from submine import PartitionScheme
     from submine.cli import _random_groups
     from submine.dataset import span_bits
     from submine.reference import _oracle_axis, enumerate_masks
@@ -604,6 +621,14 @@ _OLV = AxisConstraint.one_per_level()
             ),
             16,
             4,
+        ),
+        (
+            # the required item's group is chosen at the root, where the
+            # mining propagator fixes H to 1 on the items of X
+            "table1",
+            Query(theta=HALF, require=bits_of([A]), items=AxisConstraint.group_bounds(1, 1)),
+            0,
+            1,
         ),
     ],
 )
