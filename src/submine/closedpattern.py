@@ -35,6 +35,10 @@ solver is, runs no test while V is open.  The test will
   * fail when the cover of the itemset cannot reach the support threshold;
   * drop a free item whose addition kills the threshold.
 
+The items no transaction holds (sparse item ids leave many) share the
+empty column, so they pass or fail this test together: they are dropped
+in one assignment, and the per-item loop runs over the held items only.
+
 Once the whole mask (H and V) is fixed, closed mode also will
 
   * force a free active item whose addition leaves the cover unchanged;
@@ -60,7 +64,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .dataset import TransactionDatabase, span_bits
+from .dataset import TransactionDatabase, span_bits, wide_bits_of
 from .engine import ROLE_AUX, ROLE_H, ROLE_V, ROLE_X, Propagator, Solver
 
 
@@ -109,12 +113,14 @@ class ClosedPatternSub(Propagator):
         n = db.item_count
         self.item_universe = span_bits(1, n)
         self.trans_universe = span_bits(1, db.transaction_count)
+        self.held = db.held_items
         # per item, the items with the same column (sparse ids leave many
         # empty ones); they exclude the same cover rows
-        by_column: dict[int, int] = {}
+        by_column: dict[int, list[int]] = {}
         for i in range(1, n + 1):
-            by_column[db.columns[i]] = by_column.get(db.columns[i], 0) | 1 << i
-        self.same_column = [0] + [by_column[db.columns[i]] for i in range(1, n + 1)]
+            by_column.setdefault(db.columns[i], []).append(i)
+        same = {c: wide_bits_of(items) for c, items in by_column.items()}
+        self.same_column = [0] + [same[db.columns[i]] for i in range(1, n + 1)]
         # per item, the transactions its column misses
         self.outside = [self.trans_universe & ~c for c in db.columns]
 
@@ -194,7 +200,12 @@ class ClosedPatternSub(Propagator):
             groups = self._open_groups(s)
             if x1 and self._best(cov, *groups) < 0:
                 return False
-            fr = free
+            # the items no transaction holds have the empty column: they
+            # fall together, exactly when the empty cover fails the bound
+            absent = free & ~self.held
+            if absent and self._best(0, *groups) < 0:
+                drop = absent
+            fr = free & self.held
             while fr:
                 low = fr & -fr
                 fr ^= low
@@ -224,6 +235,11 @@ class ClosedPatternSub(Propagator):
             if q * cov.bit_count() < need:
                 return False
             fr = free
+            if need:
+                # the items no transaction holds have the empty column,
+                # which fails this test once V₁ ≠ ∅
+                drop = free & ~self.held
+                fr = free & self.held
             while fr:
                 low = fr & -fr
                 fr ^= low

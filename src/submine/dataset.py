@@ -7,8 +7,10 @@ Frequencies are exact rationals; nothing in this module touches floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import IO, Iterable, Iterator
 
 
@@ -31,6 +33,20 @@ def bits_of(indices: Iterable[int]) -> int:
     return b
 
 
+def wide_bits_of(indices: Iterable[int]) -> int:
+    """``bits_of`` through the bitset's binary digits: linear in the count
+    and the largest index, where each step of ``bits_of`` copies the
+    bitset built so far.  For many indices spread over a wide range."""
+    indices = list(indices)
+    if not indices:
+        return 0
+    digits = bytearray(b"0") * (max(indices) + 1)  # digit i is bit i
+    for i in indices:
+        digits[i] = 49  # "1"
+    digits.reverse()
+    return int(digits, 2)
+
+
 def iter_bits(b: int) -> Iterator[int]:
     """Yield the set bit positions of ``b`` in increasing order."""
     while b:
@@ -39,8 +55,24 @@ def iter_bits(b: int) -> Iterator[int]:
         b ^= low
 
 
+# iter_bits copies the whole bitset at each set bit; above this width a
+# scan of the bitset's binary string, linear in the width, is the faster
+# decode once the mask holds a few dozen indices, and at or below it the
+# two tie or iter_bits wins
+_WIDE_MASK = 1024
+
+
 def indices_of(b: int) -> tuple[int, ...]:
-    return tuple(iter_bits(b))
+    """The set bit positions of ``b`` in increasing order."""
+    if b.bit_length() <= _WIDE_MASK:
+        return tuple(iter_bits(b))
+    digits = bin(b)[:1:-1]  # digit i is bit i
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return tuple(out)
 
 
 def span_bits(lo: int, hi: int) -> int:
@@ -59,7 +91,10 @@ class TransactionDatabase:
 
     ``columns[i]`` is the bitset of transactions containing item i;
     ``rows[j]`` is the bitset of items in transaction j.  Slot 0 of either
-    tuple is unused.  Labels are presentation-only.
+    tuple is unused.  Labels are presentation-only.  ``held_items`` is the
+    union of the rows: the items some transaction holds.  Item ids may be
+    sparse, so the other items 1..item_count have empty columns; the
+    miners skip them in one step.
     """
 
     item_count: int
@@ -67,6 +102,10 @@ class TransactionDatabase:
     columns: tuple[int, ...]
     rows: tuple[int, ...]
     item_labels: dict[int, str] | None = None
+    held_items: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "held_items", reduce(or_, self.rows, 0))
 
     @classmethod
     def from_rows(

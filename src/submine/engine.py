@@ -20,6 +20,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Iterable, Sequence
 
+from .dataset import wide_bits_of
+
 UNASSIGNED = -1
 
 ROLE_X = "X"  # itemset membership
@@ -59,7 +61,9 @@ class Solver:
     def __init__(self) -> None:
         self._roles: list[str] = []
         self._rid: list[int] = []  # role id of each variable
-        self._bit: list[int] = []  # 1 << position of each variable in its role
+        # position of each variable in its role; one bit per variable would
+        # cost memory quadratic in the size of the role
+        self._pos: list[int] = []
         # per role id
         self._role_size = [0] * len(_ROLE_IDS)
         self._ones = [0] * len(_ROLE_IDS)  # positions fixed to 1
@@ -81,22 +85,25 @@ class Solver:
     # -- variables ----------------------------------------------------------
 
     def new_var(self, role: str = ROLE_AUX) -> int:
+        return self.new_vars(1, role)[0]
+
+    def new_vars(self, count: int, role: str) -> list[int]:
+        """``count`` new variables of ``role``, at the next positions."""
         if self._marks:
             raise RuntimeError("variables must be created at the root level")
+        if count < 0:
+            raise ValueError(f"cannot create {count} variables")
         rid = _ROLE_IDS.get(role)
         if rid is None:
             raise ValueError(f"unknown role {role!r}; expected one of {', '.join(_ROLE_IDS)}")
-        v = len(self._roles)
-        self._role_size[rid] += 1
-        self._bit.append(1 << self._role_size[rid])
-        self._roles.append(role)
-        self._rid.append(rid)
+        first, size = len(self._roles), self._role_size[rid]
+        self._role_size[rid] += count
+        self._pos.extend(range(size + 1, size + count + 1))
+        self._roles.extend([role] * count)
+        self._rid.extend([rid] * count)
         if rid in _MASK_RIDS:
-            self._mask_unassigned += 1
-        return v
-
-    def new_vars(self, count: int, role: str) -> list[int]:
-        return [self.new_var(role) for _ in range(count)]
+            self._mask_unassigned += count
+        return list(range(first, first + count))
 
     def new_slot(self) -> int:
         """Index of a new reversible slot in ``slots``, holding None.
@@ -110,10 +117,10 @@ class Solver:
 
     def value(self, v: int) -> int:
         rid = self._rid[v]
-        bit = self._bit[v]
-        if self._ones[rid] & bit:
+        pos = self._pos[v]
+        if self._ones[rid] >> pos & 1:
             return 1
-        if self._zeros[rid] & bit:
+        if self._zeros[rid] >> pos & 1:
             return 0
         return UNASSIGNED
 
@@ -122,7 +129,7 @@ class Solver:
 
     def position(self, v: int) -> int:
         """1-based position of v among the variables of its role."""
-        return self._bit[v].bit_length() - 1
+        return self._pos[v]
 
     def fixed(self, role: str) -> tuple[int, int]:
         """Bitsets of the positions of ``role`` fixed to 1 and fixed to 0;
@@ -134,14 +141,14 @@ class Solver:
         """The one role shared by ``variables`` and the bitset of their
         positions; (None, 0) for no variables.  Mixed roles are an error."""
         role = None
-        bits = 0
+        positions = []
         for v in variables:
             if role is None:
                 role = self._roles[v]
             elif self._roles[v] != role:
                 raise ValueError(f"variables mix roles {role!r} and {self._roles[v]!r}")
-            bits |= self._bit[v]
-        return role, bits
+            positions.append(self._pos[v])
+        return role, wide_bits_of(positions)
 
     def indexed_role(self, variables: Sequence[int | None]) -> tuple[str | None, int]:
         """``role_bits`` of a list whose entry i, where not None, must sit
@@ -160,8 +167,8 @@ class Solver:
         ones, zeros = self._ones, self._zeros
         return tuple(
             [
-                1 if ones[rid] & bit else 0 if zeros[rid] & bit else UNASSIGNED
-                for rid, bit in zip(self._rid, self._bit)
+                1 if ones[rid] >> pos & 1 else 0 if zeros[rid] >> pos & 1 else UNASSIGNED
+                for rid, pos in zip(self._rid, self._pos)
             ]
         )
 
@@ -169,7 +176,7 @@ class Solver:
 
     def assign(self, v: int, val: int) -> bool:
         """Assign v := val; False iff v already holds the opposite value."""
-        return self._assign(self._rid[v], self._bit[v], val)
+        return self._assign(self._rid[v], 1 << self._pos[v], val)
 
     def assign_bits(self, role: str, bits: int, val: int) -> bool:
         """Assign val to the variables of ``role`` at the positions in
@@ -217,16 +224,17 @@ class Solver:
 
         A root-level contradiction sets ``root_failed`` instead of raising.
         """
-        watched = list(prop.vars())
-        for v in watched:
-            if not 0 <= v < len(self._roles):
+        n = len(self._roles)
+        by_role: dict[int, list[int]] = {}  # role id -> watched positions
+        for v in prop.vars():
+            if not 0 <= v < n:
                 raise ValueError(f"propagator watches unknown variable {v}")
+            by_role.setdefault(self._rid[v], []).append(self._pos[v])
         prop.bind(self)
         pid = len(self._props)
         self._props.append(prop)
-        for v in watched:
-            by_pid = self._watchers[self._rid[v]]
-            by_pid[pid] = by_pid.get(pid, 0) | self._bit[v]
+        for rid, positions in by_role.items():
+            self._watchers[rid][pid] = wide_bits_of(positions)
         if not self.root_failed:
             self._queued.add(pid)
             self._queue.append(pid)

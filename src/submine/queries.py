@@ -262,7 +262,7 @@ def describe_mask(bits: int, universe: int, scheme: PartitionScheme | None) -> s
                     union |= g.members
                 if union == bits:
                     return "+".join(g.name for g in chosen)
-    return "{" + ",".join(str(i) for i in iter_bits(bits)) + "}"
+    return "{" + ",".join(map(str, indices_of(bits))) + "}"
 
 
 def make_pair(
@@ -565,11 +565,12 @@ def run_theory(
     of (item_bits, trans_bits, itemset_bits) triples; this is the one place
     that checks and decodes them, so the result is identical for every
     engine.  Triples are grouped by their (item_bits, trans_bits) mask.
-    Each distinct mask is checked (``_mask_fault``), decoded into index
-    tuples and ``describe_mask`` strings, and sorted once; inside it, every
-    itemset is sorted and checked from first principles
-    (``_itemset_fault``).  A triple fails with the reason ``validate_pair``
-    gives it, and each pair equals what ``make_pair`` builds."""
+    Each distinct mask is checked (``_mask_fault``) and sorted once, and
+    each distinct item or transaction mask is decoded into an index tuple
+    and a ``describe_mask`` string once; inside a mask, every itemset is
+    sorted and checked from first principles (``_itemset_fault``).  A
+    triple fails with the reason ``validate_pair`` gives it, and each pair
+    equals what ``make_pair`` builds."""
     chosen = engine or query.engine
     if chosen not in ENGINES:
         raise QueryError(f"unknown engine {chosen!r}")
@@ -583,13 +584,14 @@ def run_theory(
     by_mask: dict = {}
     for ib, tb, xb in triples:
         by_mask.setdefault((ib, tb), []).append((indices_of(xb), xb))
-    masks = sorted((indices_of(ib), indices_of(tb), ib, tb) for ib, tb in by_mask)
+    # bitset -> (index tuple, description), per axis
+    items_of = _decode({ib for ib, _ in by_mask}, db.all_items(), item_scheme)
+    trans_of = _decode({tb for _, tb in by_mask}, db.all_transactions(), trans_scheme)
+    masks = sorted((items_of[ib], trans_of[tb], ib, tb) for ib, tb in by_mask)
     pairs = []
-    for item_mask, trans_mask, ib, tb in masks:
+    for (item_mask, item_desc), (trans_mask, trans_desc), ib, tb in masks:
         mask_fault = _mask_fault(db, query, ib, tb, item_scheme, trans_scheme)
         mask = Mask(ib, tb)
-        item_desc = describe_mask(ib, db.all_items(), item_scheme)
-        trans_desc = describe_mask(tb, db.all_transactions(), trans_scheme)
         itemsets = by_mask[ib, tb]
         itemsets.sort()
         for items, xb in itemsets:
@@ -604,6 +606,12 @@ def run_theory(
                 )
             )
     return pairs
+
+
+def _decode(
+    masks: set[int], universe: int, scheme: PartitionScheme | None
+) -> dict[int, tuple[tuple[int, ...], str]]:
+    return {b: (indices_of(b), describe_mask(b, universe, scheme)) for b in masks}
 
 
 def _run_parallel(

@@ -205,6 +205,10 @@ def _mine(
     otherwise.  Raises SearchTimeout once ``time.monotonic()`` passes
     ``deadline``.
     """
+    # every planned transaction mask is non-empty, so an item no
+    # transaction holds is frequent in none of them; and every row lies
+    # inside the held items, so no closure changes
+    act_i &= db.held_items
     if not trans or not act_i or require & ~act_i:
         return {}
     p, q = theta.numerator, theta.denominator
