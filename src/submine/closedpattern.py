@@ -2,14 +2,14 @@
 sub-dataset.
 
 ``ClosedPatternSub`` is the whole mining semantics of the model
-(channeling, coverage, frequency, closedness): it filters the itemset
-variables directly from bitset covers and accepts exactly the full
-assignments that satisfy the definition.  Under a fixed mask it is also
+(channeling, coverage, frequency, closedness): it filters the itemset X
+directly from bitset covers and accepts exactly the full assignments that
+satisfy the definition.  Under a fixed mask it is also
 exact on partial states, as ClosedPattern is (Lazaar et al., CP 2016): it
 fails exactly when no itemset extends the state, and fixes a free item
-exactly when every extension agrees on it.  It has no cover variables: it
+exactly when every extension agrees on it.  It has no cover role: it
 reads the itemset X and the mask (H, V) as the solver's per-role bitsets,
-so a wake-up costs no scan over variables, and derives the cover of the
+so a wake-up costs no scan over positions, and derives the cover of the
 items fixed to 1 as the intersection of their columns.  Every wake-up
 starts with the channeling X ⊆ H: it fixes X to 0 on the inactive items
 and H to 1 on the items of the itemset, and the rules below run on the
@@ -17,7 +17,7 @@ bitsets that leaves.
 
 It runs one support test per state of V.  While V is open, the test is a
 per-group support bound over the transaction axis's group choice
-(``choices``, read through the group indicator variables): support over a
+(``choices``, read through the group indicator positions): support over a
 union of disjoint groups is the sum of the per-group supports (the
 partition counting of Savasere, Omiecinski & Navathe, VLDB 1995).  For a cover c,
 group g scores ``q·|c ∧ g| − p·|g|``; ``best(c)`` adds the scores of the
@@ -49,7 +49,7 @@ Under a fixed mask a wake-up redoes only what changed on the search path
 (after the reversible cover state of CoverSize, Schaus, Aoga & Guns,
 CPAIOR 2017).  The propagator keeps, in a reversible solver slot, the X₁,
 the cover ``cols(X₁) ∧ V₁`` and the excluded columns already tested at the
-last fixpoint on the path; backtracking restores it with the variables.
+last fixpoint on the path; backtracking restores it with the bitsets.
 When X₁ is unchanged, so is the cover: the support test, the per-item
 tests and the forcing rule already ran on it, so the wake-up only tests
 the newly excluded columns against the free active items.  When X₁ grew,
@@ -69,44 +69,37 @@ from .engine import ROLE_AUX, ROLE_H, ROLE_V, ROLE_X, Propagator, Solver
 
 
 class ClosedPatternSub(Propagator):
-    """Variable handles are 1-based lists (slot 0 unused) whose i-th entry
-    must sit at position i of its role; X and H cover items 1..n and V
-    transactions 1..m.  ``choices`` is the transaction axis's (member
-    bitsets, lb, ub), as ``AxisConstraint.choices`` gives it, and
-    ``indicators`` the group indicator variables, one per bitset."""
+    """Position i of X and H is item i of ``db``, position j of V
+    transaction j.  ``choices`` is the transaction axis's (member bitsets,
+    lb, ub), as ``AxisConstraint.choices`` gives it, and group k's
+    indicator is aux position ``first + k``."""
 
     def __init__(
         self,
         db: TransactionDatabase,
-        x_vars,
-        h_vars,
-        v_vars,
         theta: Fraction,
         closed: bool = True,
         choices: tuple[Sequence[int], int, int] | None = None,
-        indicators: Sequence[int] = (),
+        first: int = 1,
     ):
         if not 0 < theta <= 1:
             raise ValueError(f"theta must lie in (0,1], got {theta}")
-        self.indicators = list(indicators)
         self.groups = []  # (members, size) per indicator
         self.lb = self.ub = 0
         if choices is not None:
             groups, self.lb, self.ub = choices
-            if len(groups) != len(self.indicators):
-                raise ValueError("one indicator per group expected")
             seen = 0
             for g in groups:
                 if self.ub > 1 and g & seen:
                     raise ValueError("the support bound needs disjoint groups or ub = 1")
                 seen |= g
                 self.groups.append((g, g.bit_count()))
+        k = len(self.groups)
+        self.indicators = span_bits(first, first + k - 1)
+        self.flags = [1 << first + j for j in range(k)]
         # group scores per distinct cover, for the life of the propagator
         self.scores: dict[int, list[int]] = {}
         self.db = db
-        self.x_vars = x_vars
-        self.h_vars = h_vars
-        self.v_vars = v_vars
         self.p = theta.numerator
         self.q = theta.denominator
         self.closed = closed
@@ -124,22 +117,16 @@ class ClosedPatternSub(Propagator):
         # per item, the transactions its column misses
         self.outside = [self.trans_universe & ~c for c in db.columns]
 
-    def vars(self):
-        out = list(self.indicators)
-        for vs in (self.x_vars, self.h_vars, self.v_vars):
-            out.extend(v for v in vs if v is not None)
-        return out
+    def watches(self):
+        items = self.item_universe
+        return (
+            (ROLE_AUX, self.indicators),
+            (ROLE_X, items),
+            (ROLE_H, items),
+            (ROLE_V, self.trans_universe),
+        )
 
     def bind(self, s: Solver) -> None:
-        for role, vs in ((ROLE_X, self.x_vars), (ROLE_H, self.h_vars), (ROLE_V, self.v_vars)):
-            universe = self.trans_universe if role == ROLE_V else self.item_universe
-            got, bits = s.indexed_role(vs)
-            if got not in (role, None) or bits != universe:
-                n = universe.bit_length() - 1
-                raise ValueError(f"expected variables of role {role!r} at positions 1..{n}")
-        if s.role_bits(self.indicators)[0] not in (ROLE_AUX, None):
-            raise ValueError(f"expected indicators of role {ROLE_AUX!r}")
-        self.flags = [1 << s.position(b) for b in self.indicators]
         # (x1, cov, tested) of the last fixpoint on the search path under a
         # fixed mask, else None
         self.slot = s.new_slot()

@@ -1,42 +1,38 @@
 """Propagators for the dataset side and the itemset-side constraints.
 
-Variable handles come in 1-based lists (slot 0 unused) matching item and
-transaction indices.  Every propagator here is sound for partial states and
-complete on full assignments.  They cover the dataset side, the sizes of
-the itemset and of the sub-dataset, and the category span; the mining
-semantics (channeling, coverage, frequency, closedness) is the one global
-``ClosedPatternSub`` in ``closedpattern``.  The dataset side of a query is
-one ``GroupChoice`` per axis that chooses groups: group bounds choose
-lb..ub groups of one partition, one-of-levels one group of any level.
+Each propagator works on roles and bitsets of their positions; position i
+of X and H is item i, position j of V transaction j.  Every propagator
+here is sound for partial states and complete on full assignments.  They
+cover the dataset side, the sizes of the itemset and of the sub-dataset,
+and the category span; the mining semantics (channeling, coverage,
+frequency, closedness) is the one global ``ClosedPatternSub`` in
+``closedpattern``.  The dataset side of a query is one ``GroupChoice``
+per axis that chooses groups: group bounds choose lb..ub groups of one
+partition, one-of-levels one group of any level.
 ``queries.assemble`` posts each of them; only ``post_group_choice``
-stands between, because it creates the group indicator variables.
+stands between, because it adds the group indicator positions.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from .dataset import span_bits
 from .engine import ROLE_AUX, Propagator, Solver
 
 
 class CardinalityRange(Propagator):
-    """lb <= sum(vars) <= ub over Boolean vars (ub=None leaves it open).
+    """lb <= the number of 1s of ``role`` at the positions in ``bits`` <=
+    ub (ub=None leaves it open); a popcount of the solver's bitsets."""
 
-    The variables must share one role; the sum is a popcount of the
-    solver's bitsets for that role."""
-
-    def __init__(self, variables: Sequence[int], lb: int, ub: int | None = None):
-        self.variables = list(variables)
+    def __init__(self, role: int, bits: int, lb: int, ub: int | None = None):
+        self.role = role
+        self.bits = bits
         self.lb = lb
         self.ub = ub
 
-    def vars(self):
-        return self.variables
-
-    def bind(self, s: Solver) -> None:
-        self.role, self.bits = s.role_bits(self.variables)
-        if self.bits.bit_count() != len(self.variables):
-            raise ValueError("cardinality over repeated variables")
+    def watches(self):
+        return ((self.role, self.bits),)
 
     def propagate(self, s: Solver) -> bool:
         ones, zeros = s.fixed(self.role)
@@ -55,21 +51,18 @@ class CardinalityRange(Propagator):
 
 
 class CategorySpan(Propagator):
-    """The chosen items touch between lb and ub groups of a partition.
-    ``x_vars[i]`` is the variable of item i and sits at position i of its
-    role (slot 0 unused)."""
+    """The items of ``role`` (X) chosen among the positions in ``bits``
+    touch between lb and ub groups of a partition."""
 
-    def __init__(self, x_vars: Sequence[int | None], groups, lb: int, ub: int):
-        self.x_vars = x_vars
+    def __init__(self, role: int, bits: int, groups, lb: int, ub: int):
+        self.role = role
+        self.bits = bits
         self.groups = [g.members for g in groups]
         self.lb = lb
         self.ub = ub
 
-    def vars(self):
-        return [v for v in self.x_vars if v is not None]
-
-    def bind(self, s: Solver) -> None:
-        self.role, self.bits = s.indexed_role(self.x_vars)
+    def watches(self):
+        return ((self.role, self.bits),)
 
     def propagate(self, s: Solver) -> bool:
         ones, zeros = s.fixed(self.role)
@@ -97,36 +90,30 @@ class CategorySpan(Propagator):
 class GroupChoice(Propagator):
     """Between lb and ub groups are chosen, and the active positions of
     the axis are the union of the chosen groups; groups may overlap.
-    ``entries`` pairs each group's indicator variable (all of one role)
-    with its member bitset; ``axis_vars[j]`` is the variable of position
-    j of the axis and sits at position j of its role (slot 0 unused).
+    ``groups`` are member bitsets over the positions ``bits`` of the axis
+    role; group k's indicator is aux position ``first + k``.
 
     A group is chosen, ruled out, or live (indicator free).  Every
     failure test runs before the first assignment, so a call that fails
     fixes nothing and never completes a mask."""
 
-    def __init__(self, entries: Sequence[tuple[int, int]], axis_vars, lb: int, ub: int):
-        self.entries = list(entries)
-        self.axis_vars = axis_vars
+    def __init__(self, groups: Sequence[int], role: int, bits: int, first: int, lb: int, ub: int):
+        self.role = role
+        self.bits = bits
+        self.indicators = span_bits(first, first + len(groups) - 1)
+        # (indicator's bit in its role, members)
+        self.groups = [(1 << first + k, members) for k, members in enumerate(groups)]
         self.lb = lb
         self.ub = ub
-
-    def vars(self):
-        out = [b for b, _ in self.entries]
-        out.extend(v for v in self.axis_vars if v is not None)
-        return out
-
-    def bind(self, s: Solver) -> None:
-        self.role, self.bits = s.indexed_role(self.axis_vars)
-        self.flag_role, _ = s.role_bits(b for b, _ in self.entries)
-        # (indicator's bit in its role, members)
-        self.groups = [(1 << s.position(b), members) for b, members in self.entries]
         for _, members in self.groups:
-            if members & ~self.bits:
+            if members & ~bits:
                 raise ValueError("group holds a position outside the axis")
 
+    def watches(self):
+        return ((ROLE_AUX, self.indicators), (self.role, self.bits))
+
     def propagate(self, s: Solver) -> bool:
-        f1, f0 = s.fixed(self.flag_role)
+        f1, f0 = s.fixed(ROLE_AUX)
         a1, a0 = s.fixed(self.role)
         a1 &= self.bits
         lb, ub = self.lb, self.ub
@@ -178,8 +165,8 @@ class GroupChoice(Propagator):
         for _, members in live:
             held |= members
         return (
-            s.assign_bits(self.flag_role, take, 1)
-            and s.assign_bits(self.flag_role, out, 0)
+            s.assign_bits(ROLE_AUX, take, 1)
+            and s.assign_bits(ROLE_AUX, out, 0)
             and s.assign_bits(self.role, covered, 1)
             and s.assign_bits(self.role, self.bits & ~held, 0)
         )
@@ -188,12 +175,15 @@ class GroupChoice(Propagator):
 # ------------------------------------------------------------ posting API
 
 
-def post_group_choice(s: Solver, groups: Sequence[int], axis_vars, lb: int, ub: int) -> list[int]:
-    """Between lb and ub of ``groups`` (member bitsets over the axis) are
-    chosen, and the active positions are their union.  Returns the
-    per-group indicator variables."""
+def post_group_choice(
+    s: Solver, groups: Sequence[int], role: int, bits: int, lb: int, ub: int
+) -> int:
+    """Between lb and ub of ``groups`` (member bitsets over the positions
+    ``bits`` of the axis role) are chosen, and the active positions are
+    their union.  Returns the aux position of the first group indicator;
+    the others follow it."""
     if not 0 <= lb <= ub <= len(groups):
         raise ValueError(f"group choice bounds ({lb},{ub}) invalid for {len(groups)} groups")
-    indicators = s.new_vars(len(groups), ROLE_AUX)
-    s.post(GroupChoice(zip(indicators, groups), axis_vars, lb, ub))
-    return indicators
+    first = s.add(ROLE_AUX, len(groups))
+    s.post(GroupChoice(groups, role, bits, first, lb, ub))
+    return first

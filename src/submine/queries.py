@@ -464,42 +464,40 @@ def assemble(
     item_scheme: PartitionScheme | None = None,
     trans_scheme: PartitionScheme | None = None,
 ) -> Solver:
-    """Compile the query into a solver: variables X/H/V plus group
+    """Compile the query into a solver: roles X/H/V plus group
     indicators, one ``GroupChoice`` per axis for the dataset part, the
     size and span bounds, and the mining part, one ``ClosedPatternSub``
-    that channels X to H and derives the cover from X and V.  Each role
-    is created in one call, so a variable's position in its role is its
-    item or transaction index; read a state through ``Solver.fixed``.
-    ``check_query`` has checked every bound posted here."""
+    that channels X to H and derives the cover from X and V.  Position i
+    of X and H is item i, position j of V transaction j; read a state
+    through ``Solver.fixed``.  ``check_query`` has checked every bound
+    posted here."""
     check_query(db, query, item_scheme, trans_scheme)
-    n, m = db.item_count, db.transaction_count
+    items, trans = db.all_items(), db.all_transactions()
     s = Solver()
-    h = [None] + s.new_vars(n, ROLE_H)
-    v = [None] + s.new_vars(m, ROLE_V)
-    x = [None] + s.new_vars(n, ROLE_X)
+    s.add(ROLE_H, db.item_count)
+    s.add(ROLE_V, db.transaction_count)
+    s.add(ROLE_X, db.item_count)
 
     # dataset part: one group choice per axis; the mining part bounds
     # support per transaction group
-    groups, lb, ub = query.items.choices(db.all_items(), item_scheme)
-    constraints.post_group_choice(s, groups, h, lb, ub)
-    trans_choices = query.trans.choices(db.all_transactions(), trans_scheme)
+    groups, lb, ub = query.items.choices(items, item_scheme)
+    constraints.post_group_choice(s, groups, ROLE_H, items, lb, ub)
+    trans_choices = query.trans.choices(trans, trans_scheme)
     groups, lb, ub = trans_choices
-    trans_indicators = constraints.post_group_choice(s, groups, v, lb, ub)
+    first = constraints.post_group_choice(s, groups, ROLE_V, trans, lb, ub)
 
     # a sub-dataset with no transactions has no defined frequencies
-    s.post(constraints.CardinalityRange(v[1:], 1))
+    s.post(constraints.CardinalityRange(ROLE_V, trans, 1))
 
     # itemset part: itemsets are non-empty by definition
-    s.post(constraints.CardinalityRange(x[1:], query.min_size))
+    s.post(constraints.CardinalityRange(ROLE_X, items, query.min_size))
     if query.span is not None:
-        s.post(constraints.CategorySpan(x, item_scheme.groups, *query.span))
+        s.post(constraints.CategorySpan(ROLE_X, items, item_scheme.groups, *query.span))
     s.assign_root(ROLE_X, query.require, 1)
     s.assign_root(ROLE_X, query.forbid, 0)
 
     s.post(
-        closedpattern.ClosedPatternSub(
-            db, x, h, v, query.theta, query.closed, trans_choices, trans_indicators
-        )
+        closedpattern.ClosedPatternSub(db, query.theta, query.closed, trans_choices, first)
     )
     return s
 

@@ -96,40 +96,83 @@ FERRARI_BITS = bits_of([FERRARI])
 
 from submine.closedpattern import ClosedPatternSub
 from submine.dataset import span_bits
-from submine.engine import ROLE_H, ROLE_V, ROLE_X, UNASSIGNED, Propagator, Solver
+from submine.engine import ROLE_AUX, ROLE_H, ROLE_V, ROLE_X, Propagator, Solver
+
+# A single cell of the solver is a (role, position) pair in these tests.
+
+UNASSIGNED = -1
+
+
+def add_vars(s, role, count):
+    """``count`` new positions of ``role``, as (role, position) pairs."""
+    first = s.add(role, count)
+    return [(role, p) for p in range(first, first + count)]
+
+
+def value(s, var):
+    """1, 0 or UNASSIGNED: what the solver holds at var."""
+    role, pos = var
+    ones, zeros = s.fixed(role)
+    return 1 if ones >> pos & 1 else 0 if zeros >> pos & 1 else UNASSIGNED
+
+
+def assign(s, var, val):
+    """Assign val at var; False iff var holds the opposite value."""
+    role, pos = var
+    return s.assign_bits(role, 1 << pos, val)
+
+
+def snapshot(s, variables):
+    """The values of ``variables``, in order."""
+    return tuple(value(s, v) for v in variables)
+
+
+def state(s):
+    """The whole state: each role's (ones, zeros) bitsets."""
+    return tuple(s.fixed(role) for role in (ROLE_AUX, ROLE_H, ROLE_V, ROLE_X))
+
+
+def positions(variables):
+    """The bitset of the positions of ``variables``, all of one role."""
+    bits = 0
+    for _, pos in variables:
+        bits |= 1 << pos
+    return bits
 
 
 class Channel(Propagator):
-    """gate = 0 forces dep = 0; dep = 1 forces gate = 1 (dep <= gate).  A
-    toy propagator over single variables for the engine tests; in the
-    model, ``ClosedPatternSub`` channels X to H itself."""
+    """gate = 0 forces dep = 0; dep = 1 forces gate = 1 (dep <= gate),
+    where gate and dep are (role, position) pairs.  A toy propagator for
+    the engine tests; in the model, ``ClosedPatternSub`` channels X to H
+    itself."""
 
     __slots__ = ("gate", "dep")
 
-    def __init__(self, gate: int, dep: int):
+    def __init__(self, gate, dep):
         self.gate = gate
         self.dep = dep
 
-    def vars(self):
-        return (self.gate, self.dep)
+    def watches(self):
+        return ((self.gate[0], 1 << self.gate[1]), (self.dep[0], 1 << self.dep[1]))
 
     def propagate(self, s: Solver) -> bool:
-        if s.value(self.gate) == 0:
-            return s.assign(self.dep, 0)
-        if s.value(self.dep) == 1:
-            return s.assign(self.gate, 1)
+        if value(s, self.gate) == 0:
+            return assign(s, self.dep, 0)
+        if value(s, self.dep) == 1:
+            return assign(s, self.gate, 1)
         return True
 
 
 def build_mining_solver(db, theta, closed):
     """X/H/V and the mining part, the global propagator alone, which
-    also channels X to H; returns the solver and the handles (x, h, v)."""
+    also channels X to H; returns the solver and the 1-based lists of
+    (role, position) pairs (x, h, v), slot 0 unused."""
     s = Solver()
     n, m = db.item_count, db.transaction_count
-    h = [None] + s.new_vars(n, ROLE_H)
-    v = [None] + s.new_vars(m, ROLE_V)
-    x = [None] + s.new_vars(n, ROLE_X)
-    s.post(ClosedPatternSub(db, x, h, v, theta, closed))
+    h = [None] + add_vars(s, ROLE_H, n)
+    v = [None] + add_vars(s, ROLE_V, m)
+    x = [None] + add_vars(s, ROLE_X, n)
+    s.post(ClosedPatternSub(db, theta, closed))
     return s, (x, h, v)
 
 
@@ -155,17 +198,17 @@ def apply_state(s, handles, db, h_bits, v_bits, x_state):
     x, h, v = handles
     n, m = db.item_count, db.transaction_count
     for i in range(1, n + 1):
-        assert s.assign(h[i], h_bits >> i & 1)
+        assert assign(s, h[i], h_bits >> i & 1)
     for j in range(1, m + 1):
-        assert s.assign(v[j], v_bits >> j & 1)
+        assert assign(s, v[j], v_bits >> j & 1)
     for i, val in x_state.items():
-        assert s.assign(x[i], val)
+        assert assign(s, x[i], val)
     if not s.propagate_to_fixpoint():
         return False, {}
     fixed = {}
     for i in range(1, n + 1):
-        if s.value(x[i]) != UNASSIGNED:
-            fixed[i] = s.value(x[i])
+        if value(s, x[i]) != UNASSIGNED:
+            fixed[i] = value(s, x[i])
     return True, fixed
 
 

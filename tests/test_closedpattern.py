@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     HALF,
     apply_state,
+    assign,
     build_mining_solver,
     mining_extensions,
     random_mask_state,
@@ -132,19 +133,21 @@ def test_fixed_mask_dominance_frequent_mode():
         check_state_exact(rng, closed=False)
 
 
-def test_bind_refuses_lists_short_of_the_axis(db1):
-    s = Solver()
-    h = [None] + s.new_vars(9, ROLE_H)
-    v = [None] + s.new_vars(6, ROLE_V)
-    x = [None] + s.new_vars(9, ROLE_X)
-    for handles, role, size in (
-        ((x[:-1], h, v), "X", 9),
-        ((x, h[:-1], v), "H", 9),
-        ((x, h, v[:-1]), "V", 6),
+def test_post_refuses_roles_short_of_the_axis(db1):
+    for sizes, role, size in (
+        ((9, 6, 8), "X", 9),
+        ((8, 6, 9), "H", 9),
+        ((9, 5, 9), "V", 6),
     ):
-        with pytest.raises(ValueError, match=f"role '{role}' at positions 1..{size}$"):
-            s.post(ClosedPatternSub(db1, *handles, HALF))
-    s.post(ClosedPatternSub(db1, x, h, v, HALF))
+        s = Solver()
+        for r, count in zip((ROLE_H, ROLE_V, ROLE_X), sizes):
+            s.add(r, count)
+        with pytest.raises(ValueError, match=f"{size} of role '{role}', which has 1..{size - 1}$"):
+            s.post(ClosedPatternSub(db1, HALF))
+    s = Solver()
+    for r, count in zip((ROLE_H, ROLE_V, ROLE_X), (9, 6, 9)):
+        s.add(r, count)
+    s.post(ClosedPatternSub(db1, HALF))
 
 
 # ------------------------------------------- the per-group support bound
@@ -212,18 +215,18 @@ def check_group_bound(rng):
     x1 = bits_of(i for i in iter_bits(h_bits) if rng.random() < 0.25)
 
     s = Solver()
-    h = [None] + s.new_vars(n, ROLE_H)
-    v = [None] + s.new_vars(m, ROLE_V)
-    x = [None] + s.new_vars(n, ROLE_X)
-    indicators = s.new_vars(len(groups), ROLE_AUX)
+    s.add(ROLE_H, n)
+    s.add(ROLE_V, m)
+    s.add(ROLE_X, n)
+    first = s.add(ROLE_AUX, len(groups))
     # the state first, then the propagators: one fixpoint over all of them
     s.assign_bits(ROLE_H, h_bits, 1)
     s.assign_bits(ROLE_H, span_bits(1, n) & ~h_bits, 0)
     s.assign_bits(ROLE_X, x1, 1)
     for k, val in flags.items():
-        s.assign(indicators[k], val)
-    s.post(GroupChoice(zip(indicators, groups), v, lb, ub))
-    s.post(ClosedPatternSub(db, x, h, v, theta, closed, (groups, lb, ub), indicators))
+        assign(s, (ROLE_AUX, first + k), val)
+    s.post(GroupChoice(groups, ROLE_V, span_bits(1, m), first, lb, ub))
+    s.post(ClosedPatternSub(db, theta, closed, (groups, lb, ub), first))
 
     answers = []  # of every completion, each a superset of x1
     for r in range(lb, ub + 1):
@@ -251,13 +254,13 @@ def test_group_bound_against_brute_force():
 
 
 def test_group_bound_needs_disjoint_groups_or_one_choice(db1):
-    s, (x, h, v) = build_mining_solver(db1, HALF, True)
-    indicators = s.new_vars(2, ROLE_AUX)
+    s, _ = build_mining_solver(db1, HALF, True)
+    first = s.add(ROLE_AUX, 2)
     overlapping = (bits_of([1, 2, 3]), bits_of([3, 4]))
     with pytest.raises(ValueError, match="disjoint groups or ub = 1"):
-        s.post(ClosedPatternSub(db1, x, h, v, HALF, True, (overlapping, 0, 2), indicators))
+        s.post(ClosedPatternSub(db1, HALF, True, (overlapping, 0, 2), first))
     # one group at most: overlap is fine
-    s.post(ClosedPatternSub(db1, x, h, v, HALF, True, (overlapping, 1, 1), indicators))
+    s.post(ClosedPatternSub(db1, HALF, True, (overlapping, 1, 1), first))
 
 
 # -------------------------------------------- state carried along a path
@@ -272,18 +275,19 @@ def _path_model(db, theta, closed, choice, state=None):
     fixpoint on it."""
     n, m = db.item_count, db.transaction_count
     s = Solver()
-    h = [None] + s.new_vars(n, ROLE_H)
-    v = [None] + s.new_vars(m, ROLE_V)
-    x = [None] + s.new_vars(n, ROLE_X)
-    indicators = s.new_vars(len(choice[0]), ROLE_AUX) if choice else []
+    s.add(ROLE_H, n)
+    s.add(ROLE_V, m)
+    s.add(ROLE_X, n)
+    k = len(choice[0]) if choice else 0
+    first = s.add(ROLE_AUX, k)
     for role, (ones, zeros) in (state or {}).items():
         s.assign_bits(role, ones, 1)
         s.assign_bits(role, zeros, 0)
     if choice:
         groups, lb, ub = choice
-        s.post(GroupChoice(zip(indicators, groups), v, lb, ub))
-    s.post(ClosedPatternSub(db, x, h, v, theta, closed, choice, indicators))
-    return s, {ROLE_AUX: len(indicators), ROLE_H: n, ROLE_V: m, ROLE_X: n}
+        s.post(GroupChoice(groups, ROLE_V, span_bits(1, m), first, lb, ub))
+    s.post(ClosedPatternSub(db, theta, closed, choice, first))
+    return s, {ROLE_AUX: k, ROLE_H: n, ROLE_V: m, ROLE_X: n}
 
 
 def check_search_replay(rng, closed, with_choice, steps=60):

@@ -4,11 +4,23 @@ from itertools import combinations
 
 import pytest
 
-from helpers import E, F, G, HALF, K, table1_item_scheme
+from helpers import (
+    UNASSIGNED,
+    E,
+    F,
+    G,
+    HALF,
+    K,
+    add_vars,
+    assign,
+    snapshot,
+    table1_item_scheme,
+    value,
+)
 from submine import PartitionScheme, Query, TransactionDatabase, run_theory
 from submine.constraints import CategorySpan, GroupChoice, post_group_choice
-from submine.dataset import bits_of, iter_bits
-from submine.engine import ROLE_AUX, ROLE_H, ROLE_V, ROLE_X, UNASSIGNED, Solver
+from submine.dataset import bits_of, iter_bits, span_bits
+from submine.engine import ROLE_AUX, ROLE_H, ROLE_V, ROLE_X, Solver
 
 
 def _singleton_scheme(axis, size):
@@ -37,26 +49,27 @@ def _all_levels(scheme):
 )
 def test_group_activation_vector_counts(k, lb, ub, expected):
     s = Solver()
-    h = [None] + s.new_vars(k, ROLE_H)
-    post_group_choice(s, _members(_singleton_scheme("items", k)), h, lb, ub)
+    s.add(ROLE_H, k)
+    post_group_choice(s, _members(_singleton_scheme("items", k)), ROLE_H, span_bits(1, k), lb, ub)
     assert s.search_all() == expected
 
 
 def test_group_activation_all_or_none():
     scheme = PartitionScheme.build("items", 5, [("a", [1, 2]), ("b", [3, 4, 5])])
     s = Solver()
-    h = [None] + s.new_vars(5, ROLE_H)
-    post_group_choice(s, _members(scheme), h, 1, 2)
+    h = [None] + add_vars(s, ROLE_H, 5)
+    post_group_choice(s, _members(scheme), ROLE_H, span_bits(1, 5), 1, 2)
     masks = set()
-    s.search_all(on_solution=lambda: masks.add(tuple(s.snapshot()[h[i]] for i in range(1, 6))))
+    s.search_all(on_solution=lambda: masks.add(snapshot(s, h[1:6])))
     assert masks == {(1, 1, 0, 0, 0), (0, 0, 1, 1, 1), (1, 1, 1, 1, 1)}
 
 
 def test_group_activation_bad_bounds():
     s = Solver()
-    h = [None] + s.new_vars(3, ROLE_H)
+    s.add(ROLE_H, 3)
+    groups = _members(_singleton_scheme("items", 3))
     with pytest.raises(ValueError, match="bounds"):
-        post_group_choice(s, _members(_singleton_scheme("items", 3)), h, 2, 1)
+        post_group_choice(s, groups, ROLE_H, span_bits(1, 3), 2, 1)
 
 
 def test_min_max_encoding_equivalence():
@@ -70,10 +83,11 @@ def test_min_max_encoding_equivalence():
         lb = rng.randint(0, k)
         ub = rng.randint(lb, k)
         s = Solver()
-        h = [None] + s.new_vars(size, ROLE_H)
-        indicators = post_group_choice(s, _members(scheme), h, lb, ub)
+        h = [None] + add_vars(s, ROLE_H, size)
+        first = post_group_choice(s, _members(scheme), ROLE_H, span_bits(1, size), lb, ub)
+        indicators = [(ROLE_AUX, first + g) for g in range(k)]
         sols = []
-        s.search_all(on_solution=lambda: sols.append(s.snapshot()))
+        s.search_all(on_solution=lambda: sols.append({v: value(s, v) for v in h[1:] + indicators}))
         for snap in sols:
             sum_min = sum(
                 min(snap[h[i]] for i in iter_bits(g.members)) for g in scheme.groups
@@ -143,25 +157,25 @@ def test_group_choice_against_brute_force():
         extending = [sol for sol in solutions if all(sol[p] == b for p, b in state.items())]
 
         s = Solver()
-        indicators = s.new_vars(k, ROLE_AUX)
-        v = [None] + s.new_vars(size, ROLE_V)
+        indicators = add_vars(s, ROLE_AUX, k)
+        v = [None] + add_vars(s, ROLE_V, size)
         handles = indicators + v[1:]
         for p, b in state.items():
-            s.assign(handles[p], b)
-        s.post(GroupChoice(zip(indicators, groups), v, lb, ub))
+            assign(s, handles[p], b)
+        s.post(GroupChoice(groups, ROLE_V, span_bits(1, size), indicators[0][1], lb, ub))
         # fails exactly when no solution extends the state
         assert s.root_failed == (not extending)
         if s.root_failed:
             continue
         for p, var in enumerate(handles):
             shared = {sol[p] for sol in extending}
-            if s.value(var) != UNASSIGNED:
-                assert shared == {s.value(var)}
+            if value(s, var) != UNASSIGNED:
+                assert shared == {value(s, var)}
             elif one_level:
                 # on one partition every value all solutions share is fixed
                 assert len(shared) == 2
         found = []
-        s.search_all(on_solution=lambda: found.append(tuple(s.value(h) for h in handles)))
+        s.search_all(on_solution=lambda: found.append(snapshot(s, handles)))
         assert sorted(found) == sorted(extending)
 
 
@@ -171,12 +185,12 @@ def test_group_choice_against_brute_force():
 def _span_consistent(assignment, lb, ub):
     scheme = table1_item_scheme()
     s = Solver()
-    x = [None] + s.new_vars(9, ROLE_X)
-    s.post(CategorySpan(x, scheme.groups, lb, ub))
+    x = [None] + add_vars(s, ROLE_X, 9)
+    s.post(CategorySpan(ROLE_X, span_bits(1, 9), scheme.groups, lb, ub))
     s.push_level()
     ok = True
     for i in range(1, 10):
-        ok = ok and s.assign(x[i], 1 if i in assignment else 0)
+        ok = ok and assign(s, x[i], 1 if i in assignment else 0)
     ok = ok and s.propagate_to_fixpoint()
     s.pop_level()
     return ok
@@ -211,7 +225,7 @@ def test_min_size_two_filters_q1(db1):
 
 def test_required_then_forbidden_is_root_failure():
     s = Solver()
-    x = [None] + s.new_vars(3, ROLE_X)
+    s.add(ROLE_X, 3)
     s.assign_root(ROLE_X, bits_of([2]), 1)
     s.assign_root(ROLE_X, bits_of([2]), 0)
     assert s.root_failed
@@ -251,12 +265,10 @@ def _nested_scheme():
 
 def test_exactly_one_group_candidate_count():
     s = Solver()
-    v = [None] + s.new_vars(8, ROLE_V)
-    post_group_choice(s, _all_levels(_nested_scheme()), v, 1, 1)
+    v = [None] + add_vars(s, ROLE_V, 8)
+    post_group_choice(s, _all_levels(_nested_scheme()), ROLE_V, span_bits(1, 8), 1, 1)
     masks = set()
-    s.search_all(
-        on_solution=lambda: masks.add(tuple(s.snapshot()[v[j]] for j in range(1, 9)))
-    )
+    s.search_all(on_solution=lambda: masks.add(snapshot(s, v[1:9])))
     # 2 regions + 4 departments + 8 cities
     assert s.stats["solutions"] == 14
     assert len(masks) == 14
@@ -265,7 +277,7 @@ def test_exactly_one_group_candidate_count():
 def test_exactly_one_group_single_group_forces_everything():
     scheme = PartitionScheme.build("transactions", 4, [("all", [1, 2, 3, 4])])
     s = Solver()
-    v = [None] + s.new_vars(4, ROLE_V)
-    post_group_choice(s, _all_levels(scheme), v, 1, 1)
-    assert all(s.value(v[j]) == 1 for j in range(1, 5))
+    v = [None] + add_vars(s, ROLE_V, 4)
+    post_group_choice(s, _all_levels(scheme), ROLE_V, span_bits(1, 4), 1, 1)
+    assert all(value(s, v[j]) == 1 for j in range(1, 5))
 

@@ -3,72 +3,83 @@ from itertools import product
 
 import pytest
 
-from helpers import Channel
+from helpers import UNASSIGNED, Channel, add_vars, assign, positions, snapshot, value
 from submine.constraints import CardinalityRange
-from submine.engine import ROLE_AUX, ROLE_H, ROLE_X, UNASSIGNED, Propagator, Solver
+from submine.engine import ROLE_AUX, ROLE_H, ROLE_X, Solver
 
 
 def _bit(s, v):
     """The bitset of v's position within its role."""
-    return 1 << s.position(v)
+    return 1 << v[1]
+
+
+def _new_var(s, role=ROLE_AUX):
+    return add_vars(s, role, 1)[0]
 
 
 def test_channeling_forces_zero():
     s = Solver()
-    h = s.new_var(ROLE_H)
-    x = s.new_var(ROLE_X)
+    h = _new_var(s, ROLE_H)
+    x = _new_var(s, ROLE_X)
     s.post(Channel(h, x))
     assert s.assign_root(ROLE_H, _bit(s, h), 0)
-    assert s.value(x) == 0
+    assert value(s, x) == 0
 
 
 def test_channeling_contrapositive():
     s = Solver()
-    h = s.new_var(ROLE_H)
-    x = s.new_var(ROLE_X)
+    h = _new_var(s, ROLE_H)
+    x = _new_var(s, ROLE_X)
     s.post(Channel(h, x))
     assert s.assign_root(ROLE_X, _bit(s, x), 1)
-    assert s.value(h) == 1
+    assert value(s, h) == 1
 
 
 def test_channeling_no_forcing_from_dep_zero():
     s = Solver()
-    v = s.new_var(ROLE_H)
-    y = s.new_var(ROLE_X)
+    v = _new_var(s, ROLE_H)
+    y = _new_var(s, ROLE_X)
     s.post(Channel(v, y))
     assert s.assign_root(ROLE_X, _bit(s, y), 0)
-    assert s.value(v) == UNASSIGNED
+    assert value(s, v) == UNASSIGNED
 
 
 def test_root_failure_signal():
     s = Solver()
-    a = s.new_var()
+    a = _new_var(s)
     s.assign_root(ROLE_AUX, _bit(s, a), 1)
-    s.post(CardinalityRange([a], 0, 0))  # sum must be 0 but a is already 1
+    s.post(CardinalityRange(ROLE_AUX, _bit(s, a), 0, 0))  # sum must be 0 but a is already 1
     assert s.root_failed
     assert s.search_all() == 0
 
 
-def test_post_unknown_variable():
+def test_post_refuses_a_position_the_role_lacks():
     s = Solver()
-    s.new_var()
-    with pytest.raises(ValueError, match="unknown variable"):
-        s.post(Channel(0, 5))
+    a = _new_var(s)
+    with pytest.raises(ValueError, match="position 5 of role 'X', which has 1..0$"):
+        s.post(Channel(a, (ROLE_X, 5)))
+    s.add(ROLE_X, 4)
+    with pytest.raises(ValueError, match="position 5 of role 'X', which has 1..4$"):
+        s.post(Channel(a, (ROLE_X, 5)))
+    with pytest.raises(ValueError, match="position 0 of role 'aux'"):
+        s.post(Channel((ROLE_AUX, 0), (ROLE_X, 4)))
+    s.add(ROLE_X)
+    s.post(Channel(a, (ROLE_X, 5)))
 
 
 def test_fixpoint_chain_failure():
     # h=0 zeroes x, which starves a sum>=1 over {x}
     s = Solver()
-    h = s.new_var(ROLE_H)
-    x = s.new_var(ROLE_X)
+    h = _new_var(s, ROLE_H)
+    x = _new_var(s, ROLE_X)
     s.post(Channel(h, x))
     s.push_level()
-    assert s.assign(h, 0) and s.propagate_to_fixpoint()
-    assert s.value(x) == 0
+    assert assign(s, h, 0) and s.propagate_to_fixpoint()
+    assert value(s, x) == 0
     s.pop_level()
-    s.post(CardinalityRange([x], 1, None))  # forces x=1, hence h=1
+    s.post(CardinalityRange(ROLE_X, _bit(s, x), 1, None))  # forces x=1, hence h=1
     s.push_level()
-    assert not (s.assign(h, 0) and s.propagate_to_fixpoint())
+    assert not (assign(s, h, 0) and s.propagate_to_fixpoint())
     s.pop_level()
 
 
@@ -90,56 +101,39 @@ def test_slots_follow_the_levels():
 
 def test_fixpoint_empty_network():
     s = Solver()
-    s.new_vars(3, ROLE_X)
+    vs = add_vars(s, ROLE_X, 3)
     assert s.propagate_to_fixpoint()
-    assert all(s.value(v) == UNASSIGNED for v in range(3))
+    assert all(value(s, v) == UNASSIGNED for v in vs)
 
 
 def test_search_channeling_truth_table():
     s = Solver()
-    h = s.new_var(ROLE_H)
-    x = s.new_var(ROLE_X)
+    h = _new_var(s, ROLE_H)
+    x = _new_var(s, ROLE_X)
     s.post(Channel(h, x))
     seen = set()
-    s.search_all(on_solution=lambda: seen.add(s.snapshot()))
+    s.search_all(on_solution=lambda: seen.add(snapshot(s, (h, x))))
     assert seen == {(0, 0), (1, 0), (1, 1)}
 
 
 def test_backtracking_restores_exact_state():
     rng = random.Random(3)
     s = Solver()
-    vars_ = s.new_vars(8, ROLE_X)
+    vars_ = add_vars(s, ROLE_X, 8)
     for _ in range(6):
         a, b = rng.sample(vars_, 2)
         s.post(Channel(a, b))
     snaps = []
     for _ in range(10):
-        snaps.append(hash(s.snapshot()))
+        snaps.append(hash(snapshot(s, vars_)))
         s.push_level()
         v = rng.choice(vars_)
-        if s.value(v) == UNASSIGNED:
-            s.assign(v, rng.randint(0, 1))
+        if value(s, v) == UNASSIGNED:
+            assign(s, v, rng.randint(0, 1))
             s.propagate_to_fixpoint()
     while snaps:
         s.pop_level()
-        assert hash(s.snapshot()) == snaps.pop()
-
-
-class _TableConstraint(Propagator):
-    """Check-only propagator used as ground truth on full assignments."""
-
-    def __init__(self, variables, predicate):
-        self.variables = variables
-        self.predicate = predicate
-
-    def vars(self):
-        return self.variables
-
-    def propagate(self, s):
-        vals = [s.value(v) for v in self.variables]
-        if any(v == UNASSIGNED for v in vals):
-            return True
-        return self.predicate(vals)
+        assert hash(snapshot(s, vars_)) == snaps.pop()
 
 
 def _random_network(rng, solver, vars_):
@@ -149,12 +143,14 @@ def _random_network(rng, solver, vars_):
         if kind == "chan":
             a, b = rng.sample(vars_, 2)
             solver.post(Channel(a, b))
+            a, b = vars_.index(a), vars_.index(b)
             preds.append(lambda vals, a=a, b=b: not (vals[a] == 0 and vals[b] == 1))
         else:
             sub = rng.sample(vars_, rng.randint(1, len(vars_)))
             lb = rng.randint(0, len(sub))
             ub = rng.randint(lb, len(sub))
-            solver.post(CardinalityRange(sub, lb, ub))
+            solver.post(CardinalityRange(ROLE_X, positions(sub), lb, ub))
+            sub = [vars_.index(v) for v in sub]
             preds.append(
                 lambda vals, sub=tuple(sub), lb=lb, ub=ub: lb
                 <= sum(vals[v] for v in sub)
@@ -168,7 +164,7 @@ def test_search_matches_truth_table():
     for _ in range(60):
         nvars = rng.randint(2, 6)
         s = Solver()
-        vars_ = s.new_vars(nvars, ROLE_X)
+        vars_ = add_vars(s, ROLE_X, nvars)
         preds = _random_network(rng, s, vars_)
         expected = {
             vals
@@ -176,22 +172,31 @@ def test_search_matches_truth_table():
             if all(p(list(vals)) for p in preds)
         }
         seen = []
-        count = s.search_all(on_solution=lambda: seen.append(s.snapshot()))
+        count = s.search_all(on_solution=lambda: seen.append(snapshot(s, vars_)))
         assert count == len(seen)
         assert len(set(seen)) == len(seen)  # no duplicates
-        assert {tuple(snap[v] for v in vars_) for snap in seen} == expected
+        assert set(seen) == expected
 
 
-def test_new_var_rejects_unknown_role():
+def test_add_rejects_unknown_role_and_calls_below_the_root():
     s = Solver()
-    with pytest.raises(ValueError, match="unknown role 'Z'"):
-        s.new_var("Z")
-    assert s.num_vars == 0
+    for role in ("Z", 4, -1):
+        with pytest.raises(ValueError, match=f"unknown role {role!r}"):
+            s.add(role)
+    with pytest.raises(ValueError, match="cannot add -1 positions"):
+        s.add(ROLE_X, -1)
+    assert s.search_all() == 1  # nothing was added: one empty solution
+    assert s.add(ROLE_X, 2) == 1 and s.add(ROLE_X) == 3
+    s.push_level()
+    with pytest.raises(RuntimeError, match="root level"):
+        s.add(ROLE_X)
+    s.pop_level()
+    assert s.add(ROLE_AUX, 0) == 1
 
 
 def test_masks_reached_counts_completions():
     s = Solver()
-    s.new_vars(2, ROLE_H)
+    s.add(ROLE_H, 2)
     assert s.stats["masks_reached"] == 0
     s.search_all()
     # one count per entry into a fully assigned mask state
@@ -201,15 +206,15 @@ def test_masks_reached_counts_completions():
 # ------------------------------------------------------- per-role bitsets
 
 
-def _rebuilt(s, role):
-    """(ones, zeros) of ``role`` read back one variable at a time."""
+def _rebuilt(s, variables, role):
+    """(ones, zeros) of ``role`` read back one position at a time."""
     ones = zeros = 0
-    for v in range(s.num_vars):
-        if s.role(v) == role:
-            if s.value(v) == 1:
-                ones |= 1 << s.position(v)
-            elif s.value(v) == 0:
-                zeros |= 1 << s.position(v)
+    for v in variables:
+        if v[0] == role:
+            if value(s, v) == 1:
+                ones |= 1 << v[1]
+            elif value(s, v) == 0:
+                zeros |= 1 << v[1]
     return ones, zeros
 
 
@@ -222,12 +227,14 @@ def test_role_bitsets_follow_assign_propagate_and_pop():
     for _ in range(40):
         s = Solver()
         by_role = {role: [] for role in roles}
+        variables = []  # in the order they were added
         for _ in range(rng.randint(8, 20)):
             role = rng.choice(roles)
-            by_role[role].append(s.new_var(role))
+            variables.append(_new_var(s, role))
+            by_role[role].append(variables[-1])
         for role, vs in by_role.items():
-            # positions count per role, in creation order, from 1
-            assert [s.position(v) for v in vs] == list(range(1, len(vs) + 1))
+            # positions count per role, in the order added, from 1
+            assert [pos for _, pos in vs] == list(range(1, len(vs) + 1))
         for h, x in zip(by_role[ROLE_H], by_role[ROLE_X]):
             s.post(Channel(h, x))
         for role in (ROLE_V, ROLE_X):
@@ -235,35 +242,32 @@ def test_role_bitsets_follow_assign_propagate_and_pop():
             if len(vs) >= 2:
                 sub = rng.sample(vs, rng.randint(1, len(vs)))
                 lb = rng.randint(0, len(sub))
-                s.post(CardinalityRange(sub, lb, rng.randint(lb, len(sub))))
+                s.post(CardinalityRange(role, positions(sub), lb, rng.randint(lb, len(sub))))
         if by_role[ROLE_AUX] and len(by_role[ROLE_V]) >= 2:
             # one group of two members that the indicator equals
-            v_vars = [None] * (len(by_role[ROLE_V]) + 1)
-            for v in rng.sample(by_role[ROLE_V], 2):
-                v_vars[s.position(v)] = v
-            group = s.role_bits(v for v in v_vars if v is not None)[1]
-            s.post(GroupChoice([(by_role[ROLE_AUX][0], group)], v_vars, 0, 1))
+            group = positions(rng.sample(by_role[ROLE_V], 2))
+            s.post(GroupChoice([group], ROLE_V, group, by_role[ROLE_AUX][0][1], 0, 1))
         if s.root_failed:
             continue
         saved = []
         for _ in range(30):
             op = rng.random()
             if op < 0.55 or not saved:
-                saved.append(s.snapshot())
+                saved.append(snapshot(s, variables))
                 s.push_level()
-                v = rng.randrange(s.num_vars)
+                v = variables[rng.randrange(len(variables))]
                 val = rng.randint(0, 1)
-                before = s.value(v)
-                ok = s.assign(v, val)
+                before = value(s, v)
+                ok = assign(s, v, val)
                 assert ok == (before in (UNASSIGNED, val))
                 if ok:
-                    assert s.value(v) == val
+                    assert value(s, v) == val
                     s.propagate_to_fixpoint()
             elif op < 0.7:
-                saved.append(s.snapshot())
+                saved.append(snapshot(s, variables))
                 s.push_level()
                 role = rng.choice(roles)
-                bits = sum(1 << s.position(v) for v in by_role[role] if rng.random() < 0.4)
+                bits = sum(1 << pos for _, pos in by_role[role] if rng.random() < 0.4)
                 val = rng.randint(0, 1)
                 opposite = s.fixed(role)[val]  # zeros for 1, ones for 0
                 if s.assign_bits(role, bits, val):
@@ -273,7 +277,6 @@ def test_role_bitsets_follow_assign_propagate_and_pop():
                     assert bits & opposite
             else:
                 s.pop_level()
-                assert s.snapshot() == saved.pop()
+                assert snapshot(s, variables) == saved.pop()
             for role in roles:
-                assert s.fixed(role) == _rebuilt(s, role)
-
+                assert s.fixed(role) == _rebuilt(s, variables, role)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    A, B, E, F, G, HALF, K, FERRARI_BITS, car_purchases, theory_labels, triples_of,
+    A, B, E, F, G, HALF, K, FERRARI_BITS, car_purchases, state, theory_labels,
+    triples_of, value,
 )
 from submine import (
     FormatError,
@@ -214,15 +215,15 @@ def test_require_conflicts_forbid(db1):
 
 def test_q1_fixes_all_activations(db1):
     solver = assemble(db1, Query(theta=HALF))
-    mask_roles = (ROLE_H, ROLE_V)
-    fixed = [solver.value(v) for v in range(solver.num_vars) if solver.role(v) in mask_roles]
+    mask_roles = ((ROLE_H, db1.item_count), (ROLE_V, db1.transaction_count))
+    fixed = [value(solver, (role, p)) for role, size in mask_roles for p in range(1, size + 1)]
     assert fixed == [1] * 15  # 9 items + 6 transactions
 
 
 def test_q1_search_visits_each_solution_once(db1):
     solver = assemble(db1, Query(theta=HALF))
     seen = []
-    count = solver.search_all(on_solution=lambda: seen.append(solver.snapshot()))
+    count = solver.search_all(on_solution=lambda: seen.append(state(solver)))
     assert count == 4
     assert len(set(seen)) == 4
 
