@@ -422,7 +422,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "verify" and args.seeds is None and not (args.data and args.query):
         parser.error("verify needs --data and --query (or --seeds K)")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

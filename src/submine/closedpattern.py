@@ -35,9 +35,10 @@ solver is, runs no test while V is open.  The test will
   * fail when the cover of the itemset cannot reach the support threshold;
   * drop a free item whose addition kills the threshold.
 
-The items no transaction holds (sparse item ids leave many) share the
-empty column, so they pass or fail this test together: they are dropped
-in one assignment, and the per-item loop runs over the held items only.
+An item no transaction holds (sparse item ids leave many) has the empty
+column, which these rules treat like any other: it fails the exact test
+once V₁ ≠ ∅.  ``assemble`` fixes X to 0 on those items at the root, so
+the per-item loops run over the held items only.
 
 Once the whole mask (H and V) is fixed, closed mode also will
 
@@ -64,7 +65,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .dataset import TransactionDatabase, span_bits, wide_bits_of
+from .dataset import TransactionDatabase, span_bits
 from .engine import ROLE_AUX, ROLE_H, ROLE_V, ROLE_X, Propagator, Solver
 
 
@@ -103,19 +104,9 @@ class ClosedPatternSub(Propagator):
         self.p = theta.numerator
         self.q = theta.denominator
         self.closed = closed
-        n = db.item_count
-        self.item_universe = span_bits(1, n)
+        self.item_universe = span_bits(1, db.item_count)
         self.trans_universe = span_bits(1, db.transaction_count)
         self.held = db.held_items
-        # per item, the items with the same column (sparse ids leave many
-        # empty ones); they exclude the same cover rows
-        by_column: dict[int, list[int]] = {}
-        for i in range(1, n + 1):
-            by_column.setdefault(db.columns[i], []).append(i)
-        same = {c: wide_bits_of(items) for c, items in by_column.items()}
-        self.same_column = [0] + [same[db.columns[i]] for i in range(1, n + 1)]
-        # per item, the transactions its column misses
-        self.outside = [self.trans_universe & ~c for c in db.columns]
 
     def watches(self):
         items = self.item_universe
@@ -187,12 +178,7 @@ class ClosedPatternSub(Propagator):
             groups = self._open_groups(s)
             if x1 and self._best(cov, *groups) < 0:
                 return False
-            # the items no transaction holds have the empty column: they
-            # fall together, exactly when the empty cover fails the bound
-            absent = free & ~self.held
-            if absent and self._best(0, *groups) < 0:
-                drop = absent
-            fr = free & self.held
+            fr = free
             while fr:
                 low = fr & -fr
                 fr ^= low
@@ -222,11 +208,6 @@ class ClosedPatternSub(Propagator):
             if q * cov.bit_count() < need:
                 return False
             fr = free
-            if need:
-                # the items no transaction holds have the empty column,
-                # which fails this test once V₁ ≠ ∅
-                drop = free & ~self.held
-                fr = free & self.held
             while fr:
                 low = fr & -fr
                 fr ^= low
@@ -238,20 +219,19 @@ class ClosedPatternSub(Propagator):
         if mask_fixed:
             excluded = x0 & h1 & ~tested
             if self.closed and excluded:
-                # the cover rows each newly excluded column misses, kept
-                # only while a free active item is left to test against them
+                # the cover rows each newly excluded column misses; the
+                # excluded items no transaction holds share the empty
+                # column, which misses them all
                 fr = free & h1 & ~(drop | take)
-                same, outside = self.same_column, self.outside
-                zs = set()
+                zs = {cov} if excluded & ~self.held else set()
+                tested |= excluded
+                excluded &= self.held
                 while excluded:
-                    i = (excluded & -excluded).bit_length() - 1
-                    excluded &= ~same[i]
-                    tested |= same[i]
-                    z = cov & outside[i]
-                    if z == 0:
-                        return False
-                    if fr:
-                        zs.add(z)
+                    low = excluded & -excluded
+                    excluded ^= low
+                    zs.add(cov & ~cols[low.bit_length() - 1])
+                if 0 in zs:
+                    return False
                 while fr:
                     low = fr & -fr
                     fr ^= low

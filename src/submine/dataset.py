@@ -33,20 +33,6 @@ def bits_of(indices: Iterable[int]) -> int:
     return b
 
 
-def wide_bits_of(indices: Iterable[int]) -> int:
-    """``bits_of`` through the bitset's binary digits: linear in the count
-    and the largest index, where each step of ``bits_of`` copies the
-    bitset built so far.  For many indices spread over a wide range."""
-    indices = list(indices)
-    if not indices:
-        return 0
-    digits = bytearray(b"0") * (max(indices) + 1)  # digit i is bit i
-    for i in indices:
-        digits[i] = 49  # "1"
-    digits.reverse()
-    return int(digits, 2)
-
-
 def iter_bits(b: int) -> Iterator[int]:
     """Yield the set bit positions of ``b`` in increasing order."""
     while b:
@@ -172,10 +158,6 @@ class TransactionDatabase:
     def labels_for(self, item_bits: int) -> tuple[str, ...]:
         return tuple(self.label(i) for i in iter_bits(item_bits))
 
-    def density(self) -> Fraction:
-        ones = sum(r.bit_count() for r in self.rows)
-        return Fraction(ones, self.item_count * self.transaction_count)
-
 
 @dataclass(frozen=True)
 class Mask:
@@ -256,9 +238,6 @@ def parse_labels(source: str | IO[str]) -> dict[int, str]:
 class Group:
     name: str
     members: int  # bitset
-
-    def size(self) -> int:
-        return self.members.bit_count()
 
 
 @dataclass(frozen=True)

@@ -226,10 +226,6 @@ class SolutionPair:
     trans_desc: str = field(compare=False, default="", hash=False)
     labels: tuple[str, ...] = field(compare=False, default=(), hash=False)
 
-    @property
-    def frequency(self) -> Fraction:
-        return Fraction(self.support, len(self.trans_mask))
-
     def freq_str(self) -> str:
         return f"{self.support}/{len(self.trans_mask)}"
 
@@ -469,8 +465,10 @@ def assemble(
     size and span bounds, and the mining part, one ``ClosedPatternSub``
     that channels X to H and derives the cover from X and V.  Position i
     of X and H is item i, position j of V transaction j; read a state
-    through ``Solver.fixed``.  ``check_query`` has checked every bound
-    posted here."""
+    through ``Solver.fixed``.  X is fixed to 0 at the root on the
+    forbidden items and on the items no transaction holds, so the search
+    and the mining propagator skip sparse ids.  ``check_query`` has
+    checked every bound posted here."""
     check_query(db, query, item_scheme, trans_scheme)
     items, trans = db.all_items(), db.all_transactions()
     s = Solver()
@@ -494,7 +492,8 @@ def assemble(
     if query.span is not None:
         s.post(constraints.CategorySpan(ROLE_X, items, item_scheme.groups, *query.span))
     s.assign_root(ROLE_X, query.require, 1)
-    s.assign_root(ROLE_X, query.forbid, 0)
+    # an item no transaction holds is in no answer (V₁ ≠ ∅)
+    s.assign_root(ROLE_X, query.forbid | items & ~db.held_items, 0)
 
     s.post(
         closedpattern.ClosedPatternSub(db, query.theta, query.closed, trans_choices, first)

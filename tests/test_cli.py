@@ -426,3 +426,20 @@ def test_verify_random_seeds_reports_engine_errors(exc, code, message, capsys, m
     rc = cli.main(["verify", "--seeds", "3", "--seed", "7"])
     assert rc == code
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["mine", "verify", "bench"])
+def test_out_of_memory_is_an_error(files, tmp_path, capsys, monkeypatch, command):
+    def out_of_memory(text):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "parse_fimi", out_of_memory)
+    args = ["--data", files["data.fimi"], "--query", files["q1.query"]]
+    if command == "bench":
+        suite = tmp_path / "suite.csv"
+        suite.write_text(f"name,data,query,engines\nx,{args[1]},{args[3]},cp\n")
+        args = ["--suite", str(suite)]
+    assert cli.main([command, *args]) == cli.EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory\n"
+    assert captured.out == ""

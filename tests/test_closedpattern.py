@@ -90,14 +90,31 @@ def _random_small_db(rng):
     return TransactionDatabase.from_rows(rows, item_count=n)
 
 
-def check_state_exact(rng, closed=True):
+def _absent_ids_db(rng):
+    """A random small database whose item_count leaves 1-3 ids that no
+    row holds; every other id is held by some row."""
+    held = rng.randint(1, 4)
+    n = held + rng.randint(1, 3)
+    ids = rng.sample(range(1, n + 1), held)
+    rows = [[i for i in ids if rng.random() < 0.5] for _ in range(rng.randint(2, 5))]
+    for i in ids:
+        if not any(i in r for r in rows):
+            rng.choice(rows).append(i)
+    return TransactionDatabase.from_rows(rows, item_count=n)
+
+
+def check_state_exact(rng, closed=True, absent=False):
     """One random trial: under a fixed mask the global propagator is exact
     against the definition.  It fails iff no itemset extends the state,
-    and it fixes a free item to v iff every extension has v.  Returns a
-    short tag describing the outcome."""
-    db = _random_small_db(rng)
+    and it fixes a free item to v iff every extension has v.  With
+    ``absent``, the database leaves ids that no row holds and a quarter
+    of the states have V₁ = ∅.  Returns a short tag describing the
+    outcome."""
+    db = _absent_ids_db(rng) if absent else _random_small_db(rng)
     theta = rng.choice((Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)))
     h_bits, v_bits, x_state = random_mask_state(rng, db.item_count, db.transaction_count)
+    if absent and rng.random() < 0.25:
+        v_bits = 0
 
     s, handles = build_mining_solver(db, theta, closed)
     ok, fixed = apply_state(s, handles, db, h_bits, v_bits, x_state)
@@ -131,6 +148,13 @@ def test_fixed_mask_dominance_frequent_mode():
     rng = random.Random(43)
     for _ in range(60):
         check_state_exact(rng, closed=False)
+
+
+@pytest.mark.parametrize("closed", [True, False])
+def test_fixed_mask_exact_with_ids_no_row_holds(closed):
+    rng = random.Random(44 + closed)
+    tags = Counter(check_state_exact(rng, closed, absent=True) for _ in range(200))
+    assert tags["fail"] >= 20 and tags["ok"] >= 20, tags
 
 
 def test_post_refuses_roles_short_of_the_axis(db1):

@@ -90,7 +90,7 @@ def test_parse_labels_rejects_repeats(text, message):
 def test_parse_partition_table1(db1):
     text = "# product categories\nI1: 1 2\nI2: 3 4 5\nI3: 6 7 8 9\n"
     scheme = parse_partition(text, db1, "items")
-    assert [g.size() for g in scheme.groups] == [2, 3, 4]
+    assert [g.members.bit_count() for g in scheme.groups] == [2, 3, 4]
     assert [g.name for g in scheme.groups] == ["I1", "I2", "I3"]
 
 
