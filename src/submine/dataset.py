@@ -436,9 +436,19 @@ def closure(db: TransactionDatabase, itemset: int, mask: Mask) -> int:
     cov = cover(db, itemset, mask)
     if not cov:
         raise ValueError("closure undefined: itemset has empty cover")
-    closed = mask.active_items
-    for j in iter_bits(cov):
-        closed &= db.rows[j]
-        if closed == itemset:
+    return meet_rows(db, cov, mask.active_items, itemset)
+
+
+def meet_rows(db: TransactionDatabase, cov: int, items: int, floor: int) -> int:
+    """``items`` intersected with every row of ``cov``: the closure of
+    ``floor`` within ``items`` when ``cov`` is its cover.  Every row of
+    ``cov`` must hold ``floor``; the intersection then never drops below
+    it, so it stops once it reaches it."""
+    rows = db.rows
+    while cov:
+        low = cov & -cov
+        items &= rows[low.bit_length() - 1]
+        if items == floor:
             break
-    return closed
+        cov ^= low
+    return items

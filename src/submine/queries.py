@@ -47,12 +47,11 @@ from .dataset import (
     Mask,
     PartitionScheme,
     TransactionDatabase,
-    closure,
-    cover,
     indices_of,
     iter_bits,
+    meet_rows,
 )
-from .engine import ROLE_H, ROLE_V, ROLE_X, Solver
+from .engine import ROLE_H, ROLE_V, ROLE_X, SearchTimeout, Solver
 
 ENGINES = ("cp", "baseline", "oracle")
 
@@ -67,6 +66,9 @@ _QUERY_KEYS = (
     "trans_active",
     "engine",
 )
+
+# answers the self-check passes between two reads of the clock
+_CHECK_STRIDE = 256
 
 
 class QueryError(ValueError):
@@ -562,12 +564,15 @@ def run_theory(
     of (item_bits, trans_bits, itemset_bits) triples; this is the one place
     that checks and decodes them, so the result is identical for every
     engine.  Triples are grouped by their (item_bits, trans_bits) mask.
-    Each distinct mask is checked (``_mask_fault``) and sorted once, and
-    each distinct item or transaction mask is decoded into an index tuple
-    and a ``describe_mask`` string once; inside a mask, every itemset is
-    sorted and checked from first principles (``_itemset_fault``).  A
-    triple fails with the reason ``validate_pair`` gives it, and each pair
-    equals what ``make_pair`` builds."""
+    Each distinct item or transaction mask is decoded into an index tuple
+    and a ``describe_mask`` string, and checked against its axis's
+    constraint, once; each distinct mask is sorted once.  Inside a mask,
+    every itemset is decoded into its index tuple once, which gives its
+    sort key, its labels and its one cover, and is checked from first
+    principles (``_itemset_fault``).  A triple fails with the reason
+    ``validate_pair`` gives it, and each pair equals what ``make_pair``
+    builds.  The check reads the clock every ``_CHECK_STRIDE`` answers and
+    raises SearchTimeout once ``time.monotonic()`` passes ``deadline``."""
     chosen = engine or query.engine
     if chosen not in ENGINES:
         raise QueryError(f"unknown engine {chosen!r}")
@@ -577,38 +582,45 @@ def run_theory(
         triples = _run_parallel(db, query, item_scheme, trans_scheme, chosen, workers, deadline)
     else:
         triples = _engine_triples(db, query, item_scheme, trans_scheme, chosen, deadline, stats)
-    # (item_bits, trans_bits) -> [(itemset indices, itemset_bits)]
+    # (item_bits, trans_bits) -> [itemset_bits]
     by_mask: dict = {}
     for ib, tb, xb in triples:
-        by_mask.setdefault((ib, tb), []).append((indices_of(xb), xb))
-    # bitset -> (index tuple, description), per axis
-    items_of = _decode({ib for ib, _ in by_mask}, db.all_items(), item_scheme)
-    trans_of = _decode({tb for _, tb in by_mask}, db.all_transactions(), trans_scheme)
+        by_mask.setdefault((ib, tb), []).append(xb)
+    # bitset -> (index tuple, description, allowed by its axis), per axis
+    items_of = _decode({ib for ib, _ in by_mask}, query.items, db.all_items(), item_scheme)
+    trans_of = _decode(
+        {tb for _, tb in by_mask}, query.trans, db.all_transactions(), trans_scheme
+    )
     masks = sorted((items_of[ib], trans_of[tb], ib, tb) for ib, tb in by_mask)
+    label = db.label
     pairs = []
-    for (item_mask, item_desc), (trans_mask, trans_desc), ib, tb in masks:
-        mask_fault = _mask_fault(db, query, ib, tb, item_scheme, trans_scheme)
+    for (item_mask, item_desc, items_ok), (trans_mask, trans_desc, trans_ok), ib, tb in masks:
+        mask_fault = _mask_fault(tb, items_ok, trans_ok)
         mask = Mask(ib, tb)
-        itemsets = by_mask[ib, tb]
-        itemsets.sort()
-        for items, xb in itemsets:
-            fault, support = _itemset_fault(db, query, mask, xb, item_scheme)
+        for items, xb in sorted((indices_of(xb), xb) for xb in by_mask[ib, tb]):
+            if deadline is not None and len(pairs) % _CHECK_STRIDE == 0:
+                if time.monotonic() > deadline:
+                    raise SearchTimeout
+            fault, support = _itemset_fault(db, query, mask, xb, items, item_scheme)
             fault = fault or mask_fault
             if fault:
                 raise _self_check_error(fault, ib, tb, xb)
             pairs.append(
                 SolutionPair(
                     item_mask, trans_mask, items, support,
-                    item_desc, trans_desc, db.labels_for(xb),
+                    item_desc, trans_desc, tuple(map(label, items)),
                 )
             )
     return pairs
 
 
 def _decode(
-    masks: set[int], universe: int, scheme: PartitionScheme | None
-) -> dict[int, tuple[tuple[int, ...], str]]:
-    return {b: (indices_of(b), describe_mask(b, universe, scheme)) for b in masks}
+    masks: set[int], con: AxisConstraint, universe: int, scheme: PartitionScheme | None
+) -> dict[int, tuple[tuple[int, ...], str, bool]]:
+    return {
+        b: (indices_of(b), describe_mask(b, universe, scheme), con.satisfied(b, universe, scheme))
+        for b in masks
+    }
 
 
 def _run_parallel(
@@ -669,37 +681,52 @@ def validate_pair(
     come first, then the mask checks; ``run_theory`` runs the same two on
     every answer of every engine as a self-check."""
     mask = Mask(item_bits, trans_bits)
-    fault, support = _itemset_fault(db, query, mask, itemset, item_scheme)
-    fault = fault or _mask_fault(db, query, item_bits, trans_bits, item_scheme, trans_scheme)
+    fault, support = _itemset_fault(
+        db, query, mask, itemset, indices_of(itemset), item_scheme
+    )
+    fault = fault or _mask_fault(
+        trans_bits,
+        query.items.satisfied(item_bits, db.all_items(), item_scheme),
+        query.trans.satisfied(trans_bits, db.all_transactions(), trans_scheme),
+    )
     if fault:
         raise _self_check_error(fault, item_bits, trans_bits, itemset)
     return support
 
 
-def _mask_fault(db, query, item_bits, trans_bits, item_scheme, trans_scheme) -> str | None:
-    """Why the sub-dataset is not one the query allows, or None."""
+def _mask_fault(trans_bits: int, items_ok: bool, trans_ok: bool) -> str | None:
+    """Why the sub-dataset is not one the query allows, or None, given
+    whether each axis's constraint allows its mask."""
     if trans_bits == 0:
         return "no active transactions"
-    if not query.items.satisfied(item_bits, db.all_items(), item_scheme):
+    if not items_ok:
         return "item activation violates dataset constraint"
-    if not query.trans.satisfied(trans_bits, db.all_transactions(), trans_scheme):
+    if not trans_ok:
         return "transaction activation violates dataset constraint"
     return None
 
 
-def _itemset_fault(db, query, mask: Mask, itemset, item_scheme) -> tuple[str | None, int]:
-    """Why the itemset is not an answer in the sub-dataset (or None), and
-    its support there."""
+def _itemset_fault(
+    db, query, mask: Mask, itemset: int, items: tuple[int, ...], item_scheme
+) -> tuple[str | None, int]:
+    """Why the itemset (bitset ``itemset``, indices ``items``) is not an
+    answer in the sub-dataset (or None), and its support there.  Support
+    and closure both come from one cover."""
     if itemset == 0:
         return "empty itemset", 0
     if itemset & ~mask.active_items:
         return "itemset outside active items", 0
-    support = cover(db, itemset, mask).bit_count()
+    cols = db.columns
+    cov = mask.active_transactions
+    for i in items:
+        cov &= cols[i]
+    support = cov.bit_count()
     n_active = mask.active_transactions.bit_count()
     if support * query.theta.denominator < query.theta.numerator * n_active:
         return "below minimum frequency", support
-    # with no active transactions there is no closure; _mask_fault says so
-    if query.closed and n_active and closure(db, itemset, mask) != itemset:
+    # with no active transactions the cover is empty and there is no
+    # closure; _mask_fault says so
+    if query.closed and cov and meet_rows(db, cov, mask.active_items, itemset) != itemset:
         return "not closed in the sub-dataset", support
     if itemset.bit_count() < query.min_size:
         return "below minimum size", support

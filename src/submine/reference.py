@@ -197,12 +197,17 @@ def _mine(
     node emits each live mask in which its itemset is closed: its closure
     in M is the intersection of its closures in M's cells.  With one live
     mask, that mask is the base, so the node is closed there by
-    construction and does exactly the work of a one-mask search.  The
-    closed search starts at the closure of the empty set over all masks,
-    the frequent one at the empty set.  Constraints prune during the search
-    where they are monotone (forbidden items, size bound, span upper bound,
-    required items that can no longer join) and filter at emission
-    otherwise.  Raises SearchTimeout once ``time.monotonic()`` passes
+    construction and does exactly the work of a one-mask search.  Every
+    closure stops at its floor: each covered row holds the itemset being
+    closed (the candidate in ``extend``, the node's itemset in each of
+    ``emit``'s cells, the empty set at the root), so a running
+    intersection of those rows never drops below it, and once it reaches
+    it the rest of the rows cannot change it.  The closed search starts
+    at the closure of the empty set over all masks, the frequent one at
+    the empty set.  Constraints prune during the search where they are
+    monotone (forbidden items, size bound, span upper bound, required
+    items that can no longer join) and filter at emission otherwise.
+    Raises SearchTimeout once ``time.monotonic()`` passes
     ``deadline``.
     """
     # every planned transaction mask is non-empty, so an item no
@@ -222,21 +227,26 @@ def _mine(
     def span_of(bits: int) -> int:
         return sum(1 for g in group_bits if g & bits)
 
-    def closure(cov: int) -> int:
+    def closure(cov: int, floor: int) -> int:
         ext = act_i  # the active items of every covered row
         while cov:
             t = cov & -cov
             ext &= rows[t.bit_length() - 1]
+            if ext == floor:
+                break  # every covered row holds floor: ext is final
             cov ^= t
         return ext
 
     if closed:
 
         def extend(pat: int, low: int, cov: int) -> int:
-            ext = act_i  # inline closure(cov): this runs once per candidate
+            floor = pat | low  # inline closure(cov, floor): once per candidate
+            ext = act_i
             while cov:
                 t = cov & -cov
                 ext &= rows[t.bit_length() - 1]
+                if ext == floor:
+                    break
                 cov ^= t
             below = low - 1
             if (ext & below) != (pat & below):
@@ -244,7 +254,7 @@ def _mine(
             return 0 if ext & forbid else ext
 
         def emit(pat: int, cov: int, live: list) -> None:
-            per_cell = [closure(cov & c) for c in cells]
+            per_cell = [closure(cov & c, pat) for c in cells]
             for _, _, ids, found in live:
                 ext = act_i
                 for i in ids:
@@ -252,7 +262,7 @@ def _mine(
                 if ext == pat:
                     found.append(pat)
 
-        root = closure(base)
+        root = closure(base, 0)
         if root & forbid:
             # every closed set contains the root closure, so nothing qualifies
             return {}

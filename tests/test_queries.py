@@ -1,7 +1,9 @@
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,7 @@ from submine import (
 from submine import queries
 from submine.cli import generate_random_instance
 from submine.dataset import bits_of
-from submine.engine import ROLE_H, ROLE_V
+from submine.engine import ROLE_H, ROLE_V, SearchTimeout
 from submine.queries import (
     ENGINES,
     AxisConstraint,
@@ -487,6 +489,52 @@ def test_run_theory_catches_corruption_in_shared_mask(db1, trans3, monkeypatch, 
     monkeypatch.setattr(queries, "_engine_triples", lambda *args, **kw: set(triples))
     with pytest.raises(RuntimeError, match=f"self-check \\({reason}"):
         run_theory(db1, query, None, trans3)
+
+
+# run_theory reads each axis's constraint once per distinct mask: an item
+# mask that breaks the item bounds under two transaction masks must still
+# fail with the reason validate_pair gives each of its triples
+def test_run_theory_catches_item_mask_shared_by_transaction_masks(
+    db1, items3, trans3, monkeypatch
+):
+    one_group = AxisConstraint.group_bounds(1, 1)
+    query = Query(theta=HALF, items=one_group, trans=one_group)
+    loose = replace(query, items=AxisConstraint.all_active())
+    bad = triples_of(run_theory(db1, loose, items3, trans3))
+    assert {ib for ib, _, _ in bad} == {db1.all_items()}
+    assert len({tb for _, tb, _ in bad}) >= 2
+    good = triples_of(run_theory(db1, query, items3, trans3))
+    assert good
+    reason = "item activation violates"
+    for triple in bad:
+        assert _self_check_reason(db1, query, triple, items3, trans3).startswith(reason)
+    monkeypatch.setattr(queries, "_engine_triples", lambda *args, **kw: good | bad)
+    with pytest.raises(RuntimeError, match=f"self-check \\({reason}"):
+        run_theory(db1, query, items3, trans3)
+
+
+def test_run_theory_check_reads_the_deadline(monkeypatch):
+    # every nonempty itemset of a full 10-item table is frequent: 1023
+    # answers, several strides of the self-check
+    db = TransactionDatabase.from_rows([range(1, 11)] * 4)
+    q = Query(theta=HALF, closed=False)
+    triples = triples_of(run_theory(db, q))
+    assert len(triples) > 2 * queries._CHECK_STRIDE
+    monkeypatch.setattr(queries, "_engine_triples", lambda *args, **kw: set(triples))
+    with pytest.raises(SearchTimeout):
+        run_theory(db, q, deadline=time.monotonic() - 1)
+    # a clock that passes the deadline on its second read: the check must
+    # read it again after one stride of answers, not only at the start
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return len(reads)
+
+    monkeypatch.setattr(queries, "time", SimpleNamespace(monotonic=clock))
+    with pytest.raises(SearchTimeout):
+        run_theory(db, q, deadline=1.5)
+    assert len(reads) == 2
 
 
 @pytest.mark.parametrize("engine", ["cp", "baseline"])

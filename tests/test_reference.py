@@ -342,6 +342,28 @@ def test_pp_mine_equals_per_mask_mining_random():
     assert many >= 50
 
 
+# verify draws at most 8 transactions, so its closures are short; here a
+# cover holds up to 80 rows, and a closure that stops at its floor skips
+# most of them, in the baseline's search and in run_theory's check
+@pytest.mark.parametrize("trans", ["all", "groups"])
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "frequent"])
+def test_engines_agree_on_long_covers(closed, trans):
+    rng = random.Random(80)
+    rows = [[i for i in range(1, 15) if rng.random() < 0.5] for _ in range(80)]
+    db = TransactionDatabase.from_rows(rows, item_count=14)
+    tscheme = _trans_scheme(80, [(f"T{g}", range(20 * g - 19, 20 * g + 1)) for g in (1, 2, 3, 4)])
+    axis = AxisConstraint.all_active()
+    if trans == "groups":
+        axis = AxisConstraint.group_bounds(1, 2)  # 10 masks over 4 cells
+    q = Query(theta=Fraction(1, 8), closed=closed, trans=axis)
+    cp, baseline, oracle = (
+        run_theory(db, q, None, tscheme, engine=e) for e in ("cp", "baseline", "oracle")
+    )
+    assert cp == baseline == oracle
+    assert len({p.trans_mask for p in cp}) == (1 if trans == "all" else 10)
+    assert max(p.support for p in cp) >= 20 and max(len(p.items) for p in cp) >= 5
+
+
 # items a..e; the item scheme only serves the span variants
 _a, _b, _c, _d, _e = range(1, 6)
 
