@@ -58,6 +58,19 @@ the cover is the saved one intersected with the new columns only, and
 every rule runs on it.  The slot follows the path, not the mask: one-of-
 levels reaches the same mask in sibling subtrees under different group
 indicators, each with its own X.
+
+The slot also records every item the propagator dropped on the path, from
+the open-V bound on, and an exclusion test starts from that record: such
+an item is never tested, whatever cover X₁ has grown to.  An item the
+support test (open-V or exact) dropped is infrequent for every superset
+of the X₁ it was dropped under, so its column holds no frequent cover, and
+every item it dominates is infrequent too and fails the support test.  An
+item dropped because an excluded item e dominates it is dominated by e
+under every smaller cover, and so is every item it dominates; e's own
+test fails or drops them, or, when e was dropped too, what dropped e
+does.  Skipping these tests changes no fixpoint.
+Until the mask is fixed on the path, the slot holds this record alone
+(X₁ None).
 """
 
 from __future__ import annotations
@@ -118,9 +131,11 @@ class ClosedPatternSub(Propagator):
         )
 
     def bind(self, s: Solver) -> None:
-        # (x1, cov, tested) of the last fixpoint on the search path under a
-        # fixed mask, else None
+        # (x1, cov, tested, dropped): x1, cov and tested of the last
+        # fixpoint on the search path under a fixed mask, x1 None before
+        # it, and the items this propagator dropped on the path
         self.slot = s.new_slot()
+        s.slots[self.slot] = (None, None, 0, 0)
 
     def _open_groups(self, s: Solver) -> tuple[list[int], list[int]]:
         """Indices of the chosen and of the live groups."""
@@ -184,25 +199,28 @@ class ClosedPatternSub(Propagator):
                 fr ^= low
                 if self._best(cov & cols[low.bit_length() - 1], *groups) < 0:
                     drop |= low
+            if drop:
+                dropped = s.slots[self.slot][3]
+                s.slots[self.slot] = (None, None, 0, dropped | drop)
             return s.assign_bits(ROLE_X, drop, 0)
 
         h1, h0 = s.fixed(ROLE_H)
         h1 &= items
         mask_fixed = (h1 | h0) & items == items
-        saved = s.slots[self.slot] if mask_fixed else None
+        saved_x1, cov, tested, dropped = s.slots[self.slot]
         take = 0  # free items to fix to 1
-        if saved is not None and saved[0] == x1:
-            # the support test, the per-item tests and the forcing rule
-            # already ran on this cover
-            _, cov, tested = saved
-        else:
+        # with X₁ as saved, the support test, the per-item tests and the
+        # forcing rule already ran on the saved cover
+        if saved_x1 != x1:
             # V is fixed: the exact support test, on the saved cover
             # narrowed by the items fixed to 1 since, if there is one
-            if saved is None:
+            if saved_x1 is None:
                 cov = _cover(cols, v1, x1)
             else:
-                cov = _cover(cols, saved[1], x1 & ~saved[0])
-            tested = 0
+                cov = _cover(cols, cov, x1 & ~saved_x1)
+            # a dropped item needs no exclusion test (see the module
+            # docstring); every other excluded item is tested again
+            tested = dropped
             p, q = self.p, self.q
             need = p * v1.bit_count()
             if q * cov.bit_count() < need:
@@ -240,10 +258,8 @@ class ClosedPatternSub(Propagator):
                         if z & ci == 0:
                             drop |= low
                             break
-            # an item dropped here needs no exclusion test: its column
-            # misses a cover row, and every item it dominates is dropped
-            # already, by the support test or by its own dominator
-            s.slots[self.slot] = (x1, cov, tested | drop)
+            # the forced items leave the cover as it is
+            s.slots[self.slot] = (x1 | take, cov, tested | drop, dropped | drop)
         return s.assign_bits(ROLE_X, drop, 0) and s.assign_bits(ROLE_X, take, 1)
 
 

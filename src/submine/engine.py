@@ -6,7 +6,11 @@ state is, per role, two bitsets over those positions: the positions fixed
 to 1 and the positions fixed to 0.  Propagators read and assign these
 bitsets, and each one watches a bitset of positions per role.  Root facts
 are assigned the same way.  Propagators are woken through a FIFO queue
-with per-propagator dedup until fixpoint.  A propagator may also ask for
+with per-propagator dedup until fixpoint; a propagator stays queued while
+it runs, so its own assignments never wake it again (each propagator is
+idempotent, as in Schulte & Stuckey, "Efficient Constraint Propagation
+Engines", TOPLAS 2008), while another propagator's assignments to the
+positions it watches always do.  A propagator may also ask for
 a reversible slot, one value of its own state.  Each decision level saves
 the bitsets and the slots, and backtracking restores them.  Search
 branches on the lowest free position of the first role, in the order aux,
@@ -45,10 +49,13 @@ class Propagator:
     """Filtering procedure for one constraint.
 
     ``watches`` gives the (role, position bitset) pairs whose assignment
-    wakes the propagator.  ``propagate`` may assign watched or other
-    positions through the solver and must return False exactly when it
-    detects a contradiction.  It must be sound (never remove a value that
-    some solution of its constraint extends) and idempotent at fixpoint.
+    by another propagator, a decision or a root fact wakes the
+    propagator.  ``propagate`` may assign watched or other positions
+    through the solver and must return False exactly when it detects a
+    contradiction.  It must be sound (never remove a value that some
+    solution of its constraint extends) and idempotent: a second call
+    right after one that returned True assigns nothing, since the solver
+    does not wake a propagator for its own assignments.
     """
 
     def watches(self) -> Iterable[tuple[int, int]]:
@@ -200,11 +207,12 @@ class Solver:
         props = self._props
         while queue:
             pid = queue.popleft()
-            queued.discard(pid)
+            # queued while it runs, so its own assignments do not wake it
             if not props[pid].propagate(self):
                 queue.clear()
                 queued.clear()
                 return False
+            queued.discard(pid)
         return True
 
     # -- search -----------------------------------------------------------------

@@ -373,6 +373,67 @@ def test_search_replay_matches_fresh_propagator(closed, with_choice):
     assert masked >= 100, masked
 
 
+def check_search_exact(rng, tags):
+    """One random model, a transaction group choice and the mining
+    propagator, searched through ``search_all``.  At every fixpoint under a
+    fixed mask the propagator is exact against the definition: some
+    itemset extends the state, and the extensions disagree on every free
+    item.  The solutions are the answers of every mask the choice allows.
+    ``tags`` counts the fixed-mask fixpoints, and those reached first on
+    their path with items the open-V bound dropped in the slot."""
+    n, m = rng.randint(2, 5), rng.randint(3, 7)
+    density = rng.uniform(0.3, 0.8)
+    rows = [[i for i in range(1, n + 1) if rng.random() < density] for _ in range(m)]
+    db = TransactionDatabase.from_rows(rows, item_count=n)
+    theta = rng.choice((Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)))
+    closed = rng.random() < 0.8
+    choice = _random_choice(rng, m)
+    s, _ = _path_model(db, theta, closed, choice)
+    items, trans = span_bits(1, n), span_bits(1, m)
+    fixpoint = s.propagate_to_fixpoint
+
+    def checked():
+        # the mining propagator's slot is the only one: (x1, cov, tested,
+        # dropped), x1 None until the mask is fixed on the path
+        saved_x1, _, _, dropped = s.slots[0]
+        ok = fixpoint()
+        h1, h0 = s.fixed(ROLE_H)
+        v1, v0 = s.fixed(ROLE_V)
+        if ok and h1 | h0 == items and v1 | v0 == trans:
+            x1, x0 = s.fixed(ROLE_X)
+            x_state = {i: 1 for i in iter_bits(x1)} | {i: 0 for i in iter_bits(x0)}
+            exts = mining_extensions(db, theta, closed, h1, v1, x_state)
+            assert exts, (rows, theta, choice, h1, v1, x_state)
+            for i in iter_bits(items & ~(x1 | x0)):
+                assert {xbits >> i & 1 for xbits in exts} == {0, 1}, (rows, theta, choice, i)
+            tags["fixed mask"] += 1
+            tags["open-V drops carried"] += saved_x1 is None and dropped != 0
+        return ok
+
+    s.propagate_to_fixpoint = checked
+    found = set()
+    s.search_all(lambda: found.add((s.fixed(ROLE_H)[0], s.fixed(ROLE_V)[0], s.fixed(ROLE_X)[0])))
+    groups, lb, ub = choice
+    expected = set()
+    for r in range(lb, ub + 1):
+        for chosen in combinations(groups, r):
+            v_bits = 0
+            for g in chosen:
+                v_bits |= g
+            for h_bits in range(0, items + 1, 2):
+                for xbits in mining_extensions(db, theta, closed, h_bits, v_bits, {}):
+                    expected.add((h_bits, v_bits, xbits))
+    assert found == expected, (rows, theta, closed, choice)
+
+
+def test_exact_at_every_fixed_mask_fixpoint_of_the_search():
+    rng = random.Random(1801)
+    tags = Counter()
+    for _ in range(60):
+        check_search_exact(rng, tags)
+    assert tags["open-V drops carried"] >= 500, tags
+
+
 def test_same_mask_reached_in_sibling_subtrees():
     # level 1 and level 2 each hold one group over all rows, so one-of-levels
     # reaches the full mask once per level; item 5's column lies inside

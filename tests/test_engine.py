@@ -5,7 +5,7 @@ import pytest
 
 from helpers import UNASSIGNED, Channel, add_vars, assign, positions, snapshot, value
 from submine.constraints import CardinalityRange
-from submine.engine import ROLE_AUX, ROLE_H, ROLE_X, Solver
+from submine.engine import ROLE_AUX, ROLE_H, ROLE_X, Propagator, Solver
 
 
 def _bit(s, v):
@@ -97,6 +97,68 @@ def test_slots_follow_the_levels():
         s.new_slot()
     s.pop_level()
     assert s.slots == ["root", None]
+
+
+class _Counting(Propagator):
+    """trigger = 1 forces out = 1; watches both and counts its calls."""
+
+    def __init__(self, trigger, out):
+        self.trigger = trigger
+        self.out = out
+        self.calls = 0
+
+    def watches(self):
+        return ((self.trigger[0], 1 << self.trigger[1]), (self.out[0], 1 << self.out[1]))
+
+    def propagate(self, s: Solver) -> bool:
+        self.calls += 1
+        if value(s, self.trigger) == 1:
+            return assign(s, self.out, 1)
+        return True
+
+
+def test_own_assignments_do_not_wake_a_propagator():
+    s = Solver()
+    a, b = add_vars(s, ROLE_X, 2)
+    counting = _Counting(a, b)
+    s.post(counting)
+    assert counting.calls == 1
+    # a wakes it; its own assignment to b, which it watches, does not
+    assert s.assign_root(ROLE_X, _bit(s, a), 1)
+    assert value(s, b) == 1 and counting.calls == 2
+
+
+def test_other_assignments_wake_a_propagator():
+    s = Solver()
+    a, b, c = add_vars(s, ROLE_X, 3)
+    counting = _Counting(a, b)
+    s.post(counting)
+    s.post(Channel(c, b))
+    assert counting.calls == 1
+    # c = 0 makes the channel fix b, which the counting propagator watches
+    assert s.assign_root(ROLE_X, _bit(s, c), 0)
+    assert value(s, b) == 0 and counting.calls == 2
+
+
+def test_channel_chain_solutions_and_nodes():
+    # h1 >= h2 >= x1 >= x2 >= x3: a fixing at one end runs down the chain,
+    # one propagator waking the next
+    s = Solver()
+    chain = add_vars(s, ROLE_H, 2) + add_vars(s, ROLE_X, 3)
+    for gate, dep in zip(chain, chain[1:]):
+        s.post(Channel(gate, dep))
+    seen = []
+    s.search_all(on_solution=lambda: seen.append(snapshot(s, chain)))
+    assert sorted(seen) == [tuple([1] * k + [0] * (5 - k)) for k in range(6)]
+    # pinned: the counts of the solver that woke a propagator for its own
+    # assignments too
+    assert s.stats == {"nodes": 10, "masks_reached": 3, "solutions": 6}
+    s.push_level()
+    assert assign(s, chain[-1], 1) and s.propagate_to_fixpoint()
+    assert snapshot(s, chain) == (1,) * 5
+    s.pop_level()
+    assert s.assign_root(ROLE_H, _bit(s, chain[0]), 0)
+    assert snapshot(s, chain) == (0,) * 5
 
 
 def test_fixpoint_empty_network():

@@ -26,9 +26,9 @@ from submine import (
     run_theory,
 )
 from submine import queries
-from submine.cli import generate_random_instance
+from submine.cli import _random_bounds, generate_random_instance
 from submine.dataset import bits_of
-from submine.engine import ROLE_H, ROLE_V, SearchTimeout
+from submine.engine import ROLE_H, ROLE_V, SearchTimeout, Solver
 from submine.queries import (
     ENGINES,
     AxisConstraint,
@@ -228,6 +228,43 @@ def test_q1_search_visits_each_solution_once(db1):
     count = solver.search_all(on_solution=lambda: seen.append(state(solver)))
     assert count == 4
     assert len(set(seen)) == 4
+
+
+def test_every_propagator_is_idempotent_where_the_search_goes(monkeypatch):
+    # the solver does not wake a propagator for its own assignments, so a
+    # second call right after a successful one must fail nothing and
+    # assign nothing
+    checked = Counter()
+
+    def post(s, prop, post=Solver.post):
+        run = prop.propagate
+        name = type(prop).__name__
+
+        def propagate(solver):
+            if not run(solver):
+                return False
+            before = state(solver)
+            assert run(solver), f"{name} failed right after it succeeded"
+            assert state(solver) == before, f"{name} assigned on a second call"
+            checked[name] += 1
+            return True
+
+        prop.propagate = propagate
+        return post(s, prop)
+
+    monkeypatch.setattr(Solver, "post", post)
+    rng = random.Random(19)
+    for _ in range(150):
+        db, ischeme, tscheme, query = generate_random_instance(rng)
+        # group choices on both axes
+        items = AxisConstraint.group_bounds(*_random_bounds(rng, ischeme.group_count()))
+        trans = rng.choice((
+            AxisConstraint.group_bounds(*_random_bounds(rng, tscheme.group_count())),
+            AxisConstraint.one_per_level(),
+        ))
+        assemble(db, replace(query, items=items, trans=trans), ischeme, tscheme).search_all()
+    kinds = ("GroupChoice", "CardinalityRange", "CategorySpan", "ClosedPatternSub")
+    assert min(checked[kind] for kind in kinds) >= 1000, checked
 
 
 def test_q4_candidate_masks(db1, items3, trans3):
