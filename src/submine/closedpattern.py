@@ -22,7 +22,8 @@ union of disjoint groups is the sum of the per-group supports (the
 partition counting of Savasere, Omiecinski & Navathe, VLDB 1995).  For a cover c,
 group g scores ``q·|c ∧ g| − p·|g|``; ``best(c)`` adds the scores of the
 chosen groups and, greedily and in descending order, those of the live
-groups that raise the sum or are needed to reach lb, up to ub.  An itemset
+groups that raise the sum or are needed to reach lb, up to ub
+(``dataset.best_choice``, which ``baseline``'s search shares).  An itemset
 whose cover lies within c is frequent in no completion of the mask when
 ``best(c) < 0``; with no live group left, ``best`` is the exact test over
 the chosen groups.  The bound is sound only when the groups of one choice
@@ -78,7 +79,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .dataset import TransactionDatabase, span_bits
+from .dataset import TransactionDatabase, best_choice, span_bits
 from .engine import ROLE_AUX, ROLE_H, ROLE_V, ROLE_X, Propagator, Solver
 
 
@@ -160,22 +161,22 @@ class ClosedPatternSub(Propagator):
         total = 0
         for k in chosen:
             total += scores[k]
-        count = len(chosen)
-        for a in sorted([scores[k] for k in live], reverse=True):
-            if count >= self.ub or (a <= 0 and count >= self.lb):
-                break
-            total += a
-            count += 1
-        return total
+        ranked = sorted([scores[k] for k in live], reverse=True)
+        return best_choice(total, len(chosen), ranked, self.lb, self.ub)
 
     def propagate(self, s: Solver) -> bool:
         cols = self.db.columns
         items = self.item_universe
         trans = self.trans_universe
-        # channeling, X ⊆ H: inactive items leave X, and X's items are active
-        x1 = s.fixed(ROLE_X)[0] & items
-        h0 = s.fixed(ROLE_H)[1] & items
-        if not (s.assign_bits(ROLE_X, h0, 0) and s.assign_bits(ROLE_H, x1, 1)):
+        # channeling, X ⊆ H: inactive items leave X, and X's items are
+        # active; only the bits not yet fixed so are assigned
+        x1, x0 = s.fixed(ROLE_X)
+        h1, h0 = s.fixed(ROLE_H)
+        x1 &= items
+        h0 &= items
+        if not (
+            s.assign_bits(ROLE_X, h0 & ~x0, 0) and s.assign_bits(ROLE_H, x1 & ~h1, 1)
+        ):
             return False
         x0 = s.fixed(ROLE_X)[1]
         free = items & ~(x1 | x0)

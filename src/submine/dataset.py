@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 
 class FormatError(ValueError):
@@ -66,6 +66,24 @@ def span_bits(lo: int, hi: int) -> int:
     if hi < lo:
         return 0
     return ((1 << (hi - lo + 1)) - 1) << lo
+
+
+def best_choice(total: int, count: int, ranked: Sequence[int], lb: int, ub: int) -> int:
+    """The largest ``total + Σ S`` over the subsets S of the scores
+    ``ranked``, given in descending order, with ``lb ≤ count + |S| ≤ ub``:
+    ``count`` groups are chosen already, their scores summing to ``total``.
+    Greedy: the scores are added in order while they raise the sum or are
+    needed to reach lb, up to ub.  Exact whenever some S qualifies.  A
+    group choice's score is the sum of its groups' scores when the groups
+    are disjoint or at most one is chosen: support over a union of
+    disjoint groups is the sum of the per-group supports (the partition
+    counting of Savasere, Omiecinski & Navathe, VLDB 1995)."""
+    for a in ranked:
+        if count >= ub or (a <= 0 and count >= lb):
+            break
+        total += a
+        count += 1
+    return total
 
 
 # ---------------------------------------------------------------- database

@@ -3,8 +3,11 @@
 The baseline enumerates every sub-dataset satisfying the query's dataset
 constraints, then runs one closure-extension depth-first search per item
 mask that decides frequency and closedness for all of that item mask's
-transaction masks at once; mining-side constraints are applied during the
-search, not as a post-pass.  The oracle evaluates the query predicate by
+transaction masks at once.  The search carries the transaction axis's
+groups, not its masks: over disjoint groups a mask's support is the sum
+of its groups' supports, so one score per group bounds every mask, and
+the masks are listed only where an itemset is emitted.  Mining-side
+constraints are applied during the search, not as a post-pass.  The oracle evaluates the query predicate by
 definition over every feasible mask and every non-empty subset of active
 items, using nothing but the dataset primitives.  All three engines must
 agree on every theory.
@@ -14,8 +17,8 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from functools import reduce
-from itertools import combinations, groupby
+from functools import lru_cache, reduce
+from itertools import accumulate, combinations, groupby
 from operator import attrgetter, or_
 from typing import Iterator
 
@@ -23,6 +26,7 @@ from .dataset import (
     Mask,
     PartitionScheme,
     TransactionDatabase,
+    best_choice,
     bits_of,
     indices_of,
 )
@@ -138,38 +142,50 @@ def mine_frequent(
 
 def _mine_mask(db, mask: Mask, theta, closed, *constraints) -> list[int]:
     """The body of both one-mask miners."""
-    trans, cells = _trans_plan([mask.active_transactions])
-    found = _mine(db, mask.active_items, trans, cells, theta, closed, *constraints)
-    return found.get(mask.active_transactions, [])
+    tb = mask.active_transactions
+    found = _mine(db, mask.active_items, ((tb,), 1, 1), theta, closed, *constraints)
+    return found.get(tb, [])
 
 
-def _trans_plan(
-    masks: list[int], deadline: float | None = None
-) -> tuple[list[tuple[int, list[int]]], list[int]]:
-    """The distinct non-empty transaction masks, fewest transactions first,
-    each with the indices of the cells it is the union of; and the cells,
-    the Venn blocks of all the masks (disjoint, non-empty).  Each mask
-    costs a pass over the cells, so the deadline is read once per mask."""
-    distinct = sorted({m for m in masks if m})
-    distinct.sort(key=int.bit_count)  # stable: by size, then by value
-    cells = [reduce(or_, distinct)] if distinct else []
-    for m in distinct:
+@lru_cache(maxsize=1)
+def _mask_plan(
+    groups: tuple[int, ...], deadline: float | None
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """For a choice of one group, each a mask: the distinct non-empty
+    masks, fewest transactions first; their Venn cells, the non-empty
+    blocks of the transactions that lie in the same masks; and each mask's
+    cell indices.  ``pp_mine`` mines every item mask of a query with the
+    same groups, so the last plan is kept.  Each mask costs a pass over
+    the cells, so the deadline is read once per mask."""
+    masks = sorted({g for g in groups if g})
+    masks.sort(key=int.bit_count)  # stable: by size, then by value
+    cells = [reduce(or_, masks)]
+    for m in masks:
         if deadline is not None:
             _check(deadline)
         cells = [part for c in cells for part in (c & m, c & ~m) if part]
-    plan = []
-    for m in distinct:
-        if deadline is not None:
-            _check(deadline)
-        plan.append((m, [i for i, c in enumerate(cells) if c & m]))
-    return plan, cells
+    ids = tuple(tuple(i for i, c in enumerate(cells) if c & m) for m in masks)
+    return tuple(masks), tuple(cells), ids
+
+
+def _choice_floor(ranked: list[int], lb: int, ub: int) -> int | None:
+    """For group scores ``ranked``, in descending order, of at least lb
+    disjoint groups: None when no choice of lb..ub of them sums to ≥ 0,
+    else the least score of a group that lies in such a choice.  The best
+    choice that holds group g scores g's score plus the best lb-1..ub-1
+    of the other groups.  The floor takes the best lb-1..ub-1 of all the
+    groups in their place: for a group outside the greedy best choice the
+    two agree, and a group inside it lies in a choice that reaches 0 and
+    clears the floor too."""
+    if best_choice(0, 0, ranked, lb, ub) < 0:
+        return None
+    return -best_choice(0, 0, ranked, lb - 1, ub - 1)
 
 
 def _mine(
     db: TransactionDatabase,
     act_i: int,
-    trans: list[tuple[int, list[int]]],
-    cells: list[int],
+    choices: tuple[tuple[int, ...], int, int],
     theta: Fraction,
     closed: bool,
     min_size: int,
@@ -179,47 +195,83 @@ def _mine(
     item_scheme: PartitionScheme | None,
     deadline: float | None,
 ) -> dict[int, list[int]]:
-    """The one miner: for every transaction mask of ``trans`` (a
-    ``_trans_plan``) at once, the itemsets that are answers in the
-    sub-dataset of the items ``act_i`` and that mask, keyed by the mask.
+    """The one miner: for every transaction mask of the group choice
+    ``choices`` (the (groups, lb, ub) of ``AxisConstraint.choices``) at
+    once, the itemsets that are answers in the sub-dataset of the items
+    ``act_i`` and that mask, keyed by the mask.  The empty mask holds no
+    answer, so every choice takes at least one non-empty group.  With
+    ub > 1 the groups must be disjoint and non-empty, as the groups of a
+    partition are.
 
     Each node extends its itemset by one item e above the node's core (the
-    item that created it).  A node carries its *live* masks, those in which
-    its itemset is frequent, fewest transactions first.  A candidate is
+    item that created it).  A node carries one *live* entry per group in
+    which its itemset may still be frequent, fewest transactions first:
+    (members, p·|g|, cell ids, answers).  A subtree dies with its last
+    live group, and the node's cover is kept inside the union of its live
+    groups, the *closure base*.
+
+    With ub = 1 (``all``, ``fixed``, one-of-levels, one group of a
+    partition) every choice is one group, a mask, and the entry holds the
+    mask's answers.  A candidate is
     rejected outright when q·|cover| < p·|M| for the smallest live M, and
     otherwise keeps the live masks M with q·|cover ∧ M| ≥ p·|M| (exact
-    integers); a subtree dies with its last live mask.  The node's cover is
-    kept inside the union of its live masks, the *closure base*.  The
-    frequent miner adds e; the closed miner jumps to the closure over the
-    base, with a prefix-preservation test to kill duplicates.  No answer is
-    lost: an itemset Y closed in M contains the base closure of every
-    itemset on its path, because every base on that path contains M.  A
-    node emits each live mask in which its itemset is closed: its closure
-    in M is the intersection of its closures in M's cells.  With one live
-    mask, that mask is the base, so the node is closed there by
+    integers).  The cells are the Venn cells of the masks.
+
+    With ub > 1 the groups are disjoint, so a choice's support is the sum
+    of its groups' supports (the partition counting of Savasere,
+    Omiecinski & Navathe, VLDB 1995), and the cells are the groups.  A
+    candidate scores each live group g with ``q·|cover ∧ g| − p·|g|``.
+    It dies when no lb..ub choice of the live groups has a score sum
+    ≥ 0 (``dataset.best_choice``, exact for disjoint groups), and keeps
+    the groups that lie in some choice that has (``_choice_floor``).  A
+    group's score only falls as the itemset grows, so a group dropped
+    there lies in no answer's choice below.
+
+    The frequent miner adds e; the closed miner jumps to the closure over
+    the base, with a prefix-preservation test to kill duplicates.  No
+    answer is lost: an itemset Y closed in M contains the base closure of
+    every itemset on its path, because every base on that path contains
+    M.  A node's closure in a mask is the intersection of its closures in
+    the mask's cells; a cell the cover misses is skipped, as its closure
+    is ``act_i``, the identity of that intersection.  With ub = 1 a node
+    emits each live mask in which its itemset is closed.  With ub > 1 it
+    lists the choices of its live groups whose score sum is ≥ 0 and, in
+    closed mode, whose groups' closures meet at the itemset: a depth-first
+    walk over the groups by descending score that leaves a branch once
+    the greedy bound of what the rest can add falls below 0.  With one
+    live group, that group is the base, so the node is closed there by
     construction and does exactly the work of a one-mask search.  Every
     closure stops at its floor: each covered row holds the itemset being
     closed (the candidate in ``extend``, the node's itemset in each of
     ``emit``'s cells, the empty set at the root), so a running
     intersection of those rows never drops below it, and once it reaches
     it the rest of the rows cannot change it.  The closed search starts
-    at the closure of the empty set over all masks, the frequent one at
+    at the closure of the empty set over all groups, the frequent one at
     the empty set.  Constraints prune during the search where they are
     monotone (forbidden items, size bound, span upper bound, required
     items that can no longer join) and filter at emission otherwise.
-    Raises SearchTimeout once ``time.monotonic()`` passes
-    ``deadline``.
+    Raises SearchTimeout once ``time.monotonic()`` passes ``deadline``;
+    the clock is read every ``_DEADLINE_STRIDE`` nodes and listed
+    choices, and before each pass over as many live groups.
     """
-    # every planned transaction mask is non-empty, so an item no
-    # transaction holds is frequent in none of them; and every row lies
-    # inside the held items, so no closure changes
+    groups, lb, ub = choices
+    full = [g for g in groups if g]  # with ub = 1 a fixed mask may be empty
+    lb, ub = max(lb, 1), min(ub, len(full))
+    # every choice is a non-empty mask, so an item no transaction holds is
+    # frequent in none; and every row lies inside the held items, so no
+    # closure changes
     act_i &= db.held_items
-    if not trans or not act_i or require & ~act_i:
+    if lb > ub or not act_i or require & ~act_i:
         return {}
     p, q = theta.numerator, theta.denominator
-    # (mask, p·|mask|, its cell indices, its answers), least need first
-    live = [(tb, p * tb.bit_count(), ids, []) for tb, ids in trans]
-    base = reduce(or_, (tb for tb, _ in trans))
+    if ub == 1:
+        masks, cells, cell_ids = _mask_plan(groups, deadline)
+        live = [(m, p * m.bit_count(), ids, []) for m, ids in zip(masks, cell_ids)]
+    else:
+        cells = sorted(full, key=int.bit_count)
+        live = [(g, p * g.bit_count(), [i], None) for i, g in enumerate(cells)]
+    base = reduce(or_, cells)
+    answers: dict[int, list[int]] = {}  # with ub > 1, by choice
     cols = db.columns
     rows = db.rows
     group_bits = [g.members for g in item_scheme.groups] if item_scheme else None
@@ -236,6 +288,10 @@ def _mine(
                 break  # every covered row holds floor: ext is final
             cov ^= t
         return ext
+
+    def cell_closures(pat: int, cov: int) -> list[int]:
+        # a cell the cover misses leaves the meet as it is
+        return [closure(part, pat) if (part := cov & c) else act_i for c in cells]
 
     if closed:
 
@@ -254,7 +310,7 @@ def _mine(
             return 0 if ext & forbid else ext
 
         def emit(pat: int, cov: int, live: list) -> None:
-            per_cell = [closure(cov & c, pat) for c in cells]
+            per_cell = cell_closures(pat, cov)
             for _, _, ids, found in live:
                 ext = act_i
                 for i in ids:
@@ -277,14 +333,58 @@ def _mine(
 
         root = 0
 
+    listed = 0  # choices listed at emission
+
+    def emit_choices(pat: int, cov: int, live: list) -> None:
+        scores = [q * (cov & m[0]).bit_count() - m[1] for m in live]
+        order = sorted(range(len(live)), key=scores.__getitem__, reverse=True)
+        ranked = [scores[k] for k in order]
+        members = [live[k][0] for k in order]
+        if closed:
+            per_cell = cell_closures(pat, cov)
+            exts = [per_cell[live[k][2][0]] for k in order]
+        else:
+            exts = [pat] * len(order)
+        n = len(ranked)
+        prefix = list(accumulate(ranked, initial=0))
+
+        def walk(start: int, count: int, total: int, bits: int, ext: int) -> None:
+            # every choice that adds one group of ranked[start:] to the
+            # count groups of bits.  The best choice through group i adds
+            # the lo groups after it: a group past those adds to the sum
+            # only when its score is positive, and then so is every score
+            # up to it, so the sum is positive already
+            nonlocal listed
+            count += 1
+            lo = max(lb - count, 0)
+            for i in range(start, n):
+                j = i + 1
+                if j + lo > n:
+                    return  # too few groups left to reach lb
+                score = total + ranked[i]
+                if score + prefix[j + lo] - prefix[j] < 0:
+                    return  # nor does any later group, scoring no higher
+                chosen = bits | members[i]
+                meet = ext & exts[i]
+                if count >= lb and score >= 0:
+                    listed += 1
+                    if deadline is not None and listed % _DEADLINE_STRIDE == 0:
+                        _check(deadline)
+                    if meet == pat:
+                        answers.setdefault(chosen, []).append(pat)
+                if count < ub:
+                    walk(j, count, score, chosen, meet)
+
+        walk(0, 0, 0, 0, act_i)
+
     nodes = 0
 
     def grow(pat: int, cov: int, core: int, live: list, found: list | None) -> None:
-        # found: the one live mask's answers, or None with several live masks
+        # found: the one live group's answers, or None with several live groups
         nonlocal nodes
         nodes += 1
         # the clock is read every _DEADLINE_STRIDE nodes, and before each
-        # pass (emit, or a candidate's filter) over as many live masks
+        # pass (emit, or a candidate's filter) over as many live groups
         watch = deadline is not None and len(live) >= _DEADLINE_STRIDE
         if watch or deadline is not None and nodes % _DEADLINE_STRIDE == 0:
             _check(deadline)
@@ -292,8 +392,10 @@ def _mine(
             if span is None or span[0] <= span_of(pat) <= span[1]:
                 if found is not None:
                     found.append(pat)
-                else:
+                elif ub == 1:
                     emit(pat, cov, live)
+                else:
+                    emit_choices(pat, cov, live)
         if span is not None and span_of(pat) > span[1]:
             return
         missing = require & ~pat
@@ -302,7 +404,9 @@ def _mine(
         cand = act_i & ~pat & ~forbid & ~((1 << (core + 1)) - 1)
         if pat.bit_count() + cand.bit_count() < min_size:
             return
-        need = live[0][1]  # with one live mask the exact test, else a cheap reject
+        # the least p·|mask| of a choice: with one live group the exact
+        # test, else a cheap reject
+        need = live[0][1] if lb == 1 else sum(m[1] for m in live[:lb])
         while cand:
             low = cand & -cand
             cand ^= low
@@ -314,19 +418,28 @@ def _mine(
             if found is None:
                 if watch:
                     _check(deadline)
-                kids = [m for m in live if q * (cov_e & m[0]).bit_count() >= m[1]]
-                if not kids:
-                    continue
+                if ub == 1:
+                    kids = [m for m in live if q * (cov_e & m[0]).bit_count() >= m[1]]
+                    if not kids:
+                        continue
+                else:
+                    scores = [q * (cov_e & m[0]).bit_count() - m[1] for m in live]
+                    floor = _choice_floor(sorted(scores, reverse=True), lb, ub)
+                    if floor is None:
+                        continue
+                    kids = [m for m, a in zip(live, scores) if a >= floor]
                 if len(kids) < len(live):
                     cov_e &= reduce(or_, (m[0] for m in kids))
                     if len(kids) == 1:
                         sink = kids[0][3]
+                        if sink is None:
+                            sink = answers.setdefault(kids[0][0], [])
             child = extend(pat, low, cov_e)
             if child:
                 grow(child, cov_e, e, kids, sink)
 
     grow(root, base, 0, live, live[0][3] if len(live) == 1 else None)
-    return {m[0]: m[3] for m in live}
+    return {m[0]: m[3] for m in live} if ub == 1 else answers
 
 
 # ---------------------------------------------------------------- baseline
@@ -342,26 +455,22 @@ def pp_mine(
 ) -> set[tuple[int, int, int]]:
     """Two-step baseline: enumerate every feasible sub-dataset, then mine
     them, one search per item mask for all of its transaction masks
-    (``_mine``).  The enumerator yields the masks item-major; their
-    transaction masks, and so their cells, are built once per query.
+    (``_mine`` over the transaction axis's group choice, so the search
+    carries groups, not masks).  The enumerator yields the masks
+    item-major; each is counted, and the deadline read, as it passes.
     Answers with the set of (item_bits, trans_bits, itemset_bits) triples,
     which equals cp's; ``run_theory`` checks and decodes them."""
     enum = enumerate_masks(db, query, item_scheme, trans_scheme)
+    choices = query.trans.choices(db.all_transactions(), trans_scheme)
     triples: set[tuple[int, int, int]] = set()
     n_masks = 0
-    planned = None
     for ib, group in groupby(enum, key=attrgetter("active_items")):
-        tbs = []
-        for mask in group:
+        for _ in group:
             n_masks += 1
             if deadline is not None:
                 _check(deadline)
-            tbs.append(mask.active_transactions)
-        if tbs != planned:
-            planned = tbs
-            trans, cells = _trans_plan(tbs, deadline)
         for tb, found in _mine(
-            db, ib, trans, cells, query.theta, query.closed,
+            db, ib, choices, query.theta, query.closed,
             query.min_size, query.span, query.require, query.forbid,
             item_scheme, deadline,
         ).items():

@@ -11,6 +11,7 @@ from submine.dataset import (
     Mask,
     PartitionScheme,
     TransactionDatabase,
+    best_choice,
     bits_of,
     closure,
     cover,
@@ -260,3 +261,35 @@ def test_mask_monotonicity_cover():
         drop = 1 << rng.randint(1, db.transaction_count)
         shrunk = Mask(mask.active_items, mask.active_transactions & ~drop)
         assert cover(db, pat, shrunk) & ~cover(db, pat, mask) == 0
+
+
+# ------------------------------------------------------------ group choices
+
+
+def test_best_choice_is_the_best_allowed_subset():
+    # every group is chosen, ruled out or free; the bound must equal the
+    # best score sum over the lb..ub subsets that keep the chosen groups
+    # and none of the ruled-out ones, whenever there is such a subset
+    rng = random.Random(20)
+    checked = 0
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        scores = [rng.randint(-6, 6) for _ in range(n)]
+        state = [rng.choice("cfff-") for _ in range(n)]  # chosen, free, ruled out
+        lb = rng.randint(0, n)
+        ub = rng.randint(lb, n)
+        chosen = [k for k in range(n) if state[k] == "c"]
+        free = [k for k in range(n) if state[k] == "f"]
+        best = None
+        for sel in range(1 << len(free)):
+            picked = chosen + [k for j, k in enumerate(free) if sel >> j & 1]
+            if lb <= len(picked) <= ub:
+                total = sum(scores[k] for k in picked)
+                best = total if best is None else max(best, total)
+        if best is None:
+            continue  # no allowed choice: the bound promises nothing
+        ranked = sorted((scores[k] for k in free), reverse=True)
+        total = sum(scores[k] for k in chosen)
+        assert best_choice(total, len(chosen), ranked, lb, ub) == best
+        checked += 1
+    assert checked > 1500

@@ -264,9 +264,9 @@ def test_deadline_stops_search_over_many_transaction_masks():
 
 
 def test_deadline_stops_baseline_after_collecting_many_masks():
-    # 2^18 - 1 transaction masks, collected well before the deadline;
-    # planning them and filtering them at the few nodes of the search each
-    # run far past it
+    # 2^18 - 1 transaction masks and no answer (no row holds 5 items):
+    # the search carries 18 groups, not the masks, and answers well before
+    # the deadline; a deadline already past still stops it
     import time
 
     from submine import PartitionScheme
@@ -279,31 +279,60 @@ def test_deadline_stops_baseline_after_collecting_many_masks():
     scheme = PartitionScheme.build("transactions", 18, [])  # one group per row
     q = Query(theta=HALF, min_size=5, trans=AxisConstraint.group_bounds(1, 18))
     started = time.monotonic()
+    assert run_theory(db, q, None, scheme, engine="baseline", deadline=started + 1.0) == []
+    assert time.monotonic() - started < 1.0
     with pytest.raises(SearchTimeout):
-        run_theory(db, q, None, scheme, engine="baseline", deadline=started + 1.0)
-    assert time.monotonic() - started < 2.0
+        run_theory(db, q, None, scheme, engine="baseline", deadline=time.monotonic() - 1)
 
 
 def test_mine_reads_the_deadline_over_many_live_masks():
-    # 127 live masks but at most 2^3 nodes, fewer than the node stride
+    # 7 singleton groups, 1..7 of them: 127 choices listed at each
+    # emission, but at most 2^3 nodes, fewer than the node stride
     import time
 
     from submine.engine import SearchTimeout
-    from submine.reference import _DEADLINE_STRIDE, _mine, _trans_plan
+    from submine.reference import _DEADLINE_STRIDE, _mine
 
     db = TransactionDatabase.from_rows([[1, 2, 3]] * 7, item_count=3)
-    masks = [bits_of(c) for r in range(1, 8) for c in combinations(range(1, 8), r)]
-    trans, cells = _trans_plan(masks)
-    assert len(trans) > _DEADLINE_STRIDE > 1 << db.item_count
+    choices = (tuple(1 << t for t in range(1, 8)), 1, 7)
+    assert count_masks(7, 1, 7) > _DEADLINE_STRIDE > 1 << db.item_count
 
     def mine(deadline):
         return _mine(
-            db, db.all_items(), trans, cells, HALF, False, 1, None, 0, 0, None, deadline
+            db, db.all_items(), choices, HALF, False, 1, None, 0, 0, None, deadline
         )
 
-    assert len(mine(None)) == len(trans)
+    found = mine(None)
+    assert len(found) == count_masks(7, 1, 7)
+    assert all(len(pats) == 7 for pats in found.values())  # every non-empty itemset
     with pytest.raises(SearchTimeout):
         mine(time.monotonic() - 1)
+
+
+def test_choice_floor_keeps_the_groups_of_some_nonnegative_choice():
+    # a group survives a candidate iff it lies in some lb..ub choice whose
+    # score sum is ≥ 0; the candidate dies iff no choice has one
+    from submine.reference import _choice_floor
+
+    rng = random.Random(21)
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        scores = [rng.randint(-6, 6) for _ in range(n)]
+        lb = rng.randint(0, n)
+        ub = rng.randint(max(lb, 1), n)
+        kept = set()
+        for sel in range(1 << n):
+            picked = [k for k in range(n) if sel >> k & 1]
+            if lb <= len(picked) <= ub and sum(scores[k] for k in picked) >= 0:
+                kept.update(picked)
+        reached = any(
+            lb <= r <= ub and sum(c) >= 0
+            for r in range(n + 1) for c in combinations(scores, r)
+        )
+        floor = _choice_floor(sorted(scores, reverse=True), lb, ub)
+        assert (floor is not None) == reached
+        if floor is not None:
+            assert {k for k in range(n) if scores[k] >= floor} == kept
 
 
 # ----------------------------------------------- one search, many masks
@@ -440,6 +469,53 @@ def test_pp_mine_crafted_many_masks(case, variant, closed):
     db = TransactionDatabase.from_rows(rows, item_count=5)
     q = Query(theta=HALF, closed=closed, trans=trans, **_VARIANTS[variant])
     _assert_one_search_is_per_mask(db, q, _item_scheme(), tscheme)
+
+
+def _lb_zero_groups():
+    # the union-only data with lb = 0: the empty mask is a choice too,
+    # and holds no answer
+    rows, tscheme, _ = _union_only_answer()
+    return rows, tscheme, AxisConstraint.group_bounds(0, 2)
+
+
+def _identical_group_in_two_levels():
+    # level 2 repeats level 1's L1 as M1: the mask 1..4 comes from two
+    # choices, and each of its pairs is one answer
+    rows = [[_a, _b, _c], [_a, _b], [_a, _c, _d], [_b, _c, _d],
+            [_a, _b, _e], [_b, _c], [_a, _d, _e], [_a, _b, _d]]
+    level1 = [("L1", [1, 2, 3, 4]), ("L2", [5, 6, 7, 8])]
+    level2 = [("M1", [1, 2, 3, 4]), ("M2", [5, 6]), ("M3", [7, 8])]
+    return rows, _trans_scheme(8, level1, [level2]), AxisConstraint.one_per_level()
+
+
+_CRAFTED_CHOICES = {
+    "lb-zero-groups": _lb_zero_groups,
+    "identical-group-in-two-levels": _identical_group_in_two_levels,
+}
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "frequent"])
+@pytest.mark.parametrize("variant", sorted(_VARIANTS))
+@pytest.mark.parametrize("case", sorted(_CRAFTED_CHOICES))
+def test_engines_agree_on_crafted_choices(case, variant, closed):
+    rows, tscheme, trans = _CRAFTED_CHOICES[case]()
+    db = TransactionDatabase.from_rows(rows, item_count=5)
+    q = Query(theta=HALF, closed=closed, trans=trans, **_VARIANTS[variant])
+    _assert_one_search_is_per_mask(db, q, _item_scheme(), tscheme)
+    cp, baseline, oracle = (
+        run_theory(db, q, _item_scheme(), tscheme, engine=e)
+        for e in ("cp", "baseline", "oracle")
+    )
+    assert cp == baseline == oracle
+    assert len(set(cp)) == len(cp)
+    if variant == "plain":
+        masks = {p.trans_mask for p in cp}
+        if case == "lb-zero-groups":
+            # answers on one group and on two, none on the empty mask
+            assert {(5, 6, 7, 8), tuple(range(1, 9))} <= masks
+            assert () not in masks
+        else:
+            assert (1, 2, 3, 4) in masks
 
 
 def _itemsets_by_mask(case):
