@@ -21,6 +21,7 @@ exactly once.
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from typing import Callable, Iterable
 
@@ -220,15 +221,17 @@ class Solver:
     def search_all(
         self,
         on_solution: Callable[[], None] | None = None,
-        should_stop: Callable[[], bool] | None = None,
+        deadline: float | None = None,
     ) -> int:
         """Exhaustive DFS over all full assignments accepted by every
         propagator.  It branches on the lowest free position of the first
         role, in the order aux, H, V, X, that still has one; value 1 is
         tried before 0.  ``on_solution()`` is called once per solution,
         while the solver holds it (read each role's bitsets through
-        ``fixed``).  Returns the solution count.  Iterative, so the depth
-        is bounded by memory, not the interpreter's recursion limit."""
+        ``fixed``).  Returns the solution count.  Raises SearchTimeout
+        once ``time.monotonic()`` passes ``deadline``; the clock is read
+        before each decision.  Iterative, so the depth is bounded by
+        memory, not the interpreter's recursion limit."""
         if self.root_failed:
             return 0
         ones, zeros = self._ones, self._zeros
@@ -267,7 +270,7 @@ class Solver:
                 if frames:
                     self.pop_level()
                 continue
-            if should_stop is not None and should_stop():
+            if deadline is not None and time.monotonic() > deadline:
                 raise SearchTimeout
             frame[2] += 1
             self.push_level()

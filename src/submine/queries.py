@@ -523,10 +523,7 @@ def _collect_cp(
             (solver.fixed(ROLE_H)[0], solver.fixed(ROLE_V)[0], solver.fixed(ROLE_X)[0])
         )
 
-    should_stop = None
-    if deadline is not None:
-        should_stop = lambda: time.monotonic() > deadline
-    solver.search_all(on_solution=sink, should_stop=should_stop)
+    solver.search_all(on_solution=sink, deadline=deadline)
     if stats is not None:
         stats["nodes"] = stats.get("nodes", 0) + solver.stats["nodes"]
         stats["masks"] = stats.get("masks", 0) + solver.stats["masks_reached"]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import accumulate, combinations, groupby
 from operator import attrgetter, or_
 from typing import Iterator
@@ -29,6 +29,7 @@ from .dataset import (
     best_choice,
     bits_of,
     indices_of,
+    meet_rows,
 )
 from .engine import SearchTimeout
 
@@ -147,27 +148,6 @@ def _mine_mask(db, mask: Mask, theta, closed, *constraints) -> list[int]:
     return found.get(tb, [])
 
 
-@lru_cache(maxsize=1)
-def _mask_plan(
-    groups: tuple[int, ...], deadline: float | None
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """For a choice of one group, each a mask: the distinct non-empty
-    masks, fewest transactions first; their Venn cells, the non-empty
-    blocks of the transactions that lie in the same masks; and each mask's
-    cell indices.  ``pp_mine`` mines every item mask of a query with the
-    same groups, so the last plan is kept.  Each mask costs a pass over
-    the cells, so the deadline is read once per mask."""
-    masks = sorted({g for g in groups if g})
-    masks.sort(key=int.bit_count)  # stable: by size, then by value
-    cells = [reduce(or_, masks)]
-    for m in masks:
-        if deadline is not None:
-            _check(deadline)
-        cells = [part for c in cells for part in (c & m, c & ~m) if part]
-    ids = tuple(tuple(i for i, c in enumerate(cells) if c & m) for m in masks)
-    return tuple(masks), tuple(cells), ids
-
-
 def _choice_floor(ranked: list[int], lb: int, ub: int) -> int | None:
     """For group scores ``ranked``, in descending order, of at least lb
     disjoint groups: None when no choice of lb..ub of them sums to ≥ 0,
@@ -204,46 +184,44 @@ def _mine(
     partition are.
 
     Each node extends its itemset by one item e above the node's core (the
-    item that created it).  A node carries one *live* entry per group in
-    which its itemset may still be frequent, fewest transactions first:
-    (members, p·|g|, cell ids, answers).  A subtree dies with its last
-    live group, and the node's cover is kept inside the union of its live
-    groups, the *closure base*.
+    item that created it).  A node carries one *live* entry (members,
+    p·|g|) per distinct group in which its itemset may still be frequent,
+    fewest transactions first.  A subtree dies with its last live group,
+    and the node's cover is kept inside the union of its live groups, the
+    *closure base*.
 
     With ub = 1 (``all``, ``fixed``, one-of-levels, one group of a
-    partition) every choice is one group, a mask, and the entry holds the
-    mask's answers.  A candidate is
+    partition) every choice is one group, a mask.  A candidate is
     rejected outright when q·|cover| < p·|M| for the smallest live M, and
     otherwise keeps the live masks M with q·|cover ∧ M| ≥ p·|M| (exact
-    integers).  The cells are the Venn cells of the masks.
+    integers).
 
     With ub > 1 the groups are disjoint, so a choice's support is the sum
     of its groups' supports (the partition counting of Savasere,
-    Omiecinski & Navathe, VLDB 1995), and the cells are the groups.  A
-    candidate scores each live group g with ``q·|cover ∧ g| − p·|g|``.
-    It dies when no lb..ub choice of the live groups has a score sum
-    ≥ 0 (``dataset.best_choice``, exact for disjoint groups), and keeps
-    the groups that lie in some choice that has (``_choice_floor``).  A
-    group's score only falls as the itemset grows, so a group dropped
-    there lies in no answer's choice below.
+    Omiecinski & Navathe, VLDB 1995).  A candidate scores each live group
+    g with ``q·|cover ∧ g| − p·|g|``.  It dies when no lb..ub choice of
+    the live groups has a score sum ≥ 0 (``dataset.best_choice``, exact
+    for disjoint groups), and keeps the groups that lie in some choice
+    that has (``_choice_floor``).  A group's score only falls as the
+    itemset grows, so a group dropped there lies in no answer's choice
+    below.
 
     The frequent miner adds e; the closed miner jumps to the closure over
     the base, with a prefix-preservation test to kill duplicates.  No
     answer is lost: an itemset Y closed in M contains the base closure of
     every itemset on its path, because every base on that path contains
-    M.  A node's closure in a mask is the intersection of its closures in
-    the mask's cells; a cell the cover misses is skipped, as its closure
-    is ``act_i``, the identity of that intersection.  With ub = 1 a node
-    emits each live mask in which its itemset is closed.  With ub > 1 it
-    lists the choices of its live groups whose score sum is ≥ 0 and, in
-    closed mode, whose groups' closures meet at the itemset: a depth-first
-    walk over the groups by descending score that leaves a branch once
-    the greedy bound of what the rest can add falls below 0.  With one
-    live group, that group is the base, so the node is closed there by
-    construction and does exactly the work of a one-mask search.  Every
-    closure stops at its floor: each covered row holds the itemset being
-    closed (the candidate in ``extend``, the node's itemset in each of
-    ``emit``'s cells, the empty set at the root), so a running
+    M.  A node's closure in a live group is the meet of the group's
+    covered rows (``dataset.meet_rows``; Pasquier et al., ICDT 1999).
+    With ub = 1 a node emits each live mask in which its itemset is
+    closed.  With ub > 1 it lists the choices of its live groups whose
+    score sum is ≥ 0 and, in closed mode, whose groups' closures meet at
+    the itemset: a depth-first walk over the groups by descending score
+    that leaves a branch once the greedy bound of what the rest can add
+    falls below 0.  With one live group, that group is the base, so the
+    node is closed there by construction and does exactly the work of a
+    one-mask search.  Every closure stops at its floor: each covered row
+    holds the itemset being closed (the candidate in ``extend``, the
+    node's itemset at emission, the empty set at the root), so a running
     intersection of those rows never drops below it, and once it reaches
     it the rest of the rows cannot change it.  The closed search starts
     at the closure of the empty set over all groups, the frequent one at
@@ -264,14 +242,11 @@ def _mine(
     if lb > ub or not act_i or require & ~act_i:
         return {}
     p, q = theta.numerator, theta.denominator
-    if ub == 1:
-        masks, cells, cell_ids = _mask_plan(groups, deadline)
-        live = [(m, p * m.bit_count(), ids, []) for m, ids in zip(masks, cell_ids)]
-    else:
-        cells = sorted(full, key=int.bit_count)
-        live = [(g, p * g.bit_count(), [i], None) for i, g in enumerate(cells)]
-    base = reduce(or_, cells)
-    answers: dict[int, list[int]] = {}  # with ub > 1, by choice
+    # two levels can hold the same group
+    full = sorted(sorted(set(full)), key=int.bit_count)
+    live = [(g, p * g.bit_count()) for g in full]
+    base = reduce(or_, full)
+    answers: dict[int, list[int]] = {}
     cols = db.columns
     rows = db.rows
     group_bits = [g.members for g in item_scheme.groups] if item_scheme else None
@@ -279,24 +254,11 @@ def _mine(
     def span_of(bits: int) -> int:
         return sum(1 for g in group_bits if g & bits)
 
-    def closure(cov: int, floor: int) -> int:
-        ext = act_i  # the active items of every covered row
-        while cov:
-            t = cov & -cov
-            ext &= rows[t.bit_length() - 1]
-            if ext == floor:
-                break  # every covered row holds floor: ext is final
-            cov ^= t
-        return ext
-
-    def cell_closures(pat: int, cov: int) -> list[int]:
-        # a cell the cover misses leaves the meet as it is
-        return [closure(part, pat) if (part := cov & c) else act_i for c in cells]
-
     if closed:
 
         def extend(pat: int, low: int, cov: int) -> int:
-            floor = pat | low  # inline closure(cov, floor): once per candidate
+            # meet_rows(db, cov, act_i, floor), inlined: once per candidate
+            floor = pat | low
             ext = act_i
             while cov:
                 t = cov & -cov
@@ -310,15 +272,11 @@ def _mine(
             return 0 if ext & forbid else ext
 
         def emit(pat: int, cov: int, live: list) -> None:
-            per_cell = cell_closures(pat, cov)
-            for _, _, ids, found in live:
-                ext = act_i
-                for i in ids:
-                    ext &= per_cell[i]
-                if ext == pat:
-                    found.append(pat)
+            for m, _ in live:
+                if meet_rows(db, cov & m, act_i, pat) == pat:
+                    answers.setdefault(m, []).append(pat)
 
-        root = closure(base, 0)
+        root = meet_rows(db, base, act_i, 0)
         if root & forbid:
             # every closed set contains the root closure, so nothing qualifies
             return {}
@@ -328,8 +286,8 @@ def _mine(
             return pat | low
 
         def emit(pat: int, cov: int, live: list) -> None:
-            for m in live:
-                m[3].append(pat)
+            for m, _ in live:
+                answers.setdefault(m, []).append(pat)
 
         root = 0
 
@@ -341,8 +299,7 @@ def _mine(
         ranked = [scores[k] for k in order]
         members = [live[k][0] for k in order]
         if closed:
-            per_cell = cell_closures(pat, cov)
-            exts = [per_cell[live[k][2][0]] for k in order]
+            exts = [meet_rows(db, cov & m, act_i, pat) for m in members]
         else:
             exts = [pat] * len(order)
         n = len(ranked)
@@ -431,15 +388,13 @@ def _mine(
                 if len(kids) < len(live):
                     cov_e &= reduce(or_, (m[0] for m in kids))
                     if len(kids) == 1:
-                        sink = kids[0][3]
-                        if sink is None:
-                            sink = answers.setdefault(kids[0][0], [])
+                        sink = answers.setdefault(kids[0][0], [])
             child = extend(pat, low, cov_e)
             if child:
                 grow(child, cov_e, e, kids, sink)
 
-    grow(root, base, 0, live, live[0][3] if len(live) == 1 else None)
-    return {m[0]: m[3] for m in live} if ub == 1 else answers
+    grow(root, base, 0, live, answers.setdefault(base, []) if len(live) == 1 else None)
+    return answers
 
 
 # ---------------------------------------------------------------- baseline
@@ -456,9 +411,10 @@ def pp_mine(
     """Two-step baseline: enumerate every feasible sub-dataset, then mine
     them, one search per item mask for all of its transaction masks
     (``_mine`` over the transaction axis's group choice, so the search
-    carries groups, not masks).  The enumerator yields the masks
-    item-major; each is counted, and the deadline read, as it passes.
-    Answers with the set of (item_bits, trans_bits, itemset_bits) triples,
+    carries groups, not masks, and answers with one map from transaction
+    mask to itemsets for every choice kind).  The enumerator yields the
+    masks item-major; each is counted, and the deadline read, as it
+    passes.  Answers with the set of (item_bits, trans_bits, itemset_bits) triples,
     which equals cp's; ``run_theory`` checks and decodes them."""
     enum = enumerate_masks(db, query, item_scheme, trans_scheme)
     choices = query.trans.choices(db.all_transactions(), trans_scheme)

@@ -147,6 +147,15 @@ def test_mine_rejects_empty_group(files, capsys, engine):
     assert capsys.readouterr().err == "error: line 1: group 'E' has no members\n"
 
 
+def test_mine_rejects_malformed_partition_line(files, capsys):
+    cats = files["dir"] / "bad.cats"
+    cats.write_text("T1: 1 2\nT2 3 4\n")
+    args = _mine_args(files, files["q1.query"])
+    args[args.index("--trans-cats") + 1] = str(cats)
+    assert cli.main(args) == 1
+    assert capsys.readouterr().err == "error: line 2: expected 'name: id id ...'\n"
+
+
 def test_mine_oracle_size_guard(tmp_path, files):
     big = tmp_path / "big.fimi"
     big.write_text(" ".join(str(i) for i in range(1, 31)) + "\n")

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,25 @@ def test_parse_partition_levels(db1):
 def test_parse_partition_empty_group(db1):
     with pytest.raises(FormatError, match="line 2: group 'E' has no members"):
         parse_partition("A: 1\nE:\nB: 2 3\n", db1, "items")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("level one\nG1: 1\n", "line 1: expected 'level <k>'"),
+        ("level 2\nG1: 1\nlevel 1\nH1: 2\n", "line 3: level numbers must increase"),
+        ("G1: 1\nG2 2 3\n", "line 2: expected 'name: id id ...'"),
+        ("# c\n: 1 2\n", "line 2: empty group name"),
+        ("G1: 1\nG1: 2\n", "line 2: duplicate group name 'G1'"),
+        ("G1: 1 x\n", "line 1: not an index: 'x'"),
+        ("G1: 1\nG2: 2 3 2\n", "line 2: index 2 repeated in 'G2'"),
+    ],
+    ids=["level-header", "level-order", "no-colon", "no-name", "duplicate-name",
+         "not-an-index", "repeated-index"],
+)
+def test_parse_partition_rejects_malformed_lines(db1, text, message):
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        parse_partition(text, db1, "items")
 
 
 def test_scheme_rejects_empty_group():

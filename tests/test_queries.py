@@ -472,17 +472,35 @@ def test_parallel_pool_size_is_bounded(monkeypatch, db1, items3, trans3):
             lambda q, ib, tb, xb: (replace(q, trans=AxisConstraint.group_bounds(2, 2)), ib, tb, xb),
             "transaction activation violates",
         ),
+        (lambda q, ib, tb, xb: (q, ib, tb, 0), "empty itemset"),
+        (lambda q, ib, tb, xb: (replace(q, min_size=3), ib, tb, xb), "below minimum size"),
+        (
+            lambda q, ib, tb, xb: (replace(q, require=bits_of([A])), ib, tb, xb),
+            "missing required item",
+        ),
+        (
+            lambda q, ib, tb, xb: (replace(q, forbid=bits_of([F])), ib, tb, xb),
+            "contains forbidden item",
+        ),
+        # E lies in I2 and F in I3 of the item scheme: a span of 2
+        (
+            lambda q, ib, tb, xb: (replace(q, span=(1, 1)), ib, tb, xb),
+            "category span out of bounds",
+        ),
     ],
-    ids=["not-closed", "infrequent", "inactive-item", "trans-bounds"],
+    ids=[
+        "not-closed", "infrequent", "inactive-item", "trans-bounds", "empty",
+        "min-size", "require", "forbid", "span",
+    ],
 )
-def test_validate_pair_catches_corruption(db1, trans3, corrupt, reason):
+def test_validate_pair_catches_corruption(db1, items3, trans3, corrupt, reason):
     q1 = Query(theta=HALF)
     (good,) = [p for p in run_theory(db1, q1) if p.labels == ("E", "F")]
     (triple,) = triples_of([good])
-    assert validate_pair(db1, q1, *triple, None, trans3) == good.support
+    assert validate_pair(db1, q1, *triple, items3, trans3) == good.support
     query, *bad = corrupt(q1, *triple)
     with pytest.raises(RuntimeError, match=f"self-check \\({reason}"):
-        validate_pair(db1, query, *bad, None, trans3)
+        validate_pair(db1, query, *bad, items3, trans3)
 
 
 def test_validate_pair_names_empty_transaction_mask(db1):

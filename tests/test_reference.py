@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from helpers import A, B, E, F, G, HALF, K, triples_of
-from submine import Query, TransactionDatabase, run_theory
+from submine import Query, TransactionDatabase, build_query, parse_query, run_theory
 from submine.dataset import Mask, bits_of, closure, cover, indices_of
 from submine.queries import AxisConstraint
 from submine.reference import (
@@ -371,6 +371,37 @@ def test_pp_mine_equals_per_mask_mining_random():
     assert many >= 50
 
 
+def test_baseline_mines_thousands_of_level_groups_in_time():
+    # two levels of one big group each, completed with singletons: 3002
+    # distinct masks, and each row lies in two of them.  On a 2-core
+    # container (CPython 3.11) this takes about 1.4 s; a search that first
+    # makes a pass over the masks for each mask (Venn cells) took 5.5 s
+    import time
+
+    from submine.dataset import parse_partition
+
+    rng = random.Random(0)
+    db = TransactionDatabase.from_rows(
+        [rng.sample(range(1, 9), 3) for _ in range(3000)], item_count=8
+    )
+    text = (
+        f"level 1\nA: {' '.join(map(str, range(1, 1500)))}\n"
+        f"level 2\nB: {' '.join(map(str, range(1500, 3000)))}\n"
+    )
+    scheme = parse_partition(text, db, "transactions")
+    assert len({g.members for level in scheme.levels for g in level}) == 3002
+    q = build_query(
+        parse_query("theta: 1/2\ntrans_active: one-of-levels\n"), db, None, scheme
+    )
+    started = time.monotonic()
+    theory = run_theory(db, q, None, scheme, engine="baseline")
+    elapsed = time.monotonic() - started
+    # no item lies in half of A or B; each singleton's row is closed there
+    assert len(theory) == 3000
+    assert {len(p.trans_mask) for p in theory} == {1}
+    assert elapsed < 4.0
+
+
 # verify draws at most 8 transactions, so its closures are short; here a
 # cover holds up to 80 rows, and a closure that stops at its floor skips
 # most of them, in the baseline's search and in run_theory's check
@@ -488,9 +519,26 @@ def _identical_group_in_two_levels():
     return rows, _trans_scheme(8, level1, [level2]), AxisConstraint.one_per_level()
 
 
+def _nested_three_levels():
+    # region, department and city: each row lies in three nested masks,
+    # and an itemset closed in a region or department may close further
+    # in one of its cities (a is closed in 1..4 but closes to ab in 1, 2)
+    rows = [[_a, _b, _c], [_a, _b], [_a, _b, _d], [_a, _c],
+            [_b, _c, _d], [_b, _c], [_a, _b, _c, _e], [_c, _d],
+            [_a, _d, _e], [_d, _e], [_a, _b, _e], [_b, _d, _e]]
+    region = [("North", range(1, 9)), ("South", range(9, 13))]
+    department = [("N1", [1, 2, 3, 4]), ("N2", [5, 6, 7, 8]), ("S1", [9, 10]),
+                  ("S2", [11, 12])]
+    city = [("C1", [1, 2]), ("C2", [3, 4]), ("C3", [5, 6]), ("C4", [7, 8]),
+            ("C5", [9]), ("C6", [10]), ("C7", [11]), ("C8", [12])]
+    return (rows, _trans_scheme(12, region, [department, city]),
+            AxisConstraint.one_per_level())
+
+
 _CRAFTED_CHOICES = {
     "lb-zero-groups": _lb_zero_groups,
     "identical-group-in-two-levels": _identical_group_in_two_levels,
+    "nested-three-levels": _nested_three_levels,
 }
 
 
