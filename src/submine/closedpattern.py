@@ -86,7 +86,7 @@ from .engine import ROLE_AUX, ROLE_H, ROLE_V, ROLE_X, Propagator, Solver
 class ClosedPatternSub(Propagator):
     """Position i of X and H is item i of ``db``, position j of V
     transaction j.  ``choices`` is the transaction axis's (member bitsets,
-    lb, ub), as ``AxisConstraint.choices`` gives it, and group k's
+    lb, ub), as ``AxisConstraint.answer_choices`` gives it, and group k's
     indicator is aux position ``first + k``."""
 
     def __init__(

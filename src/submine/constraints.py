@@ -3,14 +3,14 @@
 Each propagator works on roles and bitsets of their positions; position i
 of X and H is item i, position j of V transaction j.  Every propagator
 here is sound for partial states and complete on full assignments.  They
-cover the dataset side, the sizes of the itemset and of the sub-dataset,
-and the category span; the mining semantics (channeling, coverage,
-frequency, closedness) is the one global ``ClosedPatternSub`` in
-``closedpattern``.  The dataset side of a query is one ``GroupChoice``
-per axis that chooses groups: group bounds choose lb..ub groups of one
-partition, one-of-levels one group of any level.
-``queries.assemble`` posts each of them; only ``post_group_choice``
-stands between, because it adds the group indicator positions.
+cover the dataset side, the size of the itemset and the category span;
+the mining semantics (channeling, coverage, frequency, closedness) is the
+one global ``ClosedPatternSub`` in ``closedpattern``.  The dataset side of
+a query is one ``GroupChoice`` per axis that chooses groups: group bounds
+choose lb..ub groups of one partition, one-of-levels one group of any
+level.  ``queries.assemble`` posts each of them; only
+``post_group_choice`` stands between, because it adds the group indicator
+positions.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from operator import or_
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import closedpattern, constraints
 from .dataset import (
@@ -94,10 +94,11 @@ class AxisConstraint:
     "groups" any lb..ub whole groups of the partition, "one_per_level"
     exactly one group drawn from any level of the scheme.  ``choices``
     turns every kind into (groups, lb, ub), "all" and "fixed" into a
-    choice of their one mask; ``count``, ``masks``, ``satisfied`` and
-    ``assemble`` read that triple alone.  ``universe`` is the bitset of
-    the whole axis and ``scheme`` its partition (or None); every method
-    but ``check`` expects a constraint that passed ``check``.
+    choice of their one mask; ``count``, ``masks``, ``allowed`` and
+    ``satisfied`` read that triple alone, and both engines read the
+    narrower ``answer_choices``.  ``universe`` is the bitset of the whole
+    axis and ``scheme`` its partition (or None); every method but
+    ``check`` expects a constraint that passed ``check``.
     """
 
     kind: str
@@ -157,6 +158,19 @@ class AxisConstraint:
             return tuple(g.members for level in scheme.levels for g in level), 1, 1
         return (universe if self.kind == "all" else self.members,), 1, 1
 
+    def answer_choices(
+        self, universe: int, scheme: PartitionScheme | None
+    ) -> tuple[tuple[int, ...], int, int]:
+        """The group choices that can hold an answer: ``choices`` with the
+        empty groups dropped, lb raised to 1 and ub capped at the number
+        of groups left.  The empty mask holds no answer: a pair's
+        frequency is taken over its active transactions, and its itemset
+        is non-empty and lies in its active items.  When lb > ub, as for
+        an empty fixed mask, no choice can hold one."""
+        groups, lb, ub = self.choices(universe, scheme)
+        groups = tuple(g for g in groups if g)
+        return groups, max(lb, 1), min(ub, len(groups))
+
     def count(self, universe: int, scheme: PartitionScheme | None) -> int:
         """Number of masks the constraint allows, one per group choice."""
         groups, lb, ub = self.choices(universe, scheme)
@@ -170,16 +184,31 @@ class AxisConstraint:
             for chosen in combinations(groups, r):
                 yield reduce(or_, chosen, 0)
 
+    def allowed(self, universe: int, scheme: PartitionScheme | None) -> Callable[[int], bool]:
+        """``satisfied`` with the choice read once, for testing many masks:
+        each test then looks up the groups by the highest position of the
+        mask, with no pass over them."""
+        groups, lb, ub = self.choices(universe, scheme)
+        if ub > 1:
+            top = _top_index(groups)
+
+            def test(bits: int) -> bool:
+                chosen = _split(bits, groups, top)
+                return chosen is not None and lb <= len(chosen) <= ub
+
+            return test
+        # one-of-levels: groups of two levels may share their highest position
+        by_top: dict[int, list[int]] = {}
+        for g in groups if ub == 1 else ():
+            by_top.setdefault(g.bit_length(), []).append(g)
+        return lambda bits: bits in by_top.get(bits.bit_length(), ()) or (lb == 0 and bits == 0)
+
     def satisfied(self, bits: int, universe: int, scheme: PartitionScheme | None) -> bool:
         """Whether the mask ``bits`` is one the constraint allows.  With at
         most one group chosen, it must be one of them whole (or empty when
         lb = 0); otherwise the groups are disjoint, and it must be the
-        union of the lb..ub groups it touches."""
-        groups, lb, ub = self.choices(universe, scheme)
-        if ub <= 1:
-            return (ub == 1 and bits in groups) or (lb == 0 and bits == 0)
-        touched = [g for g in groups if g & bits]
-        return reduce(or_, touched, 0) == bits and lb <= len(touched) <= ub
+        union of lb..ub of them."""
+        return self.allowed(universe, scheme)(bits)
 
     def describe(self) -> str:
         """Short form for reports: "(lb,ub)" for group bounds, else the kind."""
@@ -246,21 +275,51 @@ class SolutionPair:
         )
 
 
+def _top_index(groups: Sequence[int]) -> dict[int, int]:
+    """Index k of each of the disjoint, non-empty ``groups``, keyed by the
+    bit length of group k (its highest position plus one)."""
+    return {g.bit_length(): k for k, g in enumerate(groups)}
+
+
+def _split(bits: int, groups: Sequence[int], top: dict[int, int]) -> list[int] | None:
+    """The indices of the disjoint ``groups`` whose union is ``bits``, or
+    None when no such groups exist.  The group that holds the highest
+    position left must end there, or it is not inside ``bits``; so each
+    group of the union costs one look-up, whatever the number of groups."""
+    chosen = []
+    while bits:
+        k = top.get(bits.bit_length())
+        if k is None or groups[k] & ~bits:
+            return None
+        chosen.append(k)
+        bits ^= groups[k]
+    return chosen
+
+
+def _mask_namer(universe: int, scheme: PartitionScheme | None) -> Callable[[int], str]:
+    """``describe_mask`` for one axis, with each level's groups read once."""
+    levels = []
+    for level in scheme.levels if scheme is not None else ():
+        groups = [g.members for g in level]
+        levels.append((level, groups, _top_index(groups)))
+
+    def name(bits: int) -> str:
+        if bits == universe:
+            return "ALL"
+        for level, groups, top in levels:
+            chosen = _split(bits, groups, top)
+            if chosen:
+                return "+".join(level[k].name for k in sorted(chosen))
+        return "{" + ",".join(map(str, indices_of(bits))) + "}"
+
+    return name
+
+
 def describe_mask(bits: int, universe: int, scheme: PartitionScheme | None) -> str:
-    """Group names joined by '+' when the mask is a union of whole groups
-    of one level, 'ALL' for the full axis, else the explicit index list."""
-    if bits == universe:
-        return "ALL"
-    if scheme is not None:
-        for level in scheme.levels:
-            chosen = [g for g in level if g.members & bits]
-            if chosen and all((g.members & ~bits) == 0 for g in chosen):
-                union = 0
-                for g in chosen:
-                    union |= g.members
-                if union == bits:
-                    return "+".join(g.name for g in chosen)
-    return "{" + ",".join(map(str, indices_of(bits))) + "}"
+    """Group names joined by '+', in level order, when the mask is a union
+    of whole groups of one level (the first such level), 'ALL' for the
+    full axis, else the explicit index list."""
+    return _mask_namer(universe, scheme)(bits)
 
 
 def make_pair(
@@ -463,14 +522,16 @@ def assemble(
     trans_scheme: PartitionScheme | None = None,
 ) -> Solver:
     """Compile the query into a solver: roles X/H/V plus group
-    indicators, one ``GroupChoice`` per axis for the dataset part, the
-    size and span bounds, and the mining part, one ``ClosedPatternSub``
-    that channels X to H and derives the cover from X and V.  Position i
-    of X and H is item i, position j of V transaction j; read a state
-    through ``Solver.fixed``.  X is fixed to 0 at the root on the
-    forbidden items and on the items no transaction holds, so the search
-    and the mining propagator skip sparse ids.  ``check_query`` has
-    checked every bound posted here."""
+    indicators, one ``GroupChoice`` per axis over the choices that can
+    hold an answer (``AxisConstraint.answer_choices``) for the dataset
+    part, the size and span bounds, and the mining part, one
+    ``ClosedPatternSub`` that channels X to H and derives the cover from
+    X and V.  Position i of X and H is item i, position j of V
+    transaction j; read a state through ``Solver.fixed``.  When an axis
+    has no such choice, the solver fails at the root.  X is fixed to 0 at
+    the root on the forbidden items and on the items no transaction
+    holds, so the search and the mining propagator skip sparse ids.
+    ``check_query`` has checked every bound posted here."""
     check_query(db, query, item_scheme, trans_scheme)
     items, trans = db.all_items(), db.all_transactions()
     s = Solver()
@@ -480,14 +541,15 @@ def assemble(
 
     # dataset part: one group choice per axis; the mining part bounds
     # support per transaction group
-    groups, lb, ub = query.items.choices(items, item_scheme)
+    item_choices = query.items.answer_choices(items, item_scheme)
+    trans_choices = query.trans.answer_choices(trans, trans_scheme)
+    if any(lb > ub for _, lb, ub in (item_choices, trans_choices)):
+        s.root_failed = True  # no sub-dataset can hold an answer
+        return s
+    groups, lb, ub = item_choices
     constraints.post_group_choice(s, groups, ROLE_H, items, lb, ub)
-    trans_choices = query.trans.choices(trans, trans_scheme)
     groups, lb, ub = trans_choices
     first = constraints.post_group_choice(s, groups, ROLE_V, trans, lb, ub)
-
-    # a sub-dataset with no transactions has no defined frequencies
-    s.post(constraints.CardinalityRange(ROLE_V, trans, 1))
 
     # itemset part: itemsets are non-empty by definition
     s.post(constraints.CardinalityRange(ROLE_X, items, query.min_size))
@@ -614,10 +676,10 @@ def run_theory(
 def _decode(
     masks: set[int], con: AxisConstraint, universe: int, scheme: PartitionScheme | None
 ) -> dict[int, tuple[tuple[int, ...], str, bool]]:
-    return {
-        b: (indices_of(b), describe_mask(b, universe, scheme), con.satisfied(b, universe, scheme))
-        for b in masks
-    }
+    # the axis's choice and its levels are read once, not once per mask
+    allowed = con.allowed(universe, scheme)
+    name = _mask_namer(universe, scheme)
+    return {b: (indices_of(b), name(b), allowed(b)) for b in masks}
 
 
 def _run_parallel(

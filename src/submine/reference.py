@@ -144,7 +144,8 @@ def mine_frequent(
 def _mine_mask(db, mask: Mask, theta, closed, *constraints) -> list[int]:
     """The body of both one-mask miners."""
     tb = mask.active_transactions
-    found = _mine(db, mask.active_items, ((tb,), 1, 1), theta, closed, *constraints)
+    choices = AxisConstraint.fixed(tb).answer_choices(db.all_transactions(), None)
+    found = _mine(db, mask.active_items, choices, theta, closed, *constraints)
     return found.get(tb, [])
 
 
@@ -176,12 +177,11 @@ def _mine(
     deadline: float | None,
 ) -> dict[int, list[int]]:
     """The one miner: for every transaction mask of the group choice
-    ``choices`` (the (groups, lb, ub) of ``AxisConstraint.choices``) at
-    once, the itemsets that are answers in the sub-dataset of the items
-    ``act_i`` and that mask, keyed by the mask.  The empty mask holds no
-    answer, so every choice takes at least one non-empty group.  With
-    ub > 1 the groups must be disjoint and non-empty, as the groups of a
-    partition are.
+    ``choices`` (the (groups, lb, ub) of ``AxisConstraint.answer_choices``:
+    non-empty groups, lb ≥ 1, and none when lb > ub) at once, the
+    itemsets that are answers in the sub-dataset of the items ``act_i``
+    and that mask, keyed by the mask.  With ub > 1 the groups must be
+    disjoint, as the groups of a partition are.
 
     Each node extends its itemset by one item e above the node's core (the
     item that created it).  A node carries one *live* entry (members,
@@ -233,8 +233,6 @@ def _mine(
     choices, and before each pass over as many live groups.
     """
     groups, lb, ub = choices
-    full = [g for g in groups if g]  # with ub = 1 a fixed mask may be empty
-    lb, ub = max(lb, 1), min(ub, len(full))
     # every choice is a non-empty mask, so an item no transaction holds is
     # frequent in none; and every row lies inside the held items, so no
     # closure changes
@@ -243,7 +241,7 @@ def _mine(
         return {}
     p, q = theta.numerator, theta.denominator
     # two levels can hold the same group
-    full = sorted(sorted(set(full)), key=int.bit_count)
+    full = sorted(sorted(set(groups)), key=int.bit_count)
     live = [(g, p * g.bit_count()) for g in full]
     base = reduce(or_, full)
     answers: dict[int, list[int]] = {}
@@ -417,7 +415,7 @@ def pp_mine(
     passes.  Answers with the set of (item_bits, trans_bits, itemset_bits) triples,
     which equals cp's; ``run_theory`` checks and decodes them."""
     enum = enumerate_masks(db, query, item_scheme, trans_scheme)
-    choices = query.trans.choices(db.all_transactions(), trans_scheme)
+    choices = query.trans.answer_choices(db.all_transactions(), trans_scheme)
     triples: set[tuple[int, int, int]] = set()
     n_masks = 0
     for ib, group in groupby(enum, key=attrgetter("active_items")):

@@ -147,6 +147,15 @@ def test_mine_rejects_empty_group(files, capsys, engine):
     assert capsys.readouterr().err == "error: line 1: group 'E' has no members\n"
 
 
+@pytest.mark.parametrize("engine", ["cp", "baseline", "oracle"])
+@pytest.mark.parametrize("key", ["items_active", "trans_active"])
+def test_mine_empty_fixed_mask_writes_nothing(files, capsys, key, engine):
+    q = files["dir"] / "empty.query"
+    q.write_text(f"theta: 1/2\n{key}: list\n")
+    assert cli.main(_mine_args(files, str(q), engine)) == cli.EXIT_OK
+    assert capsys.readouterr() == ("", "")
+
+
 def test_mine_rejects_malformed_partition_line(files, capsys):
     cats = files["dir"] / "bad.cats"
     cats.write_text("T1: 1 2\nT2 3 4\n")
@@ -253,6 +262,17 @@ def test_verify_agrees(files, capsys):
     )
     assert rc == 0
     assert "theories agree" in capsys.readouterr().out
+
+
+def test_verify_returns_the_exit_code_of_a_timed_out_engine(files, capsys):
+    # Q1 has four pairs, so cp makes decisions and reads the clock
+    rc = cli.main(
+        ["verify", "--data", files["data.fimi"], "--query", files["q1.query"], "--timeout", "1e-9"]
+    )
+    assert rc == cli.EXIT_TIMEOUT
+    captured = capsys.readouterr()
+    assert captured.err == "cp: timeout\n"
+    assert captured.out == ""
 
 
 def test_verify_detects_broken_engine(files, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import io
 import random
 import re
 from fractions import Fraction
@@ -71,6 +72,8 @@ def test_parse_labels():
         parse_labels("# brands\n1 Ferrari\n2 Alfa Romeo\n")
     with pytest.raises(FormatError):
         parse_labels("x Ferrari\n")
+    with pytest.raises(FormatError, match="^line 2: missing label for item 2$"):
+        parse_labels("1 Ferrari\n2\n")
 
 
 @pytest.mark.parametrize(
@@ -84,6 +87,29 @@ def test_parse_labels():
 def test_parse_labels_rejects_repeats(text, message):
     with pytest.raises(FormatError, match=message):
         parse_labels(text)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda db: TransactionDatabase.from_rows([[0, 1]]), ValueError, "item indices must be >= 1"),
+        (lambda db: TransactionDatabase.from_rows([]), EmptyDatabaseError, "database has no transactions"),
+        (
+            lambda db: TransactionDatabase.from_rows([[1, 5]], item_count=3),
+            ValueError,
+            "item index 5 exceeds item_count=3",
+        ),
+        (lambda db: TransactionDatabase.from_rows([[], []]), ValueError, "database needs at least one item"),
+        (lambda db: db.column(10), ValueError, "item index 10 out of range 1..9"),
+        (lambda db: db.row(0), ValueError, "transaction index 0 out of range 1..6"),
+    ],
+    ids=["id-below-1", "no-rows", "id-above-count", "no-item", "column", "row"],
+)
+def test_database_rejects_bad_indices(db1, call, error, message):
+    with pytest.raises(error) as info:
+        call(db1)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 # ------------------------------------------------------ partition parsing
@@ -101,6 +127,25 @@ def test_parse_partition_completion(db1):
     scheme = parse_partition("I1: 1 2\nI2: 3 4 5\nI3: 6 7 8\n", db1, "items")
     assert len(scheme.groups) == 4
     assert scheme.groups[3].members == bits_of([9])
+
+
+def test_parse_partition_renames_a_singleton_whose_name_is_taken(db1):
+    # an unmentioned index is named by its label (items) or t<j>
+    # (transactions); a name a group already has gets the index appended
+    scheme = parse_partition("C: 1 2\n", db1, "items")
+    assert [g.name for g in scheme.groups] == ["C", "C(3)", "D", "E", "F", "G", "H", "K"]
+    scheme = parse_partition("t1: 2 3\n", db1, "transactions")
+    assert [g.name for g in scheme.groups] == ["t1", "t1(1)", "t4", "t5", "t6"]
+
+
+def test_parse_partition_reads_a_file_object(db1):
+    text = "I1: 1 2\nI2: 3 4 5\nI3: 6 7 8 9\n"
+    assert parse_partition(io.StringIO(text), db1, "items") == parse_partition(text, db1, "items")
+
+
+def test_parse_partition_rejects_unknown_axis(db1):
+    with pytest.raises(ValueError, match="^unknown axis 'rows'$"):
+        parse_partition("G1: 1\n", db1, "rows")
 
 
 def test_parse_partition_overlap(db1):
@@ -150,6 +195,21 @@ def test_parse_partition_rejects_malformed_lines(db1, text, message):
 def test_scheme_rejects_empty_group():
     with pytest.raises(ValueError, match="group 'E' has no members"):
         PartitionScheme("items", 2, ((Group("E", 0), Group("A", bits_of([1, 2]))),))
+
+
+@pytest.mark.parametrize(
+    "axis,levels,message",
+    [
+        ("rows", [[("A", [1, 2])]], "unknown axis 'rows'"),
+        ("items", [[("A", [1, 2, 3])]], "group 'A': index 3 out of range 1..2"),
+        ("items", [[("A", [1, 2])], [("B", [1])]], "level does not cover index 2"),
+    ],
+    ids=["unknown-axis", "index-out-of-range", "level-misses-index"],
+)
+def test_scheme_rejects_bad_levels(axis, levels, message):
+    built = tuple(tuple(Group(name, bits_of(ids)) for name, ids in level) for level in levels)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PartitionScheme(axis, 2, built)
 
 
 def test_scheme_build_rejects_overlap():

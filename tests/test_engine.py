@@ -51,6 +51,8 @@ def test_root_failure_signal():
     s.post(CardinalityRange(ROLE_AUX, _bit(s, a), 0, 0))  # sum must be 0 but a is already 1
     assert s.root_failed
     assert s.search_all() == 0
+    # a failed root stays failed
+    assert not s.assign_root(ROLE_AUX, _bit(s, a), 1)
 
 
 def test_post_refuses_a_position_the_role_lacks():

@@ -3,6 +3,8 @@ import time
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from types import SimpleNamespace
 
 import pytest
@@ -27,7 +29,7 @@ from submine import (
 )
 from submine import queries
 from submine.cli import _random_bounds, generate_random_instance
-from submine.dataset import bits_of
+from submine.dataset import bits_of, indices_of
 from submine.engine import ROLE_H, ROLE_V, SearchTimeout, Solver
 from submine.queries import (
     ENGINES,
@@ -72,6 +74,7 @@ def test_parse_query_roundtrip(db1, items3, trans3):
     ("theta: 1/2  # half\n", "frequency"),
     ("theta: 1/2\nclosed: maybe\n", "closed"),
     ("theta: 1/2\nminsize: zero\n", "minsize"),
+    ("theta: 1/2\nitems_active: 1 2 3\n", "^items_active: cannot parse '1 2 3'$"),
 ])
 def test_parse_query_rejects(text, msg, db1):
     with pytest.raises(QueryError, match=msg):
@@ -180,14 +183,44 @@ def test_query_text_builds_or_fails_cleanly(db1, items3, trans3, text, with_sche
             QueryError,
             "theta must be an exact fraction, got 0.5",
         ),
+        (
+            lambda: Query(theta=HALF, items=AxisConstraint.fixed(bits_of([2, 9]))),
+            QueryError,
+            "fixed activation references unknown items",
+        ),
+        (lambda: Query(theta=HALF, engine="gpu"), QueryError, "unknown engine 'gpu'"),
+        (
+            lambda: Query(theta=HALF, items=AxisConstraint.one_per_level()),
+            QueryError,
+            "one-of-levels applies to transactions only",
+        ),
+        (lambda: Query(theta=HALF, span=(1, 1)), QueryError, "span needs an item partition scheme"),
     ],
-    ids=["require", "forbid", "minsize", "unknown-kind", "no-scheme", "float-theta"],
+    ids=[
+        "require", "forbid", "minsize", "unknown-kind", "no-scheme", "float-theta",
+        "fixed-outside", "unknown-engine", "item-levels", "span-no-scheme",
+    ],
 )
 def test_engines_reject_invalid_queries_alike(engine, make, error, message):
     db = TransactionDatabase.from_rows([[1, 2], [2, 3], [1, 3]], item_count=3)
     with pytest.raises(error) as info:
         run_theory(db, make(), engine=engine)
     assert type(info.value) is error
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda db: build_query({"theta": "1/2", "foo": "1"}, db), "unknown keys: ['foo']"),
+        (lambda db: build_query({"closed": "true"}, db), "query is missing required key 'theta'"),
+        (lambda db: run_theory(db, Query(theta=HALF), engine="x"), "unknown engine 'x'"),
+    ],
+    ids=["build-unknown-key", "build-no-theta", "run-unknown-engine"],
+)
+def test_query_api_rejects_unknown_names(db1, call, message):
+    with pytest.raises(QueryError) as info:
+        call(db1)
     assert str(info.value) == message
 
 
@@ -627,6 +660,68 @@ def test_describe_mask(db1, items3):
     assert describe_mask(bits_of([1, 3]), db1.all_items(), None) == "{1,3}"
 
 
+def _describe_by_definition(bits, universe, scheme):
+    # describe_mask's reading, one pass over every group of every level
+    if bits == universe:
+        return "ALL"
+    for level in scheme.levels:
+        chosen = [g for g in level if g.members & bits]
+        if chosen and reduce(or_, (g.members for g in chosen)) == bits:
+            return "+".join(g.name for g in chosen)
+    return "{" + ",".join(map(str, indices_of(bits))) + "}"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_describe_mask_names_the_first_level_that_fits(seed):
+    # the first level whose whole groups make up the mask names it, its
+    # groups in level order, on two- and three-level schemes
+    from submine.cli import _random_groups
+
+    rng = random.Random(seed)
+    size = rng.randint(2, 7)
+    extra = [_random_groups(rng, size, f"L{k}") for k in range(rng.randint(1, 2))]
+    scheme = PartitionScheme.build("transactions", size, _random_groups(rng, size, "G"), extra)
+    universe = (1 << size + 1) - 2
+    for b in range(1 << size + 1):
+        assert describe_mask(b, universe, scheme) == _describe_by_definition(b, universe, scheme)
+
+
+def test_run_theory_decodes_thousands_of_level_groups_in_time():
+    # two levels of one big group each, completed with singletons: 6002
+    # groups, each answer mask a singleton.  The check reads the axis's
+    # choice and each level once, so the run takes about 0.3 s on a 2-core
+    # container (CPython 3.11); one pass over every group for each mask
+    # took 5.5 s
+    from submine.dataset import parse_partition
+
+    rng = random.Random(0)
+    db = TransactionDatabase.from_rows(
+        [rng.sample(range(1, 9), 3) for _ in range(6000)], item_count=8
+    )
+    text = (
+        f"level 1\nA: {' '.join(map(str, range(1, 3000)))}\n"
+        f"level 2\nB: {' '.join(map(str, range(3000, 6000)))}\n"
+    )
+    scheme = parse_partition(text, db, "transactions")
+    assert len({g.members for level in scheme.levels for g in level}) == 6002
+    q = build_query(parse_query("theta: 1/2\ntrans_active: one-of-levels\n"), db, None, scheme)
+    started = time.monotonic()
+    theory = run_theory(db, q, None, scheme, engine="baseline")
+    elapsed = time.monotonic() - started
+    assert len(theory) == 6000
+    assert {p.trans_desc for p in theory} == {f"t{j}" for j in range(1, 6001)}
+    assert elapsed < 2.0
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("key", ["items_active", "trans_active"])
+def test_empty_fixed_mask_has_the_empty_theory(db1, key, engine):
+    # no answer lies in a sub-dataset with no items or no transactions
+    q = build_query(parse_query(f"theta: 1/2\n{key}: list\n"), db1)
+    assert (q.items if key == "items_active" else q.trans) == AxisConstraint.fixed(0)
+    assert run_theory(db1, q, engine=engine) == []
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_axis_constraint_has_one_reading(seed):
     # every kind on one- and two-level random schemes of a small axis:
@@ -713,7 +808,7 @@ _OLV = AxisConstraint.one_per_level()
                 items=AxisConstraint.group_bounds(0, 3),
                 trans=AxisConstraint.group_bounds(2, 2),
             ),
-            114,
+            112,
             21,
         ),
         (
@@ -723,8 +818,8 @@ _OLV = AxisConstraint.one_per_level()
                 items=AxisConstraint.group_bounds(3, 3),
                 trans=AxisConstraint.group_bounds(0, 1),
             ),
-            16,
-            4,
+            14,
+            3,
         ),
         (
             # the required item's group is chosen at the root, where the
@@ -746,3 +841,21 @@ def test_cp_search_counters_on_group_choices(db1, items3, trans3, case, query, n
     stats = {}
     run_theory(db, query, ischeme, tscheme, engine="cp", stats=stats)
     assert stats == {"nodes": nodes, "masks": masks}
+
+
+def test_group_lower_bound_zero_searches_like_one():
+    # the empty mask holds no answer, so on either axis group bounds
+    # (0, ub) admit no answer that (1, ub) do not: cp searches the same
+    # nodes and masks for the same theory
+    rng = random.Random(5)
+    for _ in range(400):
+        db, ischeme, tscheme, query = generate_random_instance(rng)
+        for key, scheme in (("items", ischeme), ("trans", tscheme)):
+            ub = rng.randint(1, scheme.group_count())
+            runs = []
+            for lb in (0, 1):
+                q = replace(query, **{key: AxisConstraint.group_bounds(lb, ub)})
+                stats = {}
+                theory = run_theory(db, q, ischeme, tscheme, engine="cp", stats=stats)
+                runs.append((stats, theory))
+            assert runs[0] == runs[1], (key, q)
