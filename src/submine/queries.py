@@ -47,6 +47,7 @@ from .dataset import (
     Mask,
     PartitionScheme,
     TransactionDatabase,
+    best_choice,
     indices_of,
     iter_bits,
     meet_rows,
@@ -67,7 +68,8 @@ _QUERY_KEYS = (
     "engine",
 )
 
-# answers the self-check passes between two reads of the clock
+# answers the self-check passes, or item masks an answer is lifted to,
+# between two reads of the clock
 _CHECK_STRIDE = 256
 
 
@@ -512,6 +514,80 @@ def check_query(
     query.trans.check("transactions", db.all_transactions(), trans_scheme)
 
 
+# -------------------------------------------------------------- live items
+
+
+def live_items(
+    db: TransactionDatabase,
+    query: Query,
+    item_scheme: PartitionScheme | None = None,
+    trans_scheme: PartitionScheme | None = None,
+) -> int:
+    """K, the live items: the held items frequent in some transaction
+    choice that can hold an answer.  Item i is live when
+    ``dataset.best_choice`` over its column's group scores
+    ``q·|col_i ∧ g| − p·|g|`` (``AxisConstraint.answer_choices``) reaches
+    0.  The answers of an item mask H are exactly those of H ∩ K, so
+    item masks with the same live part are one subproblem (Chu, García de
+    la Banda & Stuckey, CPAIOR 2010): an item outside K is in no answer,
+    since every item of a frequent itemset is frequent in V, and it
+    blocks no answer's closedness, since an item whose column holds a
+    frequent cover is frequent in V itself.  Minsize, require, forbid and
+    span read the itemset alone; a forbidden item stays in K when it is
+    frequent, for it can block closedness.  When the item axis allows at
+    most one answer mask there is nothing to merge, and every item is
+    returned, so that mask is searched as it is."""
+    groups, lb, ub = query.items.answer_choices(db.all_items(), item_scheme)
+    if lb > ub or lb == len(groups):
+        return db.all_items()
+    groups, lb, ub = query.trans.answer_choices(db.all_transactions(), trans_scheme)
+    if lb > ub:
+        return 0
+    p, q = query.theta.numerator, query.theta.denominator
+    sized = [(g, p * g.bit_count()) for g in groups]
+    cols = db.columns
+    live = 0
+    for i in indices_of(db.held_items):
+        col = cols[i]
+        ranked = sorted([q * (col & g).bit_count() - need for g, need in sized], reverse=True)
+        if best_choice(0, 0, ranked, lb, ub) >= 0:
+            live |= 1 << i
+    return live
+
+
+def _project_items(
+    db: TransactionDatabase,
+    query: Query,
+    item_scheme: PartitionScheme | None,
+    trans_scheme: PartitionScheme | None,
+) -> tuple[tuple[tuple[int, ...], int, int], Callable[[int], Iterator[int]]]:
+    """(choices, lift): the item axis's answer choice projected onto the
+    live items K (``live_items``), and ``lift(E)``, every item mask H of
+    the query's choice with H ∩ K = E, for a mask E of the projected
+    choice.  The item groups are disjoint whenever there is more than
+    one of them (items allow no one-of-levels), so each non-empty g ∩ K
+    is its own group.  With z groups that miss K, a choice of s
+    projected groups lifts to the union of their whole groups plus any t
+    of the z groups with lb ≤ s + t ≤ ub; so s runs over
+    max(1, lb − z)..min(ub, groups left)."""
+    groups, lb, ub = query.items.answer_choices(db.all_items(), item_scheme)
+    live = live_items(db, query, item_scheme, trans_scheme)
+    whole = [g for g in groups if g & live]
+    zero = [g for g in groups if not g & live]
+    kept = tuple(g & live for g in whole)
+    top = _top_index(kept)
+
+    def lift(bits: int) -> Iterator[int]:
+        chosen = _split(bits, kept, top)
+        base = reduce(or_, (whole[k] for k in chosen), 0)
+        s = len(chosen)
+        for t in range(max(lb - s, 0), min(ub - s, len(zero)) + 1):
+            for extra in combinations(zero, t):
+                yield reduce(or_, extra, base)
+
+    return (kept, max(1, lb - len(zero)), min(ub, len(kept))), lift
+
+
 # ---------------------------------------------------------------- assembly
 
 
@@ -522,16 +598,20 @@ def assemble(
     trans_scheme: PartitionScheme | None = None,
 ) -> Solver:
     """Compile the query into a solver: roles X/H/V plus group
-    indicators, one ``GroupChoice`` per axis over the choices that can
-    hold an answer (``AxisConstraint.answer_choices``) for the dataset
-    part, the size and span bounds, and the mining part, one
-    ``ClosedPatternSub`` that channels X to H and derives the cover from
-    X and V.  Position i of X and H is item i, position j of V
-    transaction j; read a state through ``Solver.fixed``.  When an axis
-    has no such choice, the solver fails at the root.  X is fixed to 0 at
-    the root on the forbidden items and on the items no transaction
-    holds, so the search and the mining propagator skip sparse ids.
-    ``check_query`` has checked every bound posted here."""
+    indicators, one ``GroupChoice`` per axis for the dataset part, the
+    size and span bounds, and the mining part, one ``ClosedPatternSub``
+    that channels X to H and derives the cover from X and V.  The
+    transaction choice is the one that can hold an answer
+    (``AxisConstraint.answer_choices``); the item choice is that one
+    projected onto the live items (``live_items``), so item masks that
+    share their live items are searched once, as their projection, and
+    ``_collect_cp`` lifts each answer back to them.  Position i of X and
+    H is item i, position j of V transaction j; read a state through
+    ``Solver.fixed``.  When an axis has no choice, the solver fails at
+    the root.  X is fixed to 0 at the root on the forbidden items and on
+    the items no transaction holds, so the search and the mining
+    propagator skip sparse ids.  ``check_query`` has checked every bound
+    posted here."""
     check_query(db, query, item_scheme, trans_scheme)
     items, trans = db.all_items(), db.all_transactions()
     s = Solver()
@@ -541,7 +621,7 @@ def assemble(
 
     # dataset part: one group choice per axis; the mining part bounds
     # support per transaction group
-    item_choices = query.items.answer_choices(items, item_scheme)
+    item_choices = _project_items(db, query, item_scheme, trans_scheme)[0]
     trans_choices = query.trans.answer_choices(trans, trans_scheme)
     if any(lb > ub for _, lb, ub in (item_choices, trans_choices)):
         s.root_failed = True  # no sub-dataset can hold an answer
@@ -576,19 +656,35 @@ def _collect_cp(
     deadline: float | None,
     stats: dict | None,
 ) -> set[tuple[int, int, int]]:
+    """The search over the item choice projected onto the live items, with
+    each answer (E, V, X) lifted to every item mask H of the query with
+    H ∩ K = E.  The lift reads the clock every ``_CHECK_STRIDE`` item
+    masks and raises SearchTimeout once ``time.monotonic()`` passes
+    ``deadline``."""
     solver = assemble(db, query, item_scheme, trans_scheme)
-    triples: set[tuple[int, int, int]] = set()
+    lift = _project_items(db, query, item_scheme, trans_scheme)[1]
+    # projected item mask -> [(trans_bits, itemset_bits)]
+    found: dict[int, list[tuple[int, int]]] = {}
 
     def sink():
         # bit i of a role's bitset is item or transaction i (see assemble)
-        triples.add(
-            (solver.fixed(ROLE_H)[0], solver.fixed(ROLE_V)[0], solver.fixed(ROLE_X)[0])
+        found.setdefault(solver.fixed(ROLE_H)[0], []).append(
+            (solver.fixed(ROLE_V)[0], solver.fixed(ROLE_X)[0])
         )
 
     solver.search_all(on_solution=sink, deadline=deadline)
     if stats is not None:
         stats["nodes"] = stats.get("nodes", 0) + solver.stats["nodes"]
         stats["masks"] = stats.get("masks", 0) + solver.stats["masks_reached"]
+    triples: set[tuple[int, int, int]] = set()
+    lifted = 0
+    for projected, answers in found.items():
+        for ib in lift(projected):
+            lifted += 1
+            if deadline is not None and lifted % _CHECK_STRIDE == 0:
+                if time.monotonic() > deadline:
+                    raise SearchTimeout
+            triples.update((ib, tb, xb) for tb, xb in answers)
     return triples
 
 

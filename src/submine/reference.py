@@ -1,16 +1,18 @@
 """Preprocess-then-mine baseline and the exhaustive brute-force oracle.
 
 The baseline enumerates every sub-dataset satisfying the query's dataset
-constraints, then runs one closure-extension depth-first search per item
-mask that decides frequency and closedness for all of that item mask's
-transaction masks at once.  The search carries the transaction axis's
-groups, not its masks: over disjoint groups a mask's support is the sum
-of its groups' supports, so one score per group bounds every mask, and
-the masks are listed only where an itemset is emitted.  Mining-side
-constraints are applied during the search, not as a post-pass.  The oracle evaluates the query predicate by
-definition over every feasible mask and every non-empty subset of active
-items, using nothing but the dataset primitives.  All three engines must
-agree on every theory.
+constraints, then runs one closure-extension depth-first search per
+distinct live part of the item masks (``queries.live_items``), which
+decides frequency and closedness for all of the transaction masks at
+once; item masks that share their live items share its answers.  The
+search carries the transaction axis's groups, not its masks: over
+disjoint groups a mask's support is the sum of its groups' supports, so
+one score per group bounds every mask, and the masks are listed only
+where an itemset is emitted.  Mining-side constraints are applied during
+the search, not as a post-pass.  The oracle evaluates the query predicate
+by definition over every feasible mask and every non-empty subset of
+active items, using nothing but the dataset primitives.  All three
+engines must agree on every theory.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .queries import (
     UnsupportedQueryError,
     check_query,
     count_masks,
+    live_items,
     make_pair,
 )
 
@@ -407,15 +410,20 @@ def pp_mine(
     stats: dict | None = None,
 ) -> set[tuple[int, int, int]]:
     """Two-step baseline: enumerate every feasible sub-dataset, then mine
-    them, one search per item mask for all of its transaction masks
-    (``_mine`` over the transaction axis's group choice, so the search
+    them, one search per distinct live part ib ∩ K of the item masks ib
+    (``queries.live_items``), for all of its transaction masks at once.
+    Item masks that share their live items have the same answers, so each
+    search's answers are written under every item mask of its live part.
+    A search is ``_mine`` over the transaction axis's group choice, so it
     carries groups, not masks, and answers with one map from transaction
-    mask to itemsets for every choice kind).  The enumerator yields the
+    mask to itemsets for every choice kind.  The enumerator yields the
     masks item-major; each is counted, and the deadline read, as it
     passes.  Answers with the set of (item_bits, trans_bits, itemset_bits) triples,
     which equals cp's; ``run_theory`` checks and decodes them."""
     enum = enumerate_masks(db, query, item_scheme, trans_scheme)
     choices = query.trans.answer_choices(db.all_transactions(), trans_scheme)
+    live = live_items(db, query, item_scheme, trans_scheme)
+    mined: dict[int, dict[int, list[int]]] = {}  # ib ∩ K -> _mine's answer
     triples: set[tuple[int, int, int]] = set()
     n_masks = 0
     for ib, group in groupby(enum, key=attrgetter("active_items")):
@@ -423,11 +431,16 @@ def pp_mine(
             n_masks += 1
             if deadline is not None:
                 _check(deadline)
-        for tb, found in _mine(
-            db, ib, choices, query.theta, query.closed,
-            query.min_size, query.span, query.require, query.forbid,
-            item_scheme, deadline,
-        ).items():
+        part = ib & live
+        if not part:
+            continue  # no item can be in an answer
+        if part not in mined:
+            mined[part] = _mine(
+                db, part, choices, query.theta, query.closed,
+                query.min_size, query.span, query.require, query.forbid,
+                item_scheme, deadline,
+            )
+        for tb, found in mined[part].items():
             triples.update((ib, tb, pat) for pat in found)
     if stats is not None:
         stats["masks"] = stats.get("masks", 0) + n_masks
