@@ -37,9 +37,9 @@ solver is, runs no test while V is open.  The test will
   * drop a free item whose addition kills the threshold.
 
 An item no transaction holds (sparse item ids leave many) has the empty
-column, which these rules treat like any other: it fails the exact test
-once V₁ ≠ ∅.  ``assemble`` fixes X to 0 on those items at the root, so
-the per-item loops run over the held items only.
+column, which these rules treat like any other.  ``assemble`` fixes X to
+0 on those items at the root, so the per-item loops run over the held
+items only, and rule (b) below skips their columns while V₁ ≠ ∅.
 
 Once the whole mask (H and V) is fixed, closed mode also will
 
@@ -58,7 +58,16 @@ the newly excluded columns against the free active items.  When X₁ grew,
 the cover is the saved one intersected with the new columns only, and
 every rule runs on it.  The slot follows the path, not the mask: one-of-
 levels reaches the same mask in sibling subtrees under different group
-indicators, each with its own X.
+indicators, each with its own X.  Two exact rules spare the exclusion
+tests whose outcome is known:
+
+  * (a) after X₁ grew by one item k, with no free active item left, only
+    the columns excluded since the saved fixpoint are tested: there no
+    tested column dominated the free item k, so none holds ``cov ∧ col_k``,
+    the new cover.  Growth by two items at once (another propagator forced
+    one) retests them all: a column may hold {a, b}'s cover, not a's or b's;
+  * (b) only a frequent column, ``q·|cov ∧ col_e| ≥ p·|V₁|``, is tested:
+    only such can hold the cover or a surviving free item's, both frequent.
 
 The slot also records every item the propagator dropped on the path, from
 the open-V bound on, and an exclusion test starts from that record: such
@@ -209,21 +218,16 @@ class ClosedPatternSub(Propagator):
         h1 &= items
         mask_fixed = (h1 | h0) & items == items
         saved_x1, cov, tested, dropped = s.slots[self.slot]
+        p, q = self.p, self.q
+        need = p * v1.bit_count()
         take = 0  # free items to fix to 1
         # with X₁ as saved, the support test, the per-item tests and the
         # forcing rule already ran on the saved cover
         if saved_x1 != x1:
             # V is fixed: the exact support test, on the saved cover
             # narrowed by the items fixed to 1 since, if there is one
-            if saved_x1 is None:
-                cov = _cover(cols, v1, x1)
-            else:
-                cov = _cover(cols, cov, x1 & ~saved_x1)
-            # a dropped item needs no exclusion test (see the module
-            # docstring); every other excluded item is tested again
-            tested = dropped
-            p, q = self.p, self.q
-            need = p * v1.bit_count()
+            grown = x1 if saved_x1 is None else x1 & ~saved_x1
+            cov = _cover(cols, v1 if saved_x1 is None else cov, grown)
             if q * cov.bit_count() < need:
                 return False
             fr = free
@@ -235,20 +239,25 @@ class ClosedPatternSub(Propagator):
                     drop |= low
                 elif self.closed and mask_fixed and h1 & low and ci == cov:
                     take |= low
+            # rule (a) of the module docstring; otherwise every excluded
+            # item but the dropped ones is tested again
+            if saved_x1 is None or grown & (grown - 1) or free & h1 & ~(drop | take):
+                tested = dropped
         if mask_fixed:
             excluded = x0 & h1 & ~tested
             if self.closed and excluded:
-                # the cover rows each newly excluded column misses; the
-                # excluded items no transaction holds share the empty
-                # column, which misses them all
+                # the cover rows each newly excluded frequent column misses
                 fr = free & h1 & ~(drop | take)
-                zs = {cov} if excluded & ~self.held else set()
+                zs = set()
                 tested |= excluded
-                excluded &= self.held
+                if need:  # the empty columns of items no row holds are infrequent
+                    excluded &= self.held
                 while excluded:
                     low = excluded & -excluded
                     excluded ^= low
-                    zs.add(cov & ~cols[low.bit_length() - 1])
+                    ce = cov & cols[low.bit_length() - 1]
+                    if q * ce.bit_count() >= need:
+                        zs.add(cov ^ ce)
                 if 0 in zs:
                     return False
                 while fr:

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     HALF,
+    Channel,
     apply_state,
     assign,
     build_mining_solver,
@@ -450,3 +451,42 @@ def test_same_mask_reached_in_sibling_subtrees():
     assert {p.items for p in cp} == {(1,), (2,), (3,), (4,), (1, 2, 5), (1, 3), (2, 3)}
     # pinned: the counts of the propagator that kept no state across calls
     assert stats == {"nodes": 26, "masks": 2}
+
+
+def test_items_fixed_two_at_once_retest_every_excluded_column():
+    # e's column holds the cover of {a, b}, row 1, but neither that of a
+    # nor that of b; the parent fixpoint tests e against the whole table
+    a, b, e = 1, 2, 3
+    db = TransactionDatabase.from_rows([[a, b, e], [a], [b]], item_count=3)
+    theta = Fraction(1, 3)
+    s = Solver()
+    s.add(ROLE_H, 3)
+    s.add(ROLE_V, 3)
+    s.add(ROLE_X, 3)
+    everything = span_bits(1, 3)
+    s.assign_bits(ROLE_H, everything, 1)
+    s.assign_bits(ROLE_V, everything, 1)
+    s.assign_bits(ROLE_X, 1 << e, 0)
+    # posted first, so it sets b before the mining propagator wakes for a
+    s.post(Channel((ROLE_X, b), (ROLE_X, a)))
+    s.post(ClosedPatternSub(db, theta))
+    assert not s.root_failed
+    saved_x1, _, tested, _ = s.slots[0]
+    assert (saved_x1, tested) == (0, 1 << e)
+    s.push_level()
+    assert s.assign_bits(ROLE_X, 1 << a, 1)
+    assert not s.propagate_to_fixpoint()
+    assert mining_extensions(db, theta, True, everything, everything, {a: 1, b: 1, e: 0}) == []
+
+
+def test_excluded_column_at_the_support_threshold_still_dominates():
+    # e's cover support, row 1 of rows 1-2, meets θ = 1/2 exactly, and
+    # item i has the same cover, so no closed itemset holds i once e is out
+    i, e, o = 1, 2, 3
+    db = TransactionDatabase.from_rows([[i, e], [o]], item_count=3)
+    everything = span_bits(1, 3)
+    s, handles = build_mining_solver(db, HALF, True)
+    ok, fixed = apply_state(s, handles, db, everything, span_bits(1, 2), {e: 0})
+    assert ok and fixed == {i: 0, e: 0}
+    exts = mining_extensions(db, HALF, True, everything, span_bits(1, 2), {e: 0})
+    assert sorted(exts) == [0, 1 << o]
