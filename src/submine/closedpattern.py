@@ -37,9 +37,10 @@ solver is, runs no test while V is open.  The test will
   * drop a free item whose addition kills the threshold.
 
 An item no transaction holds (sparse item ids leave many) has the empty
-column, which these rules treat like any other.  ``assemble`` fixes X to
-0 on those items at the root, so the per-item loops run over the held
-items only, and rule (b) below skips their columns while V₁ ≠ ∅.
+column, which these rules treat like any other.  No such item is live,
+and ``assemble`` fixes H, and through the channeling X, to 0 at the root
+on every item that is not, so the per-item loops run over the live items
+only and no exclusion test reads an empty column.
 
 Once the whole mask (H and V) is fixed, closed mode also will
 
@@ -129,7 +130,6 @@ class ClosedPatternSub(Propagator):
         self.closed = closed
         self.item_universe = span_bits(1, db.item_count)
         self.trans_universe = span_bits(1, db.transaction_count)
-        self.held = db.held_items
 
     def watches(self):
         items = self.item_universe
@@ -250,8 +250,6 @@ class ClosedPatternSub(Propagator):
                 fr = free & h1 & ~(drop | take)
                 zs = set()
                 tested |= excluded
-                if need:  # the empty columns of items no row holds are infrequent
-                    excluded &= self.held
                 while excluded:
                     low = excluded & -excluded
                     excluded ^= low

@@ -97,8 +97,10 @@ class TransactionDatabase:
     ``rows[j]`` is the bitset of items in transaction j.  Slot 0 of either
     tuple is unused.  Labels are presentation-only.  ``held_items`` is the
     union of the rows: the items some transaction holds.  Item ids may be
-    sparse, so the other items 1..item_count have empty columns; the
-    miners skip them in one step.
+    sparse, so the other items 1..item_count have empty columns.  The
+    live items (``queries.live_items``), within which both engines
+    search, and ``reference._mine`` start from the held items, so no
+    miner visits the others.
     """
 
     item_count: int

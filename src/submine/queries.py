@@ -520,7 +520,6 @@ def check_query(
 def live_items(
     db: TransactionDatabase,
     query: Query,
-    item_scheme: PartitionScheme | None = None,
     trans_scheme: PartitionScheme | None = None,
 ) -> int:
     """K, the live items: the held items frequent in some transaction
@@ -534,12 +533,9 @@ def live_items(
     blocks no answer's closedness, since an item whose column holds a
     frequent cover is frequent in V itself.  Minsize, require, forbid and
     span read the itemset alone; a forbidden item stays in K when it is
-    frequent, for it can block closedness.  When the item axis allows at
-    most one answer mask there is nothing to merge, and every item is
-    returned, so that mask is searched as it is."""
-    groups, lb, ub = query.items.answer_choices(db.all_items(), item_scheme)
-    if lb > ub or lb == len(groups):
-        return db.all_items()
+    frequent, for it can block closedness.  K reads the transaction axis
+    alone, so it is the same for every item axis: an item no row holds
+    (sparse ids leave many) is never in it."""
     groups, lb, ub = query.trans.answer_choices(db.all_transactions(), trans_scheme)
     if lb > ub:
         return 0
@@ -571,7 +567,7 @@ def _project_items(
     of the z groups with lb ≤ s + t ≤ ub; so s runs over
     max(1, lb − z)..min(ub, groups left)."""
     groups, lb, ub = query.items.answer_choices(db.all_items(), item_scheme)
-    live = live_items(db, query, item_scheme, trans_scheme)
+    live = live_items(db, query, trans_scheme)
     whole = [g for g in groups if g & live]
     zero = [g for g in groups if not g & live]
     kept = tuple(g & live for g in whole)
@@ -608,10 +604,11 @@ def assemble(
     ``_collect_cp`` lifts each answer back to them.  Position i of X and
     H is item i, position j of V transaction j; read a state through
     ``Solver.fixed``.  When an axis has no choice, the solver fails at
-    the root.  X is fixed to 0 at the root on the forbidden items and on
-    the items no transaction holds, so the search and the mining
-    propagator skip sparse ids.  ``check_query`` has checked every bound
-    posted here."""
+    the root.  H, and X through the channeling, are 0 at the root on
+    every item outside K, every id no transaction holds among them, so
+    the search and the mining propagator skip sparse ids; X is 0 on the
+    forbidden items too.  ``check_query`` has checked every bound posted
+    here."""
     check_query(db, query, item_scheme, trans_scheme)
     items, trans = db.all_items(), db.all_transactions()
     s = Solver()
@@ -636,8 +633,7 @@ def assemble(
     if query.span is not None:
         s.post(constraints.CategorySpan(ROLE_X, items, item_scheme.groups, *query.span))
     s.assign_root(ROLE_X, query.require, 1)
-    # an item no transaction holds is in no answer (V₁ ≠ ∅)
-    s.assign_root(ROLE_X, query.forbid | items & ~db.held_items, 0)
+    s.assign_root(ROLE_X, query.forbid, 0)
 
     s.post(
         closedpattern.ClosedPatternSub(db, query.theta, query.closed, trans_choices, first)

@@ -422,7 +422,7 @@ def pp_mine(
     which equals cp's; ``run_theory`` checks and decodes them."""
     enum = enumerate_masks(db, query, item_scheme, trans_scheme)
     choices = query.trans.answer_choices(db.all_transactions(), trans_scheme)
-    live = live_items(db, query, item_scheme, trans_scheme)
+    live = live_items(db, query, trans_scheme)
     mined: dict[int, dict[int, list[int]]] = {}  # ib ∩ K -> _mine's answer
     triples: set[tuple[int, int, int]] = set()
     n_masks = 0

@@ -35,7 +35,7 @@ def test_projection_is_exact_on_random_instances():
     kept = 0
     for _ in range(4000):
         db, ischeme, tscheme, q = generate_random_instance(rng)
-        live = live_items(db, q, ischeme, tscheme)
+        live = live_items(db, q, tscheme)
         parts = [ib & live for ib in q.items.masks(db.all_items(), ischeme) if ib & live]
         if len(parts) == len(set(parts)):
             continue
@@ -52,7 +52,7 @@ def test_forbidden_frequent_item_blocks_closedness_in_one_mask_only():
     db = TransactionDatabase.from_rows([[1, 2], [1, 2], [1, 2], [3]])
     ischeme = PartitionScheme.build("items", 3, [])
     q = Query(theta=HALF, forbid=bits_of([2]), items=AxisConstraint.group_bounds(1, 2))
-    assert live_items(db, q, ischeme, None) == bits_of([1, 2])
+    assert live_items(db, q, None) == bits_of([1, 2])
     theory = _agree(db, q, ischeme, None)
     assert {(p.item_mask, p.items) for p in theory} == {((1,), (1,)), ((1, 3), (1,))}
 
@@ -68,7 +68,7 @@ def test_item_frequent_in_one_transaction_group_stays_live():
         items=AxisConstraint.group_bounds(1, 2),
         trans=AxisConstraint.group_bounds(1, 1),
     )
-    assert live_items(db, q, ischeme, tscheme) == bits_of([1, 2, 3])
+    assert live_items(db, q, tscheme) == bits_of([1, 2, 3])
     theory = _agree(db, q, ischeme, tscheme)
     assert ((1, 2), (1, 2), (1, 2)) in {(p.item_mask, p.trans_mask, p.items) for p in theory}
 
@@ -116,7 +116,7 @@ def test_baseline_mines_once_per_distinct_live_part(monkeypatch):
     monkeypatch.setattr(reference, "_mine", counted)
     stats = {}
     triples = pp_mine(db, q, ischeme, None, stats=stats)
-    live = live_items(db, q, ischeme, None)
+    live = live_items(db, q, None)
     masks = list(q.items.masks(db.all_items(), ischeme))
     parts = {ib & live for ib in masks} - {0}
     # 15 item masks; I1..I3 alone and in pairs are 6 live parts
@@ -140,3 +140,19 @@ def test_lift_reads_the_deadline(engine):
     assert stats.get("nodes", 0) == 0
     with pytest.raises(SearchTimeout):
         queries._engine_triples(db, q, ischeme, None, engine, time.monotonic() - 1)
+
+
+def test_cp_lifts_only_the_answers():
+    # items 1 and 2 are in all 20 rows, each of 3..22 in one: only 1 and 2
+    # are live, and minsize 3 leaves no answer.  cp lifts each answer, so
+    # it lifts nothing here; walking every item mask by its live part
+    # takes time doubling with each group (1.5 s at 20 groups)
+    db = TransactionDatabase.from_rows([[1, 2, j] for j in range(3, 23)])
+    ischeme = PartitionScheme.build("items", 22, [])  # one group per item
+    q = Query(theta=HALF, min_size=3, items=AxisConstraint.group_bounds(1, 22))
+    assert live_items(db, q, None) == bits_of([1, 2])
+    started = time.perf_counter()
+    theory = run_theory(db, q, ischeme, None, engine="cp")
+    elapsed = time.perf_counter() - started
+    assert theory == []
+    assert elapsed < 1.0, f"cp took {elapsed:.2f} s"

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 from submine import PartitionScheme, Query, build_query, parse_fimi, parse_query, run_theory
-from submine.dataset import bits_of, indices_of, iter_bits
+from submine.dataset import bits_of, indices_of, iter_bits, span_bits
+from submine.engine import ROLE_H, ROLE_X
 from submine.queries import ENGINES, AxisConstraint, assemble
 
 # three rows over ids 1, 2, 3 and 100000
@@ -70,6 +71,22 @@ def test_probe_baseline_follows_the_held_items():
     elapsed = time.perf_counter() - started
     assert _answers(pairs) == PROBE_PAIRS
     assert elapsed < 1.0, f"baseline took {elapsed:.2f} s"
+
+
+def test_one_item_mask_is_searched_within_the_live_items():
+    # at 1/2 over all three rows, id 5000 is held but infrequent and ids
+    # 4..4999 are held by no row: the one item mask is projected onto the
+    # live items 1, 2 and 3, so H and X are 0 at the root on 4..5000
+    db = parse_fimi("1 2 3\n2 3 5000\n1 2\n")
+    query = build_query(parse_query("theta: 1/2\nitems_active: all"), db)
+    solver = assemble(db, query)
+    dead = span_bits(4, 5000)
+    assert not solver.root_failed
+    for role in (ROLE_H, ROLE_X):
+        assert solver.fixed(role)[1] & dead == dead
+    theories = [run_theory(db, query, engine=e) for e in ("cp", "baseline")]
+    assert theories[0] == theories[1]
+    assert _answers(theories[0]) == [((1, 2), 2), ((2,), 3), ((2, 3), 2)]
 
 
 # ids 3, 5, 6 and 9 occur in no row; the partition's group Z holds only
