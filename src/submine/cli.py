@@ -96,6 +96,7 @@ def _run_engine(name, db, query, item_scheme, trans_scheme, deadline, workers=1,
 
 def cmd_mine(args) -> int:
     try:
+        deadline = _deadline(args)  # the limit covers parsing too
         db, item_scheme, trans_scheme, query = _load(args)
         pairs = _run_engine(
             args.engine or query.engine,
@@ -103,7 +104,7 @@ def cmd_mine(args) -> int:
             query,
             item_scheme,
             trans_scheme,
-            _deadline(args),
+            deadline,
             workers=args.parallel,
         )
         text = "".join(p.tsv() + "\n" for p in pairs)

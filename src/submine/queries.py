@@ -44,7 +44,6 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 
 from . import closedpattern, constraints
 from .dataset import (
-    Mask,
     PartitionScheme,
     TransactionDatabase,
     best_choice,
@@ -245,7 +244,7 @@ class Query:
             raise QueryError(f"item {bad} both required and forbidden")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SolutionPair:
     """One element of a theory: a sub-dataset plus an itemset with its
     support.  Identity is index-based; group names and labels ride along
@@ -258,6 +257,16 @@ class SolutionPair:
     item_desc: str = field(compare=False, default="", hash=False)
     trans_desc: str = field(compare=False, default="", hash=False)
     labels: tuple[str, ...] = field(compare=False, default=(), hash=False)
+
+    def __init__(
+        self, item_mask, trans_mask, items, support, item_desc="", trans_desc="", labels=()
+    ):
+        # one dict update, where the generated frozen __init__ makes seven
+        # object.__setattr__ calls: a theory builds one pair per answer
+        self.__dict__.update(
+            item_mask=item_mask, trans_mask=trans_mask, items=items, support=support,
+            item_desc=item_desc, trans_desc=trans_desc, labels=labels,
+        )
 
     def freq_str(self) -> str:
         return f"{self.support}/{len(self.trans_mask)}"
@@ -335,7 +344,7 @@ def make_pair(
 ) -> SolutionPair:
     """Decode one answer triple, with the support ``validate_pair`` found
     for it, into a SolutionPair with display names and labels.
-    ``run_theory`` builds the same pair from its per-mask decoding."""
+    ``run_theory`` builds the same pair from decodings it shares."""
     return SolutionPair(
         item_mask=indices_of(item_bits),
         trans_mask=indices_of(trans_bits),
@@ -714,16 +723,16 @@ def run_theory(
     itemsets, lexicographic on indices).  Every engine answers with a set
     of (item_bits, trans_bits, itemset_bits) triples; this is the one place
     that checks and decodes them, so the result is identical for every
-    engine.  Triples are grouped by their (item_bits, trans_bits) mask.
-    Each distinct item or transaction mask is decoded into an index tuple
-    and a ``describe_mask`` string, and checked against its axis's
-    constraint, once; each distinct mask is sorted once.  Inside a mask,
-    every itemset is decoded into its index tuple once, which gives its
-    sort key, its labels and its one cover, and is checked from first
-    principles (``_itemset_fault``).  A triple fails with the reason
-    ``validate_pair`` gives it, and each pair equals what ``make_pair``
-    builds.  The check reads the clock every ``_CHECK_STRIDE`` answers and
-    raises SearchTimeout once ``time.monotonic()`` passes ``deadline``."""
+    engine.  Triples are grouped by (trans_bits, itemset_bits), (V, X):
+    ``_itemset_fault`` computes the cover, support and closure of X in V
+    once for all the item masks H that hold it and tests each H with two
+    ANDs.  Each distinct item mask, transaction mask and itemset is
+    decoded (indices, and a ``describe_mask`` string or labels) once, and
+    each mask checked against its axis's constraint once.  A triple fails
+    with the reason ``validate_pair`` gives it, and each pair equals what
+    ``make_pair`` builds.  The check reads the clock every
+    ``_CHECK_STRIDE`` answers and raises SearchTimeout once
+    ``time.monotonic()`` passes ``deadline``."""
     chosen = engine or query.engine
     if chosen not in ENGINES:
         raise QueryError(f"unknown engine {chosen!r}")
@@ -733,36 +742,45 @@ def run_theory(
         triples = _run_parallel(db, query, item_scheme, trans_scheme, chosen, workers, deadline)
     else:
         triples = _engine_triples(db, query, item_scheme, trans_scheme, chosen, deadline, stats)
-    # (item_bits, trans_bits) -> [itemset_bits]
-    by_mask: dict = {}
+    # (trans_bits, itemset_bits) -> [item_bits]
+    by_vx: dict = {}
     for ib, tb, xb in triples:
-        by_mask.setdefault((ib, tb), []).append(xb)
+        by_vx.setdefault((tb, xb), []).append(ib)
     # bitset -> (index tuple, description, allowed by its axis), per axis
-    items_of = _decode({ib for ib, _ in by_mask}, query.items, db.all_items(), item_scheme)
-    trans_of = _decode(
-        {tb for _, tb in by_mask}, query.trans, db.all_transactions(), trans_scheme
-    )
-    masks = sorted((items_of[ib], trans_of[tb], ib, tb) for ib, tb in by_mask)
-    label = db.label
-    pairs = []
-    for (item_mask, item_desc, items_ok), (trans_mask, trans_desc, trans_ok), ib, tb in masks:
-        mask_fault = _mask_fault(tb, items_ok, trans_ok)
-        mask = Mask(ib, tb)
-        for items, xb in sorted((indices_of(xb), xb) for xb in by_mask[ib, tb]):
+    items_of = _decode({ib for ib, _, _ in triples}, query.items, db.all_items(), item_scheme)
+    trans_of = _decode({tb for tb, _ in by_vx}, query.trans, db.all_transactions(), trans_scheme)
+    sets_of = {xb: indices_of(xb) for _, xb in by_vx}
+    # each pair's place in the canonical order, as one int: the ranks of
+    # its item mask, transaction mask and itemset; and each label read once
+    n_sets = len(sets_of)
+    item_rank = {
+        b: r * len(trans_of) * n_sets for r, b in enumerate(sorted(items_of, key=items_of.get))
+    }
+    trans_rank = {b: r * n_sets for r, b in enumerate(sorted(trans_of, key=trans_of.get))}
+    label = {i: db.label(i) for i in iter_bits(reduce(or_, sets_of, 0))}.__getitem__
+    sets_of = {
+        xb: (sets_of[xb], tuple(map(label, sets_of[xb])), r)
+        for r, xb in enumerate(sorted(sets_of, key=sets_of.get))
+    }
+    pairs: dict[int, SolutionPair] = {}
+    for (tb, xb), ibs in by_vx.items():
+        items, labels, rank = sets_of[xb]
+        support, bad, fault = _itemset_fault(db, query, tb, xb, items, ibs, item_scheme)
+        if fault:
+            raise _self_check_error(fault, bad, tb, xb)
+        trans_mask, trans_desc, trans_ok = trans_of[tb]
+        rank += trans_rank[tb]
+        for ib in ibs:
             if deadline is not None and len(pairs) % _CHECK_STRIDE == 0:
                 if time.monotonic() > deadline:
                     raise SearchTimeout
-            fault, support = _itemset_fault(db, query, mask, xb, items, item_scheme)
-            fault = fault or mask_fault
-            if fault:
-                raise _self_check_error(fault, ib, tb, xb)
-            pairs.append(
-                SolutionPair(
-                    item_mask, trans_mask, items, support,
-                    item_desc, trans_desc, tuple(map(label, items)),
-                )
+            item_mask, item_desc, items_ok = items_of[ib]
+            if not (items_ok and trans_ok and tb):
+                raise _self_check_error(_mask_fault(tb, items_ok, trans_ok), ib, tb, xb)
+            pairs[item_rank[ib] + rank] = SolutionPair(
+                item_mask, trans_mask, items, support, item_desc, trans_desc, labels
             )
-    return pairs
+    return [pairs[k] for k in sorted(pairs)]
 
 
 def _decode(
@@ -828,12 +846,11 @@ def validate_pair(
     trans_scheme: PartitionScheme | None = None,
 ) -> int:
     """Re-check one answer triple from first principles and return its
-    support; raises RuntimeError on any violation.  The itemset checks
-    come first, then the mask checks; ``run_theory`` runs the same two on
-    every answer of every engine as a self-check."""
-    mask = Mask(item_bits, trans_bits)
-    fault, support = _itemset_fault(
-        db, query, mask, itemset, indices_of(itemset), item_scheme
+    support; raises RuntimeError on any violation.  ``_itemset_fault``
+    with the one item mask comes first, then ``_mask_fault``: the same two
+    checks ``run_theory`` runs on every answer of every engine."""
+    support, _, fault = _itemset_fault(
+        db, query, trans_bits, itemset, indices_of(itemset), (item_bits,), item_scheme
     )
     fault = fault or _mask_fault(
         trans_bits,
@@ -858,38 +875,45 @@ def _mask_fault(trans_bits: int, items_ok: bool, trans_ok: bool) -> str | None:
 
 
 def _itemset_fault(
-    db, query, mask: Mask, itemset: int, items: tuple[int, ...], item_scheme
-) -> tuple[str | None, int]:
-    """Why the itemset (bitset ``itemset``, indices ``items``) is not an
-    answer in the sub-dataset (or None), and its support there.  Support
-    and closure both come from one cover."""
+    db, query, trans_bits: int, itemset: int, items: tuple[int, ...], item_masks, item_scheme
+) -> tuple[int, int | None, str | None]:
+    """The support of the itemset (bitset ``itemset``, indices ``items``)
+    in ``trans_bits``, and an item mask H of ``item_masks`` with the first
+    reason, in this order, the itemset is not an answer in (H, trans_bits),
+    or None twice.  Cover and support do not depend on H, and the closure
+    within H is the one within the union of ``item_masks`` met with H."""
+    first = item_masks[0]
     if itemset == 0:
-        return "empty itemset", 0
-    if itemset & ~mask.active_items:
-        return "itemset outside active items", 0
+        return 0, first, "empty itemset"
+    for h in item_masks:
+        if itemset & ~h:
+            return 0, h, "itemset outside active items"
     cols = db.columns
-    cov = mask.active_transactions
+    cov = trans_bits
     for i in items:
         cov &= cols[i]
     support = cov.bit_count()
-    n_active = mask.active_transactions.bit_count()
-    if support * query.theta.denominator < query.theta.numerator * n_active:
-        return "below minimum frequency", support
+    if support * query.theta.denominator < query.theta.numerator * trans_bits.bit_count():
+        return support, first, "below minimum frequency"
     # with no active transactions the cover is empty and there is no
     # closure; _mask_fault says so
-    if query.closed and cov and meet_rows(db, cov, mask.active_items, itemset) != itemset:
-        return "not closed in the sub-dataset", support
+    if query.closed and cov:
+        union = reduce(or_, item_masks) if len(item_masks) > 1 else first
+        clo = meet_rows(db, cov, union, itemset)
+        for h in item_masks:
+            if clo & h != itemset:
+                return support, h, "not closed in the sub-dataset"
     if itemset.bit_count() < query.min_size:
-        return "below minimum size", support
+        return support, first, "below minimum size"
     if query.require & ~itemset:
-        return "missing required item", support
+        return support, first, "missing required item"
     if query.forbid & itemset:
-        return "contains forbidden item", support
+        return support, first, "contains forbidden item"
     if query.span is not None:
         touched = sum(1 for g in item_scheme.groups if g.members & itemset)
         if not query.span[0] <= touched <= query.span[1]:
-            return "category span out of bounds", support
-    return None, support
+            return support, first, "category span out of bounds"
+    return support, None, None
 
 
 def _self_check_error(reason, item_bits, trans_bits, itemset) -> RuntimeError:

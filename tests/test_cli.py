@@ -1,4 +1,5 @@
 import csv
+import time
 
 import pytest
 
@@ -204,6 +205,33 @@ def test_mine_timeout_exit_code(tmp_path):
         ]
     )
     assert rc == 2
+
+
+# the limit covers the whole command: a clock that passes the limit while
+# the input is parsed must end the run with exit code 2 on every engine
+@pytest.mark.parametrize("engine", ["cp", "baseline"])
+def test_mine_limit_covers_parsing(files, monkeypatch, engine):
+    now = [0.0]
+    monkeypatch.setattr(time, "monotonic", lambda: now[0])
+    load = cli._load
+
+    def slow_load(args):
+        loaded = load(args)
+        now[0] += 10.0
+        return loaded
+
+    monkeypatch.setattr(cli, "_load", slow_load)
+    rc = cli.main(_mine_args(files, files["q1.query"], engine, ["--timeout", "1"]))
+    assert rc == 2
+
+
+# a bad limit is refused before any input is read: the data file is missing
+def test_mine_refuses_bad_timeout_before_reading_data(files, tmp_path, capsys):
+    args = _mine_args(files, files["q1.query"], extra=["--timeout", "0"])
+    args[args.index("--data") + 1] = str(tmp_path / "missing.fimi")
+    rc = cli.main(args)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: --timeout must be a positive number")
 
 
 _BAD_TIMEOUTS = ["nan", "-1", "0"]

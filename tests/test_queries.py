@@ -554,11 +554,38 @@ def _self_check_reason(db, query, triple, item_scheme, trans_scheme):
     return str(err.value).split("(")[1].split(")")[0]
 
 
-# a corrupted triple that shares its mask with correct ones: run_theory
-# checks the mask once, yet must still reject the triple with the reason
-# validate_pair gives it
-@pytest.mark.parametrize("case", ["not-closed", "trans-bounds"])
-def test_run_theory_catches_corruption_in_shared_mask(db1, trans3, monkeypatch, case):
+# a corrupted triple that shares its mask, or its (V, X), with correct
+# ones: run_theory checks each once, yet must still reject the triple with
+# the reason validate_pair gives it
+@pytest.mark.parametrize(
+    "case", ["not-closed", "trans-bounds", "shared-vx-not-closed", "shared-vx-outside"]
+)
+def test_run_theory_catches_corruption_in_shared_mask(
+    db1, items3, trans3, monkeypatch, case
+):
+    if case.startswith("shared-vx"):
+        # X answers Q2 under item mask I1+I2 and is planted under I2+I3, with
+        # the same V: E is not closed there (F joins it), A lies outside it
+        q2 = Query(theta=HALF, items=AxisConstraint.group_bounds(2, 2))
+        answer = triples_of(run_theory(db1, q2, items3))
+        i1, i2, i3 = (g.members for g in items3.groups)
+        x, reason = {
+            "shared-vx-not-closed": (bits_of([E]), "not closed in the sub-dataset"),
+            "shared-vx-outside": (bits_of([A]), "itemset outside active items"),
+        }[case]
+        good, bad = (i1 | i2, db1.all_transactions(), x), (i2 | i3, db1.all_transactions(), x)
+        assert good in answer and bad not in answer
+        with pytest.raises(RuntimeError, match=f"self-check \\({reason}\\)") as expected:
+            validate_pair(db1, q2, *bad, items3)
+        # the triple blamed must not depend on the order of the engine's answer
+        for planted in ([bad, *answer], [*answer, bad]):
+            monkeypatch.setattr(queries, "_engine_triples", lambda *args, **kw: planted)
+            with pytest.raises(RuntimeError) as err:
+                run_theory(db1, q2, items3)
+            assert str(err.value) == str(expected.value)
+        monkeypatch.setattr(queries, "_engine_triples", lambda *args, **kw: answer)
+        assert triples_of(run_theory(db1, q2, items3)) == answer
+        return
     q1 = Query(theta=HALF)
     answer = triples_of(run_theory(db1, q1))
     ((ib, tb),) = {(ib, tb) for ib, tb, _ in answer}
@@ -627,6 +654,48 @@ def test_run_theory_check_reads_the_deadline(monkeypatch):
     with pytest.raises(SearchTimeout):
         run_theory(db, q, deadline=1.5)
     assert len(reads) == 2
+
+
+# run_theory checks each (V, X) once for all the item masks that hold it;
+# one mutated triple planted among an engine's answers must get exactly
+# the verdict validate_pair gives it
+def test_run_theory_and_validate_pair_agree_on_planted_triples(monkeypatch):
+    engine_triples = queries._engine_triples
+    rng = random.Random(26)
+    shared = planted = 0
+    for seed in range(400):
+        db, ischeme, tscheme, q = generate_random_instance(random.Random(seed))
+        if q.items.kind != "groups":
+            continue
+        answer = engine_triples(db, q, ischeme, tscheme, "baseline", None)
+        if not answer:
+            continue
+        holders = Counter((tb, xb) for _, tb, xb in answer)
+        shared += max(holders.values()) >= 2
+        ib, tb, xb = rng.choice(sorted(answer))
+        how = rng.choice(("drop-from-h", "add-to-x", "drop-from-x"))
+        if how == "drop-from-h":
+            ib &= ~(1 << rng.choice(indices_of(ib)))
+        elif how == "add-to-x":
+            xb |= 1 << rng.choice(indices_of(db.all_items() & ~xb) or indices_of(xb))
+        else:
+            xb &= ~(1 << rng.choice(indices_of(xb)))
+        triple = (ib, tb, xb)
+        try:
+            validate_pair(db, q, *triple, ischeme, tscheme)
+            reason = None
+        except RuntimeError as exc:
+            reason = str(exc)
+        monkeypatch.setattr(queries, "_engine_triples", lambda *args, **kw: answer | {triple})
+        if reason is None:
+            assert triple in triples_of(run_theory(db, q, ischeme, tscheme))
+        else:
+            with pytest.raises(RuntimeError) as err:
+                run_theory(db, q, ischeme, tscheme)
+            assert str(err.value) == reason
+        planted += 1
+    assert planted >= 50
+    assert shared >= 10
 
 
 @pytest.mark.parametrize("engine", ["cp", "baseline"])
