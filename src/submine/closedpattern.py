@@ -1,87 +1,85 @@
 """Global frequent(-closed) itemset propagator over a circumscribed
 sub-dataset.
 
-``ClosedPatternSub`` is the whole mining semantics of the model
-(channeling, coverage, frequency, closedness): it filters the itemset X
+``ClosedPatternSub`` is the whole itemset side of the model (channeling,
+coverage, frequency, closedness, size and span): it filters the itemset X
 directly from bitset covers and accepts exactly the full assignments that
-satisfy the definition.  Under a fixed mask it is also
-exact on partial states, as ClosedPattern is (Lazaar et al., CP 2016): it
-fails exactly when no itemset extends the state, and fixes a free item
+satisfy the definition.  Under a fixed mask its mining rules are also
+exact on partial states, as ClosedPattern is (Lazaar et al., CP 2016):
+they fail exactly when no itemset extends the state, and fix a free item
 exactly when every extension agrees on it.  It has no cover role: it
-reads the itemset X and the mask (H, V) as the solver's per-role bitsets,
-so a wake-up costs no scan over positions, and derives the cover of the
-items fixed to 1 as the intersection of their columns.  Every wake-up
-starts with the channeling X ⊆ H: it fixes X to 0 on the inactive items
-and H to 1 on the items of the itemset, and the rules below run on the
-bitsets that leaves.
+reads X and the mask (H, V) as the solver's per-role bitsets and derives
+the cover of the items fixed to 1 as the intersection of their columns.
+Every wake-up starts with the channeling X ⊆ H (X is 0 on the inactive
+items, H is 1 on the items of the itemset), skipped when it holds.
 
 It runs one support test per state of V.  While V is open, the test is a
 per-group support bound over the transaction axis's group choice
 (``choices``, read through the group indicator positions): support over a
 union of disjoint groups is the sum of the per-group supports (the
-partition counting of Savasere, Omiecinski & Navathe, VLDB 1995).  For a cover c,
-group g scores ``q·|c ∧ g| − p·|g|``; ``best(c)`` adds the scores of the
-chosen groups and, greedily and in descending order, those of the live
-groups that raise the sum or are needed to reach lb, up to ub
+partition counting of Savasere, Omiecinski & Navathe, VLDB 1995).  For a
+cover c, group g scores ``q·|c ∧ g| − p·|g|``; ``best(c)`` adds the scores
+of the chosen groups and, greedily and in descending order, those of the
+live groups that raise the sum or are needed to reach lb, up to ub
 (``dataset.best_choice``, which ``baseline``'s search shares).  An itemset
 whose cover lies within c is frequent in no completion of the mask when
 ``best(c) < 0``; with no live group left, ``best`` is the exact test over
 the chosen groups.  The bound is sound only when the groups of one choice
 are disjoint (one partition level) or at most one is chosen (ub = 1,
 one-of-levels); the constructor refuses anything else.  Once V is fixed,
-the test is exact: ``q·|cover ∧ V₁| ≥ p·|V₁|``.  ``assemble`` always
-passes the choice; a propagator posted without one, as a mining-only
-solver is, runs no test while V is open.  The test will
+the test is exact: ``q·|cover ∧ V₁| ≥ p·|V₁|``.  A propagator posted
+without a choice, as a mining-only solver is, runs no test while V is
+open.  The test fails when the cover of X₁ cannot reach the threshold and
+drops a free item whose addition kills it.  An item no transaction holds
+has the empty column; ``assemble`` fixes H, and so X, to 0 at the root on
+every such item, so the per-item loops run over the live items only.
 
-  * fail when the cover of the itemset cannot reach the support threshold;
-  * drop a free item whose addition kills the threshold.
-
-An item no transaction holds (sparse item ids leave many) has the empty
-column, which these rules treat like any other.  No such item is live,
-and ``assemble`` fixes H, and through the channeling X, to 0 at the root
-on every item that is not, so the per-item loops run over the live items
-only and no exclusion test reads an empty column.
-
-Once the whole mask (H and V) is fixed, closed mode also will
-
-  * force a free active item whose addition leaves the cover unchanged;
-  * drop a free active item dominated by an excluded one, and fail when
-    the cover is contained in an excluded item's column.
+Once the whole mask (H and V) is fixed, closed mode also forces a free
+active item whose addition leaves the cover unchanged, fails when the
+cover lies within an excluded item e's column, and drops a free active
+item dominated by e.  For ``z = cover ∧ ¬col_e``, an item is dominated
+exactly when no row of z holds it: the union of z's rows (``db.rows``),
+joined until it holds every free item left or for as many rows as there
+are free items, leaves the dominated ones out, and the items still
+outside it are tested one by one against the rows not yet joined.
 
 Under a fixed mask a wake-up redoes only what changed on the search path
 (after the reversible cover state of CoverSize, Schaus, Aoga & Guns,
-CPAIOR 2017).  The propagator keeps, in a reversible solver slot, the X₁,
-the cover ``cols(X₁) ∧ V₁`` and the excluded columns already tested at the
-last fixpoint on the path; backtracking restores it with the bitsets.
-When X₁ is unchanged, so is the cover: the support test, the per-item
-tests and the forcing rule already ran on it, so the wake-up only tests
-the newly excluded columns against the free active items.  When X₁ grew,
-the cover is the saved one intersected with the new columns only, and
-every rule runs on it.  The slot follows the path, not the mask: one-of-
-levels reaches the same mask in sibling subtrees under different group
-indicators, each with its own X.  Two exact rules spare the exclusion
-tests whose outcome is known:
+CPAIOR 2017).  A reversible solver slot keeps the X₁, the cover
+``cols(X₁) ∧ V₁`` and the excluded columns already tested at the last
+fixpoint on the path.  When X₁ is unchanged, so is the cover, and only the
+newly excluded columns are tested; when X₁ grew, the cover is the saved
+one narrowed by the new columns only, and every rule runs on it.  The
+slot follows the path, not the mask: one-of-levels reaches the same mask
+in sibling subtrees under different group indicators, each with its own
+X.  Two exact rules spare the exclusion tests whose outcome is known:
 
   * (a) after X₁ grew by one item k, with no free active item left, only
     the columns excluded since the saved fixpoint are tested: there no
     tested column dominated the free item k, so none holds ``cov ∧ col_k``,
-    the new cover.  Growth by two items at once (another propagator forced
-    one) retests them all: a column may hold {a, b}'s cover, not a's or b's;
+    the new cover.  Growth by two items at once retests them all: a
+    column may hold {a, b}'s cover, not a's or b's;
   * (b) only a frequent column, ``q·|cov ∧ col_e| ≥ p·|V₁|``, is tested:
     only such can hold the cover or a surviving free item's, both frequent.
 
 The slot also records every item the propagator dropped on the path, from
-the open-V bound on, and an exclusion test starts from that record: such
-an item is never tested, whatever cover X₁ has grown to.  An item the
-support test (open-V or exact) dropped is infrequent for every superset
-of the X₁ it was dropped under, so its column holds no frequent cover, and
-every item it dominates is infrequent too and fails the support test.  An
-item dropped because an excluded item e dominates it is dominated by e
-under every smaller cover, and so is every item it dominates; e's own
-test fails or drops them, or, when e was dropped too, what dropped e
-does.  Skipping these tests changes no fixpoint.
-Until the mask is fixed on the path, the slot holds this record alone
-(X₁ None).
+the open-V bound on, and no exclusion test reads one, whatever X₁ has
+grown to.  An item the support test dropped is infrequent for every
+superset of the X₁ it was dropped under, so its column holds no frequent
+cover, and every item it dominates fails the support test too.  An item
+dropped because e dominates it is dominated by e under every smaller
+cover, and so is every item it dominates; e's own test fails or drops
+them, or, when e was dropped too, what dropped e does.  Until the mask is
+fixed on the path, the slot holds this record alone (X₁ None).
+
+The size and span rules run last, in every state, open V included: X
+fails below ``min_size`` items (X₁ and the free ones), and takes every
+free item at equality; with a span, X fails when it touches more than ub
+of the item groups or can reach fewer than lb, and at ub touched groups
+it drops the free items of the others.  The items they fix are neither
+dropped by a mining rule nor recorded.  The solver does not wake a
+propagator for its own assignments, so when they fix an item the
+propagator calls itself once more, and the mining rules run on it.
 """
 
 from __future__ import annotations
@@ -97,7 +95,9 @@ class ClosedPatternSub(Propagator):
     """Position i of X and H is item i of ``db``, position j of V
     transaction j.  ``choices`` is the transaction axis's (member bitsets,
     lb, ub), as ``AxisConstraint.answer_choices`` gives it, and group k's
-    indicator is aux position ``first + k``."""
+    indicator is aux position ``first + k``.  X holds at least
+    ``min_size`` items and, with a ``span`` (item group member bitsets,
+    lb, ub), touches lb..ub of those groups."""
 
     def __init__(
         self,
@@ -106,6 +106,8 @@ class ClosedPatternSub(Propagator):
         closed: bool = True,
         choices: tuple[Sequence[int], int, int] | None = None,
         first: int = 1,
+        min_size: int = 0,
+        span: tuple[Sequence[int], int, int] | None = None,
     ):
         if not 0 < theta <= 1:
             raise ValueError(f"theta must lie in (0,1], got {theta}")
@@ -119,26 +121,22 @@ class ClosedPatternSub(Propagator):
                     raise ValueError("the support bound needs disjoint groups or ub = 1")
                 seen |= g
                 self.groups.append((g, g.bit_count()))
-        k = len(self.groups)
-        self.indicators = span_bits(first, first + k - 1)
-        self.flags = [1 << first + j for j in range(k)]
+        self.flags = [1 << first + j for j in range(len(self.groups))]
+        self.indicators = sum(self.flags)
         # group scores per distinct cover, for the life of the propagator
         self.scores: dict[int, list[int]] = {}
         self.db = db
         self.p = theta.numerator
         self.q = theta.denominator
         self.closed = closed
+        self.min_size = min_size
+        self.span = span
         self.item_universe = span_bits(1, db.item_count)
         self.trans_universe = span_bits(1, db.transaction_count)
 
     def watches(self):
-        items = self.item_universe
-        return (
-            (ROLE_AUX, self.indicators),
-            (ROLE_X, items),
-            (ROLE_H, items),
-            (ROLE_V, self.trans_universe),
-        )
+        items, trans = self.item_universe, self.trans_universe
+        return (ROLE_AUX, self.indicators), (ROLE_X, items), (ROLE_H, items), (ROLE_V, trans)
 
     def bind(self, s: Solver) -> None:
         # (x1, cov, tested, dropped): x1, cov and tested of the last
@@ -173,6 +171,31 @@ class ClosedPatternSub(Propagator):
         ranked = sorted([scores[k] for k in live], reverse=True)
         return best_choice(total, len(chosen), ranked, self.lb, self.ub)
 
+    def _bounds(self, x1: int, free: int) -> tuple[int, int] | None:
+        """The free items the span rule fixes to 0 and those the size rule
+        fixes to 1; None when either rule fails."""
+        zero = 0
+        if self.span is not None:
+            groups, lb, ub = self.span
+            touched = reachable = untouched = 0
+            for g in groups:
+                if x1 & g:
+                    touched += 1
+                else:
+                    untouched |= g
+                    if free & g:
+                        reachable += 1
+            if touched > ub or touched + reachable < lb:
+                return None
+            if touched == ub:
+                # no further group may be entered
+                zero = free & untouched
+                free ^= zero
+        size = x1.bit_count() + free.bit_count()
+        if size < self.min_size:
+            return None
+        return zero, free if size == self.min_size else 0
+
     def propagate(self, s: Solver) -> bool:
         cols = self.db.columns
         items = self.item_universe
@@ -183,92 +206,133 @@ class ClosedPatternSub(Propagator):
         h1, h0 = s.fixed(ROLE_H)
         x1 &= items
         h0 &= items
-        if not (
-            s.assign_bits(ROLE_X, h0 & ~x0, 0) and s.assign_bits(ROLE_H, x1 & ~h1, 1)
-        ):
-            return False
-        x0 = s.fixed(ROLE_X)[1]
+        if x1 & ~h1 or h0 & ~x0:
+            if not (s.assign_bits(ROLE_X, h0 & ~x0, 0) and s.assign_bits(ROLE_H, x1 & ~h1, 1)):
+                return False
+            x0 |= h0
         free = items & ~(x1 | x0)
         v1, v0 = s.fixed(ROLE_V)
         v1 &= trans
         v0 &= trans
-        drop = 0  # free items to fix to 0
+        drop = take = 0  # free items to fix to 0 and to 1
 
         if v1 | v0 != trans:
-            if not self.flags:
-                return True
-            # the per-group support bound; V's zeros stay in the cover,
-            # which can only weaken the bound, so covers recur across masks
-            cov = _cover(cols, trans, x1)
-            groups = self._open_groups(s)
-            if x1 and self._best(cov, *groups) < 0:
-                return False
-            fr = free
-            while fr:
-                low = fr & -fr
-                fr ^= low
-                if self._best(cov & cols[low.bit_length() - 1], *groups) < 0:
-                    drop |= low
-            if drop:
-                dropped = s.slots[self.slot][3]
-                s.slots[self.slot] = (None, None, 0, dropped | drop)
-            return s.assign_bits(ROLE_X, drop, 0)
-
-        h1, h0 = s.fixed(ROLE_H)
-        h1 &= items
-        mask_fixed = (h1 | h0) & items == items
-        saved_x1, cov, tested, dropped = s.slots[self.slot]
-        p, q = self.p, self.q
-        need = p * v1.bit_count()
-        take = 0  # free items to fix to 1
-        # with X₁ as saved, the support test, the per-item tests and the
-        # forcing rule already ran on the saved cover
-        if saved_x1 != x1:
-            # V is fixed: the exact support test, on the saved cover
-            # narrowed by the items fixed to 1 since, if there is one
-            grown = x1 if saved_x1 is None else x1 & ~saved_x1
-            cov = _cover(cols, v1 if saved_x1 is None else cov, grown)
-            if q * cov.bit_count() < need:
-                return False
-            fr = free
-            while fr:
-                low = fr & -fr
-                fr ^= low
-                ci = cov & cols[low.bit_length() - 1]
-                if q * ci.bit_count() < need:
-                    drop |= low
-                elif self.closed and mask_fixed and h1 & low and ci == cov:
-                    take |= low
-            # rule (a) of the module docstring; otherwise every excluded
-            # item but the dropped ones is tested again
-            if saved_x1 is None or grown & (grown - 1) or free & h1 & ~(drop | take):
-                tested = dropped
-        if mask_fixed:
-            excluded = x0 & h1 & ~tested
-            if self.closed and excluded:
-                # the cover rows each newly excluded frequent column misses
-                fr = free & h1 & ~(drop | take)
-                zs = set()
-                tested |= excluded
-                while excluded:
-                    low = excluded & -excluded
-                    excluded ^= low
-                    ce = cov & cols[low.bit_length() - 1]
-                    if q * ce.bit_count() >= need:
-                        zs.add(cov ^ ce)
-                if 0 in zs:
+            # without the choice, as in a mining-only solver, no test
+            if self.flags:
+                # the per-group support bound; V's zeros stay in the
+                # cover, which can only weaken the bound, so covers recur
+                # across masks
+                cov = _cover(cols, trans, x1)
+                groups = self._open_groups(s)
+                if x1 and self._best(cov, *groups) < 0:
                     return False
+                fr = free
                 while fr:
                     low = fr & -fr
                     fr ^= low
-                    ci = cols[low.bit_length() - 1]
-                    for z in zs:
-                        if z & ci == 0:
-                            drop |= low
-                            break
-            # the forced items leave the cover as it is
-            s.slots[self.slot] = (x1 | take, cov, tested | drop, dropped | drop)
-        return s.assign_bits(ROLE_X, drop, 0) and s.assign_bits(ROLE_X, take, 1)
+                    if self._best(cov & cols[low.bit_length() - 1], *groups) < 0:
+                        drop |= low
+                if drop:
+                    dropped = s.slots[self.slot][3]
+                    s.slots[self.slot] = (None, None, 0, dropped | drop)
+        else:
+            h1 = (h1 | x1) & items  # as the channeling left it
+            mask_fixed = (h1 | h0) & items == items
+            saved_x1, cov, tested, dropped = s.slots[self.slot]
+            # the fewest rows a frequent cover holds
+            need = -(-self.p * v1.bit_count() // self.q)
+            # with X₁ as saved, the support test, the per-item tests and
+            # the forcing rule already ran on the saved cover
+            if saved_x1 != x1:
+                # V is fixed: the exact support test, on the saved cover
+                # narrowed by the items fixed to 1 since, if there is one
+                grown = x1 if saved_x1 is None else x1 & ~saved_x1
+                cov = _cover(cols, v1 if saved_x1 is None else cov, grown)
+                if cov.bit_count() < need:
+                    return False
+                # the free items the forcing rule may take
+                forced = h1 if self.closed and mask_fixed else 0
+                fr = free
+                while fr:
+                    low = fr & -fr
+                    fr ^= low
+                    ci = cov & cols[low.bit_length() - 1]
+                    if ci.bit_count() < need:
+                        drop |= low
+                    elif ci == cov and forced & low:
+                        take |= low
+                # rule (a) of the module docstring; otherwise every
+                # excluded item but the dropped ones is tested again
+                if saved_x1 is None or grown & (grown - 1) or free & h1 & ~(drop | take):
+                    tested = dropped
+            if mask_fixed:
+                excluded = x0 & h1 & ~tested
+                if self.closed and excluded:
+                    # the cover rows each newly excluded frequent column
+                    # misses
+                    fr = free & h1 & ~(drop | take)
+                    zs = set()
+                    tested |= excluded
+                    while excluded:
+                        low = excluded & -excluded
+                        excluded ^= low
+                        ce = cov & cols[low.bit_length() - 1]
+                        if ce.bit_count() >= need:
+                            zs.add(cov ^ ce)
+                    if 0 in zs:
+                        return False
+                    drop |= self._dominated(fr, zs)
+                # the forced items leave the cover as it is
+                s.slots[self.slot] = (x1 | take, cov, tested | drop, dropped | drop)
+        if (drop or take) and not (
+            s.assign_bits(ROLE_X, drop, 0) and s.assign_bits(ROLE_X, take, 1)
+        ):
+            return False
+        x1 |= take
+        free &= ~(drop | take)
+        if self.span is None and (x1 | free).bit_count() > self.min_size:
+            return True  # the size rule holds and fixes nothing
+        bounds = self._bounds(x1, free)
+        if bounds is None:
+            return False
+        zero, one = bounds
+        if not zero | one:
+            return True
+        if not (s.assign_bits(ROLE_X, zero, 0) and s.assign_bits(ROLE_X, one, 1)):
+            return False
+        # the solver does not wake a propagator for its own assignments,
+        # so the rules above run once more on what the bounds fixed
+        return self.propagate(s)
+
+    def _dominated(self, fr: int, zs: set[int]) -> int:
+        """The items of ``fr`` that no row of some z in ``zs`` holds."""
+        rows = self.db.rows
+        cols = self.db.columns
+        out = 0
+        for z in zs:
+            if not fr:
+                break
+            # the free items left outside the union of z's rows, joined
+            # until none is or for |fr| rows; the items still outside are
+            # tested one by one against the rows not yet joined
+            miss = fr
+            rest = z
+            budget = fr.bit_count()
+            while rest and miss and budget:
+                low = rest & -rest
+                rest ^= low
+                miss &= ~rows[low.bit_length() - 1]
+                budget -= 1
+            if rest:
+                left = miss
+                while left:
+                    low = left & -left
+                    left ^= low
+                    if rest & cols[low.bit_length() - 1]:
+                        miss ^= low
+            out |= miss
+            fr ^= miss
+        return out
 
 
 def _cover(cols: Sequence[int], cov: int, items: int) -> int:

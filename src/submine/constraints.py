@@ -1,16 +1,14 @@
-"""Propagators for the dataset side and the itemset-side constraints.
+"""The propagator for the dataset side.
 
-Each propagator works on roles and bitsets of their positions; position i
-of X and H is item i, position j of V transaction j.  Every propagator
-here is sound for partial states and complete on full assignments.  They
-cover the dataset side, the size of the itemset and the category span;
-the mining semantics (channeling, coverage, frequency, closedness) is the
-one global ``ClosedPatternSub`` in ``closedpattern``.  The dataset side of
-a query is one ``GroupChoice`` per axis that chooses groups: group bounds
-choose lb..ub groups of one partition, one-of-levels one group of any
-level.  ``queries.assemble`` posts each of them; only
-``post_group_choice`` stands between, because it adds the group indicator
-positions.
+It works on roles and bitsets of their positions; position j of V is
+transaction j, position i of H item i.  It is sound for partial states
+and complete on full assignments.  The itemset side (channeling,
+coverage, frequency, closedness, size and span) is the one global
+``ClosedPatternSub`` in ``closedpattern``.  The dataset side of a query
+is one ``GroupChoice`` per axis that chooses groups: group bounds choose
+lb..ub groups of one partition, one-of-levels one group of any level.
+``queries.assemble`` posts each of them through ``post_group_choice``,
+because it adds the group indicator positions.
 """
 
 from __future__ import annotations
@@ -19,72 +17,6 @@ from typing import Sequence
 
 from .dataset import span_bits
 from .engine import ROLE_AUX, Propagator, Solver
-
-
-class CardinalityRange(Propagator):
-    """lb <= the number of 1s of ``role`` at the positions in ``bits`` <=
-    ub (ub=None leaves it open); a popcount of the solver's bitsets."""
-
-    def __init__(self, role: int, bits: int, lb: int, ub: int | None = None):
-        self.role = role
-        self.bits = bits
-        self.lb = lb
-        self.ub = ub
-
-    def watches(self):
-        return ((self.role, self.bits),)
-
-    def propagate(self, s: Solver) -> bool:
-        ones, zeros = s.fixed(self.role)
-        n_ones = (ones & self.bits).bit_count()
-        free = self.bits & ~(ones | zeros)
-        n_free = free.bit_count()
-        if self.ub is not None and n_ones > self.ub:
-            return False
-        if n_ones + n_free < self.lb:
-            return False
-        if self.ub is not None and n_ones == self.ub:
-            return s.assign_bits(self.role, free, 0)
-        if n_ones + n_free == self.lb:
-            return s.assign_bits(self.role, free, 1)
-        return True
-
-
-class CategorySpan(Propagator):
-    """The items of ``role`` (X) chosen among the positions in ``bits``
-    touch between lb and ub groups of a partition."""
-
-    def __init__(self, role: int, bits: int, groups, lb: int, ub: int):
-        self.role = role
-        self.bits = bits
-        self.groups = [g.members for g in groups]
-        self.lb = lb
-        self.ub = ub
-
-    def watches(self):
-        return ((self.role, self.bits),)
-
-    def propagate(self, s: Solver) -> bool:
-        ones, zeros = s.fixed(self.role)
-        x_one = ones & self.bits
-        x_poss = self.bits & ~zeros
-        touched = reachable = 0
-        for g in self.groups:
-            if x_one & g:
-                touched += 1
-                reachable += 1
-            elif x_poss & g:
-                reachable += 1
-        if touched > self.ub or reachable < self.lb:
-            return False
-        if touched == self.ub:
-            # no further group may be entered
-            untouched = 0
-            for g in self.groups:
-                if not x_one & g:
-                    untouched |= g
-            return s.assign_bits(self.role, x_poss & untouched, 0)
-        return True
 
 
 class GroupChoice(Propagator):

@@ -230,8 +230,11 @@ class Solver:
         while the solver holds it (read each role's bitsets through
         ``fixed``).  Returns the solution count.  Raises SearchTimeout
         once ``time.monotonic()`` passes ``deadline``; the clock is read
-        before each decision.  Iterative, so the depth is bounded by
-        memory, not the interpreter's recursion limit."""
+        once before the root, even a failed one, and before each
+        decision.  Iterative, so the depth is bounded by memory, not the
+        interpreter's recursion limit."""
+        if deadline is not None and time.monotonic() > deadline:
+            raise SearchTimeout
         if self.root_failed:
             return 0
         ones, zeros = self._ones, self._zeros

@@ -603,9 +603,10 @@ def assemble(
     trans_scheme: PartitionScheme | None = None,
 ) -> Solver:
     """Compile the query into a solver: roles X/H/V plus group
-    indicators, one ``GroupChoice`` per axis for the dataset part, the
-    size and span bounds, and the mining part, one ``ClosedPatternSub``
-    that channels X to H and derives the cover from X and V.  The
+    indicators, one ``GroupChoice`` per axis for the dataset part, and
+    the itemset part, one ``ClosedPatternSub`` that channels X to H,
+    derives the cover from X and V and bounds the itemset's size and
+    span.  The
     transaction choice is the one that can hold an answer
     (``AxisConstraint.answer_choices``); the item choice is that one
     projected onto the live items (``live_items``), so item masks that
@@ -637,15 +638,15 @@ def assemble(
     groups, lb, ub = trans_choices
     first = constraints.post_group_choice(s, groups, ROLE_V, trans, lb, ub)
 
-    # itemset part: itemsets are non-empty by definition
-    s.post(constraints.CardinalityRange(ROLE_X, items, query.min_size))
-    if query.span is not None:
-        s.post(constraints.CategorySpan(ROLE_X, items, item_scheme.groups, *query.span))
+    # itemset part, with its size (itemsets are non-empty by definition)
+    # and span bounds
     s.assign_root(ROLE_X, query.require, 1)
     s.assign_root(ROLE_X, query.forbid, 0)
-
+    span = query.span and ([g.members for g in item_scheme.groups], *query.span)
     s.post(
-        closedpattern.ClosedPatternSub(db, query.theta, query.closed, trans_choices, first)
+        closedpattern.ClosedPatternSub(
+            db, query.theta, query.closed, trans_choices, first, query.min_size, span
+        )
     )
     return s
 

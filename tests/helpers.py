@@ -163,6 +163,77 @@ class Channel(Propagator):
         return True
 
 
+# Size and span bounds as propagators of their own.  ClosedPatternSub
+# applies both to X itself; the engine tests use these as small
+# propagators, and the model is checked against one built with them.
+
+
+class CardinalityRange(Propagator):
+    """lb <= the number of 1s of ``role`` at the positions in ``bits`` <=
+    ub (ub=None leaves it open); a popcount of the solver's bitsets."""
+
+    def __init__(self, role: int, bits: int, lb: int, ub: int | None = None):
+        self.role = role
+        self.bits = bits
+        self.lb = lb
+        self.ub = ub
+
+    def watches(self):
+        return ((self.role, self.bits),)
+
+    def propagate(self, s: Solver) -> bool:
+        ones, zeros = s.fixed(self.role)
+        n_ones = (ones & self.bits).bit_count()
+        free = self.bits & ~(ones | zeros)
+        n_free = free.bit_count()
+        if self.ub is not None and n_ones > self.ub:
+            return False
+        if n_ones + n_free < self.lb:
+            return False
+        if self.ub is not None and n_ones == self.ub:
+            return s.assign_bits(self.role, free, 0)
+        if n_ones + n_free == self.lb:
+            return s.assign_bits(self.role, free, 1)
+        return True
+
+
+class CategorySpan(Propagator):
+    """The items of ``role`` (X) chosen among the positions in ``bits``
+    touch between lb and ub groups of a partition."""
+
+    def __init__(self, role: int, bits: int, groups, lb: int, ub: int):
+        self.role = role
+        self.bits = bits
+        self.groups = [g.members for g in groups]
+        self.lb = lb
+        self.ub = ub
+
+    def watches(self):
+        return ((self.role, self.bits),)
+
+    def propagate(self, s: Solver) -> bool:
+        ones, zeros = s.fixed(self.role)
+        x_one = ones & self.bits
+        x_poss = self.bits & ~zeros
+        touched = reachable = 0
+        for g in self.groups:
+            if x_one & g:
+                touched += 1
+                reachable += 1
+            elif x_poss & g:
+                reachable += 1
+        if touched > self.ub or reachable < self.lb:
+            return False
+        if touched == self.ub:
+            # no further group may be entered
+            untouched = 0
+            for g in self.groups:
+                if not x_one & g:
+                    untouched |= g
+            return s.assign_bits(self.role, x_poss & untouched, 0)
+        return True
+
+
 def build_mining_solver(db, theta, closed):
     """X/H/V and the mining part, the global propagator alone, which
     also channels X to H; returns the solver and the 1-based lists of

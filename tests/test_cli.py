@@ -209,8 +209,8 @@ def test_mine_timeout_exit_code(tmp_path):
 
 # the limit covers the whole command: a clock that passes the limit while
 # the input is parsed must end the run with exit code 2 on every engine
-@pytest.mark.parametrize("engine", ["cp", "baseline"])
-def test_mine_limit_covers_parsing(files, monkeypatch, engine):
+def _slow_load(monkeypatch):
+    """A clock that passes 10 s while the input is parsed."""
     now = [0.0]
     monkeypatch.setattr(time, "monotonic", lambda: now[0])
     load = cli._load
@@ -221,7 +221,24 @@ def test_mine_limit_covers_parsing(files, monkeypatch, engine):
         return loaded
 
     monkeypatch.setattr(cli, "_load", slow_load)
+
+
+@pytest.mark.parametrize("engine", ["cp", "baseline"])
+def test_mine_limit_covers_parsing(files, monkeypatch, engine):
+    _slow_load(monkeypatch)
     rc = cli.main(_mine_args(files, files["q1.query"], engine, ["--timeout", "1"]))
+    assert rc == 2
+
+
+# a query that fails at the root of cp's search (no row holds 9 items)
+# still ends past the limit with exit code 2
+@pytest.mark.parametrize("engine", ["cp", "baseline", "oracle"])
+@pytest.mark.parametrize("query", [Q1_QUERY, "theta: 1/2\nminsize: 9\n"], ids=["q1", "minsize9"])
+def test_mine_limit_holds_on_every_engine(files, monkeypatch, engine, query):
+    path = files["dir"] / "limit.query"
+    path.write_text(query)
+    _slow_load(monkeypatch)
+    rc = cli.main(_mine_args(files, str(path), engine, ["--timeout", "1"]))
     assert rc == 2
 
 

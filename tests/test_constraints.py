@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     UNASSIGNED,
+    CategorySpan,
     E,
     F,
     G,
@@ -18,7 +19,7 @@ from helpers import (
     value,
 )
 from submine import PartitionScheme, Query, TransactionDatabase, run_theory
-from submine.constraints import CategorySpan, GroupChoice, post_group_choice
+from submine.constraints import GroupChoice, post_group_choice
 from submine.dataset import bits_of, iter_bits, span_bits
 from submine.engine import ROLE_AUX, ROLE_H, ROLE_V, ROLE_X, Solver
 

@@ -3,8 +3,9 @@ from itertools import product
 
 import pytest
 
-from helpers import UNASSIGNED, Channel, add_vars, assign, positions, snapshot, value
-from submine.constraints import CardinalityRange
+from helpers import (
+    UNASSIGNED, CardinalityRange, Channel, add_vars, assign, positions, snapshot, value,
+)
 from submine.engine import ROLE_AUX, ROLE_H, ROLE_X, Propagator, Solver
 
 

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
-    A, B, E, F, G, HALF, K, FERRARI_BITS, car_purchases, state, theory_labels,
-    triples_of, value,
+    A, B, E, F, G, HALF, K, FERRARI_BITS, CardinalityRange, CategorySpan, car_purchases,
+    state, theory_labels, triples_of, value,
 )
 from submine import (
     FormatError,
@@ -29,8 +29,10 @@ from submine import (
 )
 from submine import queries
 from submine.cli import _random_bounds, generate_random_instance
+from submine.closedpattern import ClosedPatternSub
 from submine.dataset import bits_of, indices_of
-from submine.engine import ROLE_H, ROLE_V, SearchTimeout, Solver
+from submine.constraints import post_group_choice
+from submine.engine import ROLE_H, ROLE_V, ROLE_X, SearchTimeout, Solver
 from submine.queries import (
     ENGINES,
     AxisConstraint,
@@ -267,6 +269,56 @@ def test_q1_search_visits_each_solution_once(db1):
     assert len(set(seen)) == 4
 
 
+def _bounded_instance(rng):
+    """A random instance whose query bounds the span and asks for 1 to 3
+    items."""
+    db, ischeme, tscheme, query = generate_random_instance(rng)
+    span = _random_bounds(rng, ischeme.group_count())
+    return db, ischeme, tscheme, replace(query, min_size=rng.randint(1, 3), span=span)
+
+
+def _assemble_apart(db, query, item_scheme, trans_scheme):
+    """The model ``assemble`` builds, with the size and span bounds posted
+    as propagators of their own ahead of a ``ClosedPatternSub`` without
+    them."""
+    items, trans = db.all_items(), db.all_transactions()
+    s = Solver()
+    s.add(ROLE_H, db.item_count)
+    s.add(ROLE_V, db.transaction_count)
+    s.add(ROLE_X, db.item_count)
+    item_choices = queries._project_items(db, query, item_scheme, trans_scheme)[0]
+    trans_choices = query.trans.answer_choices(trans, trans_scheme)
+    if any(lb > ub for _, lb, ub in (item_choices, trans_choices)):
+        s.root_failed = True
+        return s
+    groups, lb, ub = item_choices
+    post_group_choice(s, groups, ROLE_H, items, lb, ub)
+    groups, lb, ub = trans_choices
+    first = post_group_choice(s, groups, ROLE_V, trans, lb, ub)
+    s.post(CardinalityRange(ROLE_X, items, query.min_size))
+    if query.span is not None:
+        s.post(CategorySpan(ROLE_X, items, item_scheme.groups, *query.span))
+    s.assign_root(ROLE_X, query.require, 1)
+    s.assign_root(ROLE_X, query.forbid, 0)
+    s.post(ClosedPatternSub(db, query.theta, query.closed, trans_choices, first))
+    return s
+
+
+def test_size_and_span_rules_search_as_their_own_propagators():
+    # ClosedPatternSub's size and span rules reach the fixpoints the two
+    # propagators reach, so the search is the same node for node
+    rng = random.Random(31)
+    for _ in range(300):
+        db, ischeme, tscheme, query = _bounded_instance(rng)
+        runs = []
+        for build in (assemble, _assemble_apart):
+            solver = build(db, query, ischeme, tscheme)
+            seen = []
+            solver.search_all(on_solution=lambda: seen.append(state(solver)))
+            runs.append((seen, solver.stats["nodes"], solver.stats["masks_reached"]))
+        assert runs[0] == runs[1], query
+
+
 def test_every_propagator_is_idempotent_where_the_search_goes(monkeypatch):
     # the solver does not wake a propagator for its own assignments, so a
     # second call right after a successful one must fail nothing and
@@ -289,7 +341,17 @@ def test_every_propagator_is_idempotent_where_the_search_goes(monkeypatch):
         prop.propagate = propagate
         return post(s, prop)
 
+    def bounds(prop, x1, free, bounds=ClosedPatternSub._bounds):
+        # the size and span rules of ClosedPatternSub, counted where they
+        # assign
+        found = bounds(prop, x1, free)
+        if found is not None:
+            checked["span rule"] += found[0] != 0
+            checked["size rule"] += found[1] != 0
+        return found
+
     monkeypatch.setattr(Solver, "post", post)
+    monkeypatch.setattr(ClosedPatternSub, "_bounds", bounds)
     rng = random.Random(19)
     for _ in range(150):
         db, ischeme, tscheme, query = generate_random_instance(rng)
@@ -300,8 +362,15 @@ def test_every_propagator_is_idempotent_where_the_search_goes(monkeypatch):
             AxisConstraint.one_per_level(),
         ))
         assemble(db, replace(query, items=items, trans=trans), ischeme, tscheme).search_all()
-    kinds = ("GroupChoice", "CardinalityRange", "CategorySpan", "ClosedPatternSub")
+    # few of those queries bound the span; these all do, and the span rule
+    # assigns on about one in ten of them
+    rng = random.Random(27)
+    for _ in range(1000):
+        db, ischeme, tscheme, query = _bounded_instance(rng)
+        assemble(db, query, ischeme, tscheme).search_all()
+    kinds = ("GroupChoice", "ClosedPatternSub")
     assert min(checked[kind] for kind in kinds) >= 1000, checked
+    assert min(checked["size rule"], checked["span rule"]) >= 200, checked
 
 
 def test_q4_candidate_masks(db1, items3, trans3):
