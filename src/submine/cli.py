@@ -232,7 +232,7 @@ def generate_random_instance(rng: random.Random):
     query = Query(
         theta=theta,
         closed=rng.random() < 0.7,
-        min_size=rng.choice((1, 1, 1, 2)),
+        min_size=rng.choice((1, 1, 1, 2, 3, n)),
         span=span,
         require=bits_of(picked[:1]) if rng.random() < 0.25 else 0,
         forbid=bits_of(picked[1 : rng.randint(2, 3)]) if rng.random() < 0.25 else 0,

@@ -72,14 +72,35 @@ cover, and so is every item it dominates; e's own test fails or drops
 them, or, when e was dropped too, what dropped e does.  Until the mask is
 fixed on the path, the slot holds this record alone (X₁ None).
 
+Under a fixed V, where X₁ grew, a size-aware rule reads the rows that can
+hold an answer (the size/coverage interplay of CP4IM, Guns, Nijssen &
+De Raedt, AIJ 2011, on the reduced rows of LCM, Uno, Kiyomi & Arimura,
+FIMI 2004).  When X still needs ``short = min_size − |X₁| ≥ 2`` free
+items, let R be the rows of the cover that hold at least ``short`` of
+them.  A row that covers an answer holds all of its items, so every
+answer's cover lies in R.  The rule fails when R has fewer rows than a
+frequent cover, and drops a free item whose column holds too few rows of
+R; a drop shrinks R, so it repeats to a local fixpoint.  The rows that
+hold every free item are found from the columns, the others one by one.
+Only an item of a row outside R can hold fewer rows of R than of the
+cover, where the support test passed it, so only those are tested.  In
+closed mode under a fixed mask the rule then takes every free item whose
+column holds R: that column holds every answer's cover, so the item is
+in every answer's closure.  A take narrows the cover, so the propagator
+calls itself once more, and the slot saves X₁ without the taken items.
+The items it drops join the record: had such an item's column held a
+frequent answer cover, that cover would lie in R there, and the column
+would hold enough rows of R.
+
 The size and span rules run last, in every state, open V included: X
 fails below ``min_size`` items (X₁ and the free ones), and takes every
 free item at equality; with a span, X fails when it touches more than ub
 of the item groups or can reach fewer than lb, and at ub touched groups
-it drops the free items of the others.  The items they fix are neither
-dropped by a mining rule nor recorded.  The solver does not wake a
-propagator for its own assignments, so when they fix an item the
-propagator calls itself once more, and the mining rules run on it.
+it drops the free items of the others.  At equality it also fails when
+the free items it would take enter more than ub groups.  The items they
+fix are neither dropped by a mining rule nor recorded.  The solver does
+not wake a propagator for its own assignments, so when they fix an item
+the propagator calls itself once more, and the mining rules run on it.
 """
 
 from __future__ import annotations
@@ -191,10 +212,17 @@ class ClosedPatternSub(Propagator):
                 # no further group may be entered
                 zero = free & untouched
                 free ^= zero
+                reachable = 0
         size = x1.bit_count() + free.bit_count()
         if size < self.min_size:
             return None
-        return zero, free if size == self.min_size else 0
+        if size > self.min_size:
+            return zero, 0
+        # at equality every free item is taken: fail when they would
+        # enter more groups than the span allows
+        if self.span is not None and touched + reachable > ub:
+            return None
+        return zero, free
 
     def propagate(self, s: Solver) -> bool:
         cols = self.db.columns
@@ -214,7 +242,9 @@ class ClosedPatternSub(Propagator):
         v1, v0 = s.fixed(ROLE_V)
         v1 &= trans
         v0 &= trans
-        drop = take = 0  # free items to fix to 0 and to 1
+        # free items to fix to 0 and to 1, and those the size-aware rule
+        # takes
+        drop = take = grow = 0
 
         if v1 | v0 != trans:
             # without the choice, as in a mining-only solver, no test
@@ -261,16 +291,27 @@ class ClosedPatternSub(Propagator):
                         drop |= low
                     elif ci == cov and forced & low:
                         take |= low
+                # the size-aware rule, on the cover rows that can hold an
+                # answer
+                short = self.min_size - (x1 | take).bit_count()
+                if short >= 2:
+                    rule = self._short_rows(
+                        cov, free & ~(drop | take), short, need, bool(forced)
+                    )
+                    if rule is None:
+                        return False
+                    drop |= rule[0]
+                    grow = rule[1]
                 # rule (a) of the module docstring; otherwise every
                 # excluded item but the dropped ones is tested again
-                if saved_x1 is None or grown & (grown - 1) or free & h1 & ~(drop | take):
+                if saved_x1 is None or grown & (grown - 1) or free & h1 & ~(drop | take | grow):
                     tested = dropped
             if mask_fixed:
                 excluded = x0 & h1 & ~tested
                 if self.closed and excluded:
                     # the cover rows each newly excluded frequent column
                     # misses
-                    fr = free & h1 & ~(drop | take)
+                    fr = free & h1 & ~(drop | take | grow)
                     zs = set()
                     tested |= excluded
                     while excluded:
@@ -282,12 +323,16 @@ class ClosedPatternSub(Propagator):
                     if 0 in zs:
                         return False
                     drop |= self._dominated(fr, zs)
-                # the forced items leave the cover as it is
+                # the forced items leave the cover as it is; those the
+                # size-aware rule takes narrow it, so they are not saved
                 s.slots[self.slot] = (x1 | take, cov, tested | drop, dropped | drop)
-        if (drop or take) and not (
-            s.assign_bits(ROLE_X, drop, 0) and s.assign_bits(ROLE_X, take, 1)
+        if (drop or take or grow) and not (
+            s.assign_bits(ROLE_X, drop, 0) and s.assign_bits(ROLE_X, take | grow, 1)
         ):
             return False
+        if grow:
+            # the cover narrows: every rule runs once more on it
+            return self.propagate(s)
         x1 |= take
         free &= ~(drop | take)
         if self.span is None and (x1 | free).bit_count() > self.min_size:
@@ -303,6 +348,54 @@ class ClosedPatternSub(Propagator):
         # the solver does not wake a propagator for its own assignments,
         # so the rules above run once more on what the bounds fixed
         return self.propagate(s)
+
+    def _short_rows(
+        self, cov: int, fr: int, short: int, need: int, force: bool
+    ) -> tuple[int, int] | None:
+        """The items of ``fr``, each frequent in ``cov``, that the
+        size-aware rule fixes to 0 and, with ``force``, those it fixes to
+        1; None when it fails.  R is the rows of ``cov`` that hold at
+        least ``short`` items of ``fr``."""
+        rows = self.db.rows
+        cols = self.db.columns
+        drop = 0
+        while fr.bit_count() >= short:  # else no row can hold an answer
+            # R: the rows that hold every item of fr, found by columns,
+            # and the others row by row; the items every row of R holds,
+            # and those of the rows outside R, the only items with fewer
+            # rows in R than in cov
+            r = cov
+            left = fr
+            while left and r:
+                low = left & -left
+                left ^= low
+                r &= cols[low.bit_length() - 1]
+            meet = fr
+            other = 0
+            rest = cov ^ r
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row = rows[low.bit_length() - 1] & fr
+                if row.bit_count() >= short:
+                    r |= low
+                    meet &= row
+                else:
+                    other |= row
+            if r.bit_count() < need:
+                return None
+            # a drop shrinks R: to a local fixpoint
+            out = 0
+            while other:
+                low = other & -other
+                other ^= low
+                if (r & cols[low.bit_length() - 1]).bit_count() < need:
+                    out |= low
+            if not out:
+                return drop, meet if force else 0
+            drop |= out
+            fr ^= out
+        return None
 
     def _dominated(self, fr: int, zs: set[int]) -> int:
         """The items of ``fr`` that no row of some z in ``zs`` holds."""

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -82,6 +83,22 @@ def test_global_equals_oracle_random():
         via_global = run_theory(db, query, ischeme, tscheme, engine="cp")
         via_oracle = run_theory(db, query, ischeme, tscheme, engine="oracle")
         assert theory_labels(via_global) == theory_labels(via_oracle)
+
+
+def test_size_aware_rule_against_baseline_and_oracle():
+    # the minimum size redrawn up to 5, so that under a fixed V cp's
+    # size-aware rule fails, drops and takes on many of these queries
+    from submine.cli import generate_random_instance
+
+    rng = random.Random(28)
+    for _ in range(2000):
+        db, ischeme, tscheme, query = generate_random_instance(rng)
+        query = replace(query, min_size=rng.randint(1, min(db.item_count, 5)))
+        cp, baseline, oracle = (
+            theory_labels(run_theory(db, query, ischeme, tscheme, engine=engine))
+            for engine in ("cp", "baseline", "oracle")
+        )
+        assert cp == baseline == oracle, query
 
 
 def _random_small_db(rng):

@@ -306,8 +306,11 @@ def _assemble_apart(db, query, item_scheme, trans_scheme):
 
 def test_size_and_span_rules_search_as_their_own_propagators():
     # ClosedPatternSub's size and span rules reach the fixpoints the two
-    # propagators reach, so the search is the same node for node
+    # propagators reach, so the search finds the same solutions in the same
+    # order; its size-aware rule under a fixed V prunes further, so the
+    # search may only shrink, and does on some instances
     rng = random.Random(31)
+    smaller = 0
     for _ in range(300):
         db, ischeme, tscheme, query = _bounded_instance(rng)
         runs = []
@@ -316,7 +319,11 @@ def test_size_and_span_rules_search_as_their_own_propagators():
             seen = []
             solver.search_all(on_solution=lambda: seen.append(state(solver)))
             runs.append((seen, solver.stats["nodes"], solver.stats["masks_reached"]))
-        assert runs[0] == runs[1], query
+        (seen, nodes, masks), (apart_seen, apart_nodes, apart_masks) = runs
+        assert seen == apart_seen, query
+        assert nodes <= apart_nodes and masks <= apart_masks, query
+        smaller += nodes < apart_nodes
+    assert smaller >= 20, smaller
 
 
 def test_every_propagator_is_idempotent_where_the_search_goes(monkeypatch):
@@ -350,8 +357,17 @@ def test_every_propagator_is_idempotent_where_the_search_goes(monkeypatch):
             checked["size rule"] += found[1] != 0
         return found
 
+    def short_rows(prop, *args, short_rows=ClosedPatternSub._short_rows):
+        # the size-aware rule under a fixed V, counted where it assigns
+        found = short_rows(prop, *args)
+        if found is not None:
+            checked["short-rows drop"] += found[0] != 0
+            checked["short-rows take"] += found[1] != 0
+        return found
+
     monkeypatch.setattr(Solver, "post", post)
     monkeypatch.setattr(ClosedPatternSub, "_bounds", bounds)
+    monkeypatch.setattr(ClosedPatternSub, "_short_rows", short_rows)
     rng = random.Random(19)
     for _ in range(150):
         db, ischeme, tscheme, query = generate_random_instance(rng)
@@ -368,9 +384,17 @@ def test_every_propagator_is_idempotent_where_the_search_goes(monkeypatch):
     for _ in range(1000):
         db, ischeme, tscheme, query = _bounded_instance(rng)
         assemble(db, query, ischeme, tscheme).search_all()
+    # closed queries that ask for 3 to 5 items, where the size-aware rule
+    # both drops and takes
+    rng = random.Random(28)
+    for _ in range(1000):
+        db, ischeme, tscheme, query = generate_random_instance(rng)
+        size = rng.randint(3, min(db.item_count, 5))
+        assemble(db, replace(query, closed=True, min_size=size), ischeme, tscheme).search_all()
     kinds = ("GroupChoice", "ClosedPatternSub")
     assert min(checked[kind] for kind in kinds) >= 1000, checked
     assert min(checked["size rule"], checked["span rule"]) >= 200, checked
+    assert min(checked["short-rows drop"], checked["short-rows take"]) >= 200, checked
 
 
 def test_q4_candidate_masks(db1, items3, trans3):
@@ -971,6 +995,9 @@ _OLV = AxisConstraint.one_per_level()
             0,
             1,
         ),
+        # closed, at least 4 items: under a fixed V the size-aware rule
+        # prunes (184 nodes without it)
+        ("cars", Query(theta=Fraction(1, 10), min_size=4, trans=_OLV), 170, 14),
     ],
 )
 def test_cp_search_counters_on_group_choices(db1, items3, trans3, case, query, nodes, masks):
