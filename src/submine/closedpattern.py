@@ -62,16 +62,6 @@ X.  Two exact rules spare the exclusion tests whose outcome is known:
   * (b) only a frequent column, ``q·|cov ∧ col_e| ≥ p·|V₁|``, is tested:
     only such can hold the cover or a surviving free item's, both frequent.
 
-The slot also records every item the propagator dropped on the path, from
-the open-V bound on, and no exclusion test reads one, whatever X₁ has
-grown to.  An item the support test dropped is infrequent for every
-superset of the X₁ it was dropped under, so its column holds no frequent
-cover, and every item it dominates fails the support test too.  An item
-dropped because e dominates it is dominated by e under every smaller
-cover, and so is every item it dominates; e's own test fails or drops
-them, or, when e was dropped too, what dropped e does.  Until the mask is
-fixed on the path, the slot holds this record alone (X₁ None).
-
 Under a fixed V, where X₁ grew, a size-aware rule reads the rows that can
 hold an answer (the size/coverage interplay of CP4IM, Guns, Nijssen &
 De Raedt, AIJ 2011, on the reduced rows of LCM, Uno, Kiyomi & Arimura,
@@ -88,9 +78,6 @@ closed mode under a fixed mask the rule then takes every free item whose
 column holds R: that column holds every answer's cover, so the item is
 in every answer's closure.  A take narrows the cover, so the propagator
 calls itself once more, and the slot saves X₁ without the taken items.
-The items it drops join the record: had such an item's column held a
-frequent answer cover, that cover would lie in R there, and the column
-would hold enough rows of R.
 
 The size and span rules run last, in every state, open V included: X
 fails below ``min_size`` items (X₁ and the free ones), and takes every
@@ -98,7 +85,7 @@ free item at equality; with a span, X fails when it touches more than ub
 of the item groups or can reach fewer than lb, and at ub touched groups
 it drops the free items of the others.  At equality it also fails when
 the free items it would take enter more than ub groups.  The items they
-fix are neither dropped by a mining rule nor recorded.  The solver does
+fix are not dropped by a mining rule.  The solver does
 not wake a propagator for its own assignments, so when they fix an item
 the propagator calls itself once more, and the mining rules run on it.
 """
@@ -160,11 +147,10 @@ class ClosedPatternSub(Propagator):
         return (ROLE_AUX, self.indicators), (ROLE_X, items), (ROLE_H, items), (ROLE_V, trans)
 
     def bind(self, s: Solver) -> None:
-        # (x1, cov, tested, dropped): x1, cov and tested of the last
-        # fixpoint on the search path under a fixed mask, x1 None before
-        # it, and the items this propagator dropped on the path
+        # (x1, cov, tested) of the last fixpoint on the search path under
+        # a fixed mask, x1 None before it
         self.slot = s.new_slot()
-        s.slots[self.slot] = (None, None, 0, 0)
+        s.slots[self.slot] = (None, None, 0)
 
     def _open_groups(self, s: Solver) -> tuple[list[int], list[int]]:
         """Indices of the chosen and of the live groups."""
@@ -262,13 +248,10 @@ class ClosedPatternSub(Propagator):
                     fr ^= low
                     if self._best(cov & cols[low.bit_length() - 1], *groups) < 0:
                         drop |= low
-                if drop:
-                    dropped = s.slots[self.slot][3]
-                    s.slots[self.slot] = (None, None, 0, dropped | drop)
         else:
             h1 = (h1 | x1) & items  # as the channeling left it
             mask_fixed = (h1 | h0) & items == items
-            saved_x1, cov, tested, dropped = s.slots[self.slot]
+            saved_x1, cov, tested = s.slots[self.slot]
             # the fewest rows a frequent cover holds
             need = -(-self.p * v1.bit_count() // self.q)
             # with X₁ as saved, the support test, the per-item tests and
@@ -303,9 +286,9 @@ class ClosedPatternSub(Propagator):
                     drop |= rule[0]
                     grow = rule[1]
                 # rule (a) of the module docstring; otherwise every
-                # excluded item but the dropped ones is tested again
+                # excluded item is tested again
                 if saved_x1 is None or grown & (grown - 1) or free & h1 & ~(drop | take | grow):
-                    tested = dropped
+                    tested = 0
             if mask_fixed:
                 excluded = x0 & h1 & ~tested
                 if self.closed and excluded:
@@ -324,8 +307,11 @@ class ClosedPatternSub(Propagator):
                         return False
                     drop |= self._dominated(fr, zs)
                 # the forced items leave the cover as it is; those the
-                # size-aware rule takes narrow it, so they are not saved
-                s.slots[self.slot] = (x1 | take, cov, tested | drop, dropped | drop)
+                # size-aware rule takes narrow it, so they are not saved.
+                # At this X₁ a drop is infrequent (rule (b)), dominated by
+                # a column just tested, or has too few rows of R to hold
+                # the cover or a free item's: no test of it can act
+                s.slots[self.slot] = (x1 | take, cov, tested | drop)
         if (drop or take or grow) and not (
             s.assign_bits(ROLE_X, drop, 0) and s.assign_bits(ROLE_X, take | grow, 1)
         ):

@@ -397,8 +397,8 @@ def check_search_exact(rng, tags):
     fixed mask the propagator is exact against the definition: some
     itemset extends the state, and the extensions disagree on every free
     item.  The solutions are the answers of every mask the choice allows.
-    ``tags`` counts the fixed-mask fixpoints, and those reached first on
-    their path with items the open-V bound dropped in the slot."""
+    ``tags`` counts the fixed-mask fixpoints, and those reached with a
+    saved fixpoint on their path."""
     n, m = rng.randint(2, 5), rng.randint(3, 7)
     density = rng.uniform(0.3, 0.8)
     rows = [[i for i in range(1, n + 1) if rng.random() < density] for _ in range(m)]
@@ -411,9 +411,9 @@ def check_search_exact(rng, tags):
     fixpoint = s.propagate_to_fixpoint
 
     def checked():
-        # the mining propagator's slot is the only one: (x1, cov, tested,
-        # dropped), x1 None until the mask is fixed on the path
-        saved_x1, _, _, dropped = s.slots[0]
+        # the mining propagator's slot is the only one: (x1, cov, tested),
+        # x1 None until the mask is fixed on the path
+        saved_x1 = s.slots[0][0]
         ok = fixpoint()
         h1, h0 = s.fixed(ROLE_H)
         v1, v0 = s.fixed(ROLE_V)
@@ -425,7 +425,7 @@ def check_search_exact(rng, tags):
             for i in iter_bits(items & ~(x1 | x0)):
                 assert {xbits >> i & 1 for xbits in exts} == {0, 1}, (rows, theta, choice, i)
             tags["fixed mask"] += 1
-            tags["open-V drops carried"] += saved_x1 is None and dropped != 0
+            tags["saved fixpoint"] += saved_x1 is not None
         return ok
 
     s.propagate_to_fixpoint = checked
@@ -449,7 +449,7 @@ def test_exact_at_every_fixed_mask_fixpoint_of_the_search():
     tags = Counter()
     for _ in range(60):
         check_search_exact(rng, tags)
-    assert tags["open-V drops carried"] >= 500, tags
+    assert tags["saved fixpoint"] >= 3000, tags
 
 
 def test_same_mask_reached_in_sibling_subtrees():
@@ -488,7 +488,7 @@ def test_items_fixed_two_at_once_retest_every_excluded_column():
     s.post(Channel((ROLE_X, b), (ROLE_X, a)))
     s.post(ClosedPatternSub(db, theta))
     assert not s.root_failed
-    saved_x1, _, tested, _ = s.slots[0]
+    saved_x1, _, tested = s.slots[0]
     assert (saved_x1, tested) == (0, 1 << e)
     s.push_level()
     assert s.assign_bits(ROLE_X, 1 << a, 1)
