@@ -27,7 +27,7 @@ from .dataset import (
     parse_partition,
 )
 from .engine import SearchTimeout
-from .queries import AxisConstraint, Query, build_query, parse_query, run_theory
+from .queries import AxisConstraint, Query, build_query, count_text, parse_query, run_theory
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -310,7 +310,7 @@ def cmd_bench(args) -> int:
                         r.name,
                         r.engine,
                         *r.axis_cols,
-                        r.masks,
+                        count_text(r.masks),
                         r.solutions,
                         r.work,
                         f"{r.time_sec:.3f}",

@@ -9,7 +9,7 @@ exact on partial states, as ClosedPattern is (Lazaar et al., CP 2016):
 they fail exactly when no itemset extends the state, and fix a free item
 exactly when every extension agrees on it.  It has no cover role: it
 reads X and the mask (H, V) as the solver's per-role bitsets and derives
-the cover of the items fixed to 1 as the intersection of their columns.
+the cover of the items fixed to 1 from their columns (``meet_columns``).
 Every wake-up starts with the channeling X ⊆ H (X is 0 on the inactive
 items, H is 1 on the items of the itemset), skipped when it holds.
 
@@ -71,7 +71,7 @@ them.  A row that covers an answer holds all of its items, so every
 answer's cover lies in R.  The rule fails when R has fewer rows than a
 frequent cover, and drops a free item whose column holds too few rows of
 R; a drop shrinks R, so it repeats to a local fixpoint.  The rows that
-hold every free item are found from the columns, the others one by one.
+hold every free item are found by ``meet_columns``, the others one by one.
 Only an item of a row outside R can hold fewer rows of R than of the
 cover, where the support test passed it, so only those are tested.  In
 closed mode under a fixed mask the rule then takes every free item whose
@@ -95,7 +95,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .dataset import TransactionDatabase, best_choice, span_bits
+from .dataset import TransactionDatabase, best_choice, meet_columns, span_bits
 from .engine import ROLE_AUX, ROLE_H, ROLE_V, ROLE_X, Propagator, Solver
 
 
@@ -238,7 +238,7 @@ class ClosedPatternSub(Propagator):
                 # the per-group support bound; V's zeros stay in the
                 # cover, which can only weaken the bound, so covers recur
                 # across masks
-                cov = _cover(cols, trans, x1)
+                cov = meet_columns(self.db, trans, x1)
                 groups = self._open_groups(s)
                 if x1 and self._best(cov, *groups) < 0:
                     return False
@@ -260,7 +260,7 @@ class ClosedPatternSub(Propagator):
                 # V is fixed: the exact support test, on the saved cover
                 # narrowed by the items fixed to 1 since, if there is one
                 grown = x1 if saved_x1 is None else x1 & ~saved_x1
-                cov = _cover(cols, v1 if saved_x1 is None else cov, grown)
+                cov = meet_columns(self.db, v1 if saved_x1 is None else cov, grown)
                 if cov.bit_count() < need:
                     return False
                 # the free items the forcing rule may take
@@ -350,12 +350,7 @@ class ClosedPatternSub(Propagator):
             # and the others row by row; the items every row of R holds,
             # and those of the rows outside R, the only items with fewer
             # rows in R than in cov
-            r = cov
-            left = fr
-            while left and r:
-                low = left & -left
-                left ^= low
-                r &= cols[low.bit_length() - 1]
+            r = meet_columns(self.db, cov, fr)
             meet = fr
             other = 0
             rest = cov ^ r
@@ -412,12 +407,3 @@ class ClosedPatternSub(Propagator):
             out |= miss
             fr ^= miss
         return out
-
-
-def _cover(cols: Sequence[int], cov: int, items: int) -> int:
-    """``cov`` intersected with the column of each item in ``items``."""
-    while items:
-        low = items & -items
-        cov &= cols[low.bit_length() - 1]
-        items ^= low
-    return cov

@@ -3,6 +3,8 @@
 Items and transactions are dense 1-based integer indices.  Index sets are
 plain Python ints used as bitsets: bit i holds index i, bit 0 stays clear.
 Frequencies are exact rationals; nothing in this module touches floats.
+Every cover in the package is ``meet_columns`` and every closure
+``meet_rows``.
 """
 
 from __future__ import annotations
@@ -266,7 +268,8 @@ class PartitionScheme:
 
     ``levels`` holds one full partition of 1..size per level; flat schemes
     have a single level.  Indices never mentioned in the input become
-    implicit singleton groups.
+    implicit singleton groups.  Names fill columns of the tab-separated
+    output, so they hold no tab or line break.
     """
 
     axis: str  # "items" | "transactions"
@@ -280,6 +283,8 @@ class PartitionScheme:
         for level in self.levels:
             seen = 0
             for g in level:
+                if "\t" in g.name or "\n" in g.name or "\r" in g.name:
+                    raise ValueError(f"group name {g.name!r} holds a tab or line break")
                 if not g.members:
                     raise ValueError(f"group {g.name!r} has no members")
                 if g.members & ~universe:
@@ -354,9 +359,9 @@ def parse_partition(
 ) -> PartitionScheme:
     """Parse a partition file.
 
-    Lines are ``name: id id ...`` with at least one id; optional
-    ``level <k>`` headers introduce hierarchy levels; ``#`` begins a comment
-    line.  Unmentioned indices get implicit singleton groups in every level.
+    Lines are ``name: id id ...`` with at least one id and no tab in the
+    name; ``level <k>`` headers introduce hierarchy levels; ``#`` begins a
+    comment line.  Unmentioned indices are singleton groups in every level.
     """
     if axis == "items":
         size = db.item_count
@@ -395,6 +400,8 @@ def parse_partition(
         name = name.strip()
         if not name:
             raise FormatError(f"line {lineno}: empty group name")
+        if "\t" in name:
+            raise FormatError(f"line {lineno}: group name {name!r} holds a tab")
         if any(g.name == name for g in current):
             raise FormatError(f"line {lineno}: duplicate group name {name!r}")
         members = 0
@@ -434,12 +441,7 @@ def cover(db: TransactionDatabase, itemset: int, mask: Mask) -> int:
     if itemset & ~mask.active_items:
         bad = next(iter_bits(itemset & ~mask.active_items))
         raise ValueError(f"item {bad} is not active in the mask")
-    cov = mask.active_transactions
-    for i in iter_bits(itemset):
-        cov &= db.columns[i]
-        if not cov:
-            break
-    return cov
+    return meet_columns(db, mask.active_transactions, itemset)
 
 
 def frequency(db: TransactionDatabase, itemset: int, mask: Mask) -> Fraction:
@@ -457,6 +459,17 @@ def closure(db: TransactionDatabase, itemset: int, mask: Mask) -> int:
     if not cov:
         raise ValueError("closure undefined: itemset has empty cover")
     return meet_rows(db, cov, mask.active_items, itemset)
+
+
+def meet_columns(db: TransactionDatabase, rows: int, items: int) -> int:
+    """``rows`` intersected with the column of every item of ``items``:
+    the cover of ``items`` within ``rows``.  It stops once it is empty."""
+    cols = db.columns
+    while items and rows:
+        i = items.bit_length() - 1
+        rows &= cols[i]
+        items ^= 1 << i
+    return rows
 
 
 def meet_rows(db: TransactionDatabase, cov: int, items: int, floor: int) -> int:

@@ -46,6 +46,12 @@ class SearchTimeout(Exception):
     """Raised inside search when the caller's stop predicate fires."""
 
 
+def check_deadline(deadline: float) -> None:
+    """Raise SearchTimeout once ``time.monotonic()`` passes ``deadline``."""
+    if time.monotonic() > deadline:
+        raise SearchTimeout
+
+
 class Propagator:
     """Filtering procedure for one constraint.
 
@@ -233,8 +239,8 @@ class Solver:
         once before the root, even a failed one, and before each
         decision.  Iterative, so the depth is bounded by memory, not the
         interpreter's recursion limit."""
-        if deadline is not None and time.monotonic() > deadline:
-            raise SearchTimeout
+        if deadline is not None:
+            check_deadline(deadline)
         if self.root_failed:
             return 0
         ones, zeros = self._ones, self._zeros
@@ -273,8 +279,8 @@ class Solver:
                 if frames:
                     self.pop_level()
                 continue
-            if deadline is not None and time.monotonic() > deadline:
-                raise SearchTimeout
+            if deadline is not None:
+                check_deadline(deadline)
             frame[2] += 1
             self.push_level()
             stats["nodes"] += 1

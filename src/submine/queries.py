@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import reduce
@@ -49,9 +48,10 @@ from .dataset import (
     best_choice,
     indices_of,
     iter_bits,
+    meet_columns,
     meet_rows,
 )
-from .engine import ROLE_H, ROLE_V, ROLE_X, SearchTimeout, Solver
+from .engine import ROLE_H, ROLE_V, ROLE_X, Solver, check_deadline
 
 ENGINES = ("cp", "baseline", "oracle")
 
@@ -81,10 +81,25 @@ class UnsupportedQueryError(QueryError):
 
 
 def count_masks(n_groups: int, lb: int, ub: int) -> int:
-    """Number of ways to activate between lb and ub of n_groups groups."""
+    """Number of ways to activate between lb and ub of n_groups groups.
+    Each binomial comes from the one before: a ``math.comb`` per size
+    takes a minute on 20000 groups."""
     if not 0 <= lb <= ub <= n_groups:
         raise ValueError(f"bounds ({lb},{ub}) invalid for {n_groups} groups")
-    return sum(math.comb(n_groups, r) for r in range(lb, ub + 1))
+    total, term = 0, math.comb(n_groups, lb)
+    for r in range(lb, ub + 1):
+        total, term = total + term, term * (n_groups - r) // (r + 1)
+    return total
+
+
+def count_text(n: int) -> str:
+    """The decimal digits of the count ``n`` ≥ 0, 600 at a time: ``str``
+    refuses an int of more than 4300 digits, or of the limit that
+    ``sys.set_int_max_str_digits`` sets, which is 640 or more."""
+    if n < 10**600:
+        return str(n)
+    high, low = divmod(n, 10**600)
+    return count_text(high) + f"{low:0600d}"
 
 
 @dataclass(frozen=True)
@@ -688,8 +703,7 @@ def _collect_cp(
         for ib in lift(projected):
             lifted += 1
             if deadline is not None and lifted % _CHECK_STRIDE == 0:
-                if time.monotonic() > deadline:
-                    raise SearchTimeout
+                check_deadline(deadline)
             triples.update((ib, tb, xb) for tb, xb in answers)
     return triples
 
@@ -766,15 +780,14 @@ def run_theory(
     pairs: dict[int, SolutionPair] = {}
     for (tb, xb), ibs in by_vx.items():
         items, labels, rank = sets_of[xb]
-        support, bad, fault = _itemset_fault(db, query, tb, xb, items, ibs, item_scheme)
+        support, bad, fault = _itemset_fault(db, query, tb, xb, ibs, item_scheme)
         if fault:
             raise _self_check_error(fault, bad, tb, xb)
         trans_mask, trans_desc, trans_ok = trans_of[tb]
         rank += trans_rank[tb]
         for ib in ibs:
             if deadline is not None and len(pairs) % _CHECK_STRIDE == 0:
-                if time.monotonic() > deadline:
-                    raise SearchTimeout
+                check_deadline(deadline)
             item_mask, item_desc, items_ok = items_of[ib]
             if not (items_ok and trans_ok and tb):
                 raise _self_check_error(_mask_fault(tb, items_ok, trans_ok), ib, tb, xb)
@@ -850,9 +863,7 @@ def validate_pair(
     support; raises RuntimeError on any violation.  ``_itemset_fault``
     with the one item mask comes first, then ``_mask_fault``: the same two
     checks ``run_theory`` runs on every answer of every engine."""
-    support, _, fault = _itemset_fault(
-        db, query, trans_bits, itemset, indices_of(itemset), (item_bits,), item_scheme
-    )
+    support, _, fault = _itemset_fault(db, query, trans_bits, itemset, (item_bits,), item_scheme)
     fault = fault or _mask_fault(
         trans_bits,
         query.items.satisfied(item_bits, db.all_items(), item_scheme),
@@ -876,23 +887,20 @@ def _mask_fault(trans_bits: int, items_ok: bool, trans_ok: bool) -> str | None:
 
 
 def _itemset_fault(
-    db, query, trans_bits: int, itemset: int, items: tuple[int, ...], item_masks, item_scheme
+    db, query, trans_bits: int, itemset: int, item_masks, item_scheme
 ) -> tuple[int, int | None, str | None]:
-    """The support of the itemset (bitset ``itemset``, indices ``items``)
-    in ``trans_bits``, and an item mask H of ``item_masks`` with the first
-    reason, in this order, the itemset is not an answer in (H, trans_bits),
-    or None twice.  Cover and support do not depend on H, and the closure
-    within H is the one within the union of ``item_masks`` met with H."""
+    """The support of ``itemset`` in ``trans_bits``, and an item mask H of
+    ``item_masks`` with the first reason, in this order, the itemset is
+    not an answer in (H, trans_bits), or None twice.  Cover and support do
+    not depend on H, and the closure within H is the one within the union
+    of ``item_masks`` met with H."""
     first = item_masks[0]
     if itemset == 0:
         return 0, first, "empty itemset"
     for h in item_masks:
         if itemset & ~h:
             return 0, h, "itemset outside active items"
-    cols = db.columns
-    cov = trans_bits
-    for i in items:
-        cov &= cols[i]
+    cov = meet_columns(db, trans_bits, itemset)
     support = cov.bit_count()
     if support * query.theta.denominator < query.theta.numerator * trans_bits.bit_count():
         return support, first, "below minimum frequency"

@@ -17,7 +17,6 @@ engines must agree on every theory.
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, combinations, groupby
@@ -33,7 +32,7 @@ from .dataset import (
     indices_of,
     meet_rows,
 )
-from .engine import SearchTimeout
+from .engine import check_deadline
 
 # count_masks, make_pair and UnsupportedQueryError live in queries;
 # importers of this module find them here too
@@ -43,6 +42,7 @@ from .queries import (
     UnsupportedQueryError,
     check_query,
     count_masks,
+    count_text,
     live_items,
     make_pair,
 )
@@ -55,11 +55,6 @@ _DEADLINE_STRIDE = 64
 
 class SizeLimitError(ValueError):
     """Instance exceeds the oracle's safety bounds."""
-
-
-def _check(deadline: float) -> None:
-    if time.monotonic() > deadline:
-        raise SearchTimeout
 
 
 # --------------------------------------------------------- mask enumeration
@@ -249,7 +244,6 @@ def _mine(
     base = reduce(or_, full)
     answers: dict[int, list[int]] = {}
     cols = db.columns
-    rows = db.rows
     group_bits = [g.members for g in item_scheme.groups] if item_scheme else None
 
     def span_of(bits: int) -> int:
@@ -258,15 +252,7 @@ def _mine(
     if closed:
 
         def extend(pat: int, low: int, cov: int) -> int:
-            # meet_rows(db, cov, act_i, floor), inlined: once per candidate
-            floor = pat | low
-            ext = act_i
-            while cov:
-                t = cov & -cov
-                ext &= rows[t.bit_length() - 1]
-                if ext == floor:
-                    break
-                cov ^= t
+            ext = meet_rows(db, cov, act_i, pat | low)
             below = low - 1
             if (ext & below) != (pat & below):
                 return 0  # already reached from a smaller seed
@@ -327,7 +313,7 @@ def _mine(
                 if count >= lb and score >= 0:
                     listed += 1
                     if deadline is not None and listed % _DEADLINE_STRIDE == 0:
-                        _check(deadline)
+                        check_deadline(deadline)
                     if meet == pat:
                         answers.setdefault(chosen, []).append(pat)
                 if count < ub:
@@ -345,7 +331,7 @@ def _mine(
         # pass (emit, or a candidate's filter) over as many live groups
         watch = deadline is not None and len(live) >= _DEADLINE_STRIDE
         if watch or deadline is not None and nodes % _DEADLINE_STRIDE == 0:
-            _check(deadline)
+            check_deadline(deadline)
         if pat and pat.bit_count() >= min_size and not require & ~pat:
             if span is None or span[0] <= span_of(pat) <= span[1]:
                 if found is not None:
@@ -375,7 +361,7 @@ def _mine(
             kids, sink = live, found
             if found is None:
                 if watch:
-                    _check(deadline)
+                    check_deadline(deadline)
                 if ub == 1:
                     kids = [m for m in live if q * (cov_e & m[0]).bit_count() >= m[1]]
                     if not kids:
@@ -430,7 +416,7 @@ def pp_mine(
         for _ in group:
             n_masks += 1
             if deadline is not None:
-                _check(deadline)
+                check_deadline(deadline)
         part = ib & live
         if not part:
             continue  # no item can be in an answer
@@ -510,7 +496,7 @@ def brute_force_theory(
     )
     if space > _ORACLE_MAX_MASKS:
         raise SizeLimitError(
-            f"oracle refuses {space} candidate masks (bound {_ORACLE_MAX_MASKS})"
+            f"oracle refuses {count_text(space)} candidate masks (bound {_ORACLE_MAX_MASKS})"
         )
     p, q = query.theta.numerator, query.theta.denominator
     triples: set[tuple[int, int, int]] = set()
@@ -522,7 +508,7 @@ def brute_force_theory(
         active = indices_of(item_bits)
         for trans_bits in trans_options:
             if deadline is not None:
-                _check(deadline)
+                check_deadline(deadline)
             n_act = trans_bits.bit_count()
             if n_act == 0:
                 continue
@@ -532,7 +518,7 @@ def brute_force_theory(
                 for chosen in combinations(active, r):
                     subsets += 1
                     if deadline is not None and subsets % _DEADLINE_STRIDE == 0:
-                        _check(deadline)
+                        check_deadline(deadline)
                     pat = bits_of(chosen)
                     if pat & query.forbid or query.require & ~pat:
                         continue

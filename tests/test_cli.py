@@ -166,6 +166,32 @@ def test_mine_rejects_malformed_partition_line(files, capsys):
     assert capsys.readouterr().err == "error: line 2: expected 'name: id id ...'\n"
 
 
+def _read_count(digits: str) -> int:
+    # str() and int() convert at most 4300 digits
+    n = 0
+    for k in range(0, len(digits), 1000):
+        chunk = digits[k : k + 1000]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return n
+
+
+def test_mine_oracle_refuses_a_mask_count_wider_than_str_converts(tmp_path, capsys):
+    # 15000 singleton transaction groups, any 1..15000 of them: the
+    # oracle refuses 2^15000 candidate masks, 4516 digits
+    data = tmp_path / "tall.fimi"
+    data.write_text("1 2 3\n" * 15000)
+    q = tmp_path / "q.query"
+    q.write_text("theta: 1/2\ntrans_active: 1 15000\n")
+    cats = tmp_path / "empty.cats"
+    cats.write_text("")
+    args = ["mine", "--data", str(data), "--query", str(q), "--trans-cats", str(cats)]
+    assert cli.main([*args, "--engine", "oracle"]) == 1
+    err = capsys.readouterr().err
+    head, tail = "error: oracle refuses ", " candidate masks (bound 1048576)\n"
+    assert err.startswith(head) and err.endswith(tail)
+    assert _read_count(err[len(head) : -len(tail)]) == 1 << 15000
+
+
 def test_mine_oracle_size_guard(tmp_path, files):
     big = tmp_path / "big.fimi"
     big.write_text(" ".join(str(i) for i in range(1, 31)) + "\n")
@@ -401,6 +427,29 @@ def test_bench_reports_mask_counts(files, tmp_path, capsys):
     assert all(r["num_masks"] == "4" for r in rows)  # C(3,2)+C(3,3)
     assert all(r["status"] == "ok" for r in rows)
     assert all(r["solutions"] == rows[0]["solutions"] for r in rows)
+
+
+def test_bench_writes_a_mask_count_wider_than_str_converts(tmp_path):
+    # 20000 singleton item groups, any 1..20000 of them: 2^20000 − 1
+    # masks, 6021 digits
+    data = tmp_path / "wide.fimi"
+    data.write_text("1 2 3\n2 3 20000\n1 20000\n")
+    q = tmp_path / "wide.query"
+    q.write_text("theta: 1/3\nitems_active: 1 20000\n")
+    cats = tmp_path / "empty.cats"
+    cats.write_text("")
+    suite = tmp_path / "suite.csv"
+    suite.write_text(
+        "name,data,query,item_cats,trans_cats,labels,engines\n"
+        f"wide,{data},{q},{cats},,,oracle\n"
+    )
+    out = tmp_path / "report.csv"
+    assert cli.main(["bench", "--suite", str(suite), "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        row = list(csv.DictReader(fh))[0]
+    assert len(row["num_masks"]) == 6021
+    assert _read_count(row["num_masks"]) == (1 << 20000) - 1
+    assert (row["status"], row["detail"]) == ("error", "oracle refuses 20000 items (bound 24)")
 
 
 def test_bench_timeout_row_status(files, tmp_path):

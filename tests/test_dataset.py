@@ -19,6 +19,7 @@ from submine.dataset import (
     cover,
     frequency,
     indices_of,
+    meet_columns,
     parse_fimi,
     parse_labels,
     parse_partition,
@@ -183,9 +184,11 @@ def test_parse_partition_empty_group(db1):
         ("G1: 1\nG1: 2\n", "line 2: duplicate group name 'G1'"),
         ("G1: 1 x\n", "line 1: not an index: 'x'"),
         ("G1: 1\nG2: 2 3 2\n", "line 2: index 2 repeated in 'G2'"),
+        # a name fills a column of the tab-separated output
+        ("c d: 2 3\na\tb: 1\n", "line 2: group name 'a\\tb' holds a tab"),
     ],
     ids=["level-header", "level-order", "no-colon", "no-name", "duplicate-name",
-         "not-an-index", "repeated-index"],
+         "not-an-index", "repeated-index", "tab-in-name"],
 )
 def test_parse_partition_rejects_malformed_lines(db1, text, message):
     with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
@@ -203,8 +206,11 @@ def test_scheme_rejects_empty_group():
         ("rows", [[("A", [1, 2])]], "unknown axis 'rows'"),
         ("items", [[("A", [1, 2, 3])]], "group 'A': index 3 out of range 1..2"),
         ("items", [[("A", [1, 2])], [("B", [1])]], "level does not cover index 2"),
+        ("items", [[("a\tb", [1, 2])]], "group name 'a\\tb' holds a tab or line break"),
+        ("items", [[("a\nb", [1, 2])]], "group name 'a\\nb' holds a tab or line break"),
     ],
-    ids=["unknown-axis", "index-out-of-range", "level-misses-index"],
+    ids=["unknown-axis", "index-out-of-range", "level-misses-index", "tab-in-name",
+         "line-break-in-name"],
 )
 def test_scheme_rejects_bad_levels(axis, levels, message):
     built = tuple(tuple(Group(name, bits_of(ids)) for name, ids in level) for level in levels)
@@ -217,6 +223,11 @@ def test_scheme_build_rejects_overlap():
         PartitionScheme.build("items", 3, [("g1", [1, 2]), ("g2", [2, 3])])
 
 
+def test_group_names_may_hold_spaces(db1):
+    scheme = parse_partition("a b: 1\nc d: 2 3\n", db1, "items")
+    assert [g.name for g in scheme.groups[:2]] == ["a b", "c d"]
+
+
 # ------------------------------------------------- cover/frequency/closure
 
 
@@ -226,6 +237,28 @@ def test_cover_examples(db1):
     assert cover(db1, 0, full) == db1.all_transactions()
     sub = Mask(db1.all_items(), bits_of([1, 2, 3, 4]))
     assert indices_of(cover(db1, bits_of([A, D]), sub)) == (2, 3)
+
+
+def _cover_in(db, rows, itemset):
+    return cover(db, itemset, Mask(db.all_items(), rows))
+
+
+@pytest.mark.parametrize("cover_of", [_cover_in, meet_columns], ids=["cover", "meet_columns"])
+def test_cover_is_the_rows_that_hold_the_itemset(cover_of):
+    # read row by row: a row is in the cover iff it holds every item of
+    # the itemset.  Item ids are sparse, so most columns are empty
+    rng = random.Random(30)
+    for _ in range(300):
+        ids = sorted(rng.sample(range(1, 200), rng.randint(1, 8)))
+        m = rng.randint(1, 8)
+        rows = [[i for i in ids if rng.random() < 0.6] for _ in range(m)]
+        db = TransactionDatabase.from_rows(rows, item_count=ids[-1] + rng.randint(0, 3))
+        within = bits_of(j for j in range(1, m + 1) if rng.random() < 0.8)
+        itemset = bits_of(i for i in [*ids, db.item_count] if rng.random() < 0.3)
+        held = bits_of(j for j in indices_of(within) if db.rows[j] & itemset == itemset)
+        assert cover_of(db, within, itemset) == held
+        assert cover_of(db, within, 0) == within
+        assert cover_of(db, 0, itemset) == 0
 
 
 def test_cover_requires_active_items(db1):

@@ -744,7 +744,8 @@ def test_run_theory_check_reads_the_deadline(monkeypatch):
         reads.append(None)
         return len(reads)
 
-    monkeypatch.setattr(queries, "time", SimpleNamespace(monotonic=clock))
+    # every deadline check is engine.check_deadline
+    monkeypatch.setattr("submine.engine.time", SimpleNamespace(monotonic=clock))
     with pytest.raises(SearchTimeout):
         run_theory(db, q, deadline=1.5)
     assert len(reads) == 2
