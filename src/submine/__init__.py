@@ -14,9 +14,6 @@ from .dataset import (
     PartitionScheme,
     TransactionDatabase,
     bits_of,
-    closure,
-    cover,
-    frequency,
     indices_of,
     iter_bits,
     parse_fimi,
@@ -64,11 +61,8 @@ __all__ = [
     "brute_force_theory",
     "build_query",
     "check_query",
-    "closure",
     "count_masks",
-    "cover",
     "enumerate_masks",
-    "frequency",
     "indices_of",
     "iter_bits",
     "mine_closed",

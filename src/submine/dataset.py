@@ -2,15 +2,14 @@
 
 Items and transactions are dense 1-based integer indices.  Index sets are
 plain Python ints used as bitsets: bit i holds index i, bit 0 stays clear.
-Frequencies are exact rationals; nothing in this module touches floats.
-Every cover in the package is ``meet_columns`` and every closure
-``meet_rows``.
+Nothing in this module touches floats.  Every cover the engines and the
+answer check take is ``meet_columns`` and every closure ``meet_rows``;
+the oracle (``reference.brute_force_theory``) shares neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from functools import reduce
 from operator import or_
 from typing import IO, Iterable, Iterator, Sequence
@@ -114,6 +113,14 @@ class TransactionDatabase:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "held_items", reduce(or_, self.rows, 0))
+        labels = self.item_labels or {}
+        for i, label in labels.items():
+            # an unlabelled item prints as its id, so no label may spell it
+            k = int(label) if label.isascii() and label.isdigit() else 0
+            if str(k) == label and 1 <= k <= self.item_count and k not in labels:
+                raise ValueError(
+                    f"label {label!r} of item {i} spells the id of unlabelled item {k}"
+                )
 
     @classmethod
     def from_rows(
@@ -268,8 +275,8 @@ class PartitionScheme:
 
     ``levels`` holds one full partition of 1..size per level; flat schemes
     have a single level.  Indices never mentioned in the input become
-    implicit singleton groups.  Names fill columns of the tab-separated
-    output, so they hold no tab or line break.
+    implicit singleton groups.  Names fill the output's mask columns, so
+    a name is one ``_name_fault`` allows and names one set of members.
     """
 
     axis: str  # "items" | "transactions"
@@ -280,11 +287,13 @@ class PartitionScheme:
         if self.axis not in ("items", "transactions"):
             raise ValueError(f"unknown axis {self.axis!r}")
         universe = span_bits(1, self.size)
+        named: dict[str, int] = {}  # name -> members
         for level in self.levels:
             seen = 0
             for g in level:
-                if "\t" in g.name or "\n" in g.name or "\r" in g.name:
-                    raise ValueError(f"group name {g.name!r} holds a tab or line break")
+                fault = _name_fault(g.name)
+                if fault:
+                    raise ValueError(f"group name {g.name!r} {fault}")
                 if not g.members:
                     raise ValueError(f"group {g.name!r} has no members")
                 if g.members & ~universe:
@@ -297,6 +306,8 @@ class PartitionScheme:
                     raise ValueError(
                         f"group {g.name!r}: index {dup} already in another group"
                     )
+                if named.setdefault(g.name, g.members) != g.members:
+                    raise ValueError(f"group name {g.name!r} names two different groups")
                 seen |= g.members
             if seen != universe:
                 missing = next(iter_bits(universe & ~seen))
@@ -318,38 +329,50 @@ class PartitionScheme:
         extra_levels: Iterable[Iterable[tuple[str, Iterable[int]]]] = (),
     ) -> "PartitionScheme":
         """Construct a scheme, completing each level with singleton groups."""
-        raw_levels = [list(groups)] + [list(lv) for lv in extra_levels]
-        levels = []
-        for raw in raw_levels:
-            lv = [Group(name, bits_of(ids)) for name, ids in raw]
-            levels.append(tuple(_complete_level(lv, size, axis, None)))
-        return cls(axis, size, tuple(levels))
+        raw_levels = [
+            [Group(name, bits_of(ids)) for name, ids in lv]
+            for lv in [groups, *extra_levels]
+        ]
+        return cls(axis, size, _complete_levels(raw_levels, size, axis, None))
 
 
-def _complete_level(
-    groups: list[Group],
+def _name_fault(name: str) -> str | None:
+    """Why ``name`` cannot name a group in the tab-separated mask columns,
+    where '+' joins the names of a union and 'ALL' is the whole axis."""
+    if "\t" in name or "\n" in name or "\r" in name:
+        return "holds a tab or line break"
+    if "+" in name:
+        return "holds a '+', which joins the names of a union"
+    if name == "ALL":
+        return "is reserved for the whole axis"
+    return None
+
+
+def _complete_levels(
+    raw_levels: list[list[Group]],
     size: int,
     axis: str,
     db: TransactionDatabase | None,
-) -> list[Group]:
-    seen = 0
-    taken = set()
-    for g in groups:
-        seen |= g.members
-        taken.add(g.name)
-    out = list(groups)
-    for i in iter_bits(span_bits(1, size) & ~seen):
-        if axis == "items" and db is not None:
-            name = db.label(i)
-        elif axis == "items":
-            name = str(i)
-        else:
-            name = f"t{i}"
-        if name in taken:
-            name = f"{name}({i})"
-        taken.add(name)
-        out.append(Group(name, 1 << i))
-    return out
+) -> tuple[tuple[Group, ...], ...]:
+    """Each level completed with a singleton group per index it misses,
+    named by its label if that can name a group, else its id or t<j>, with
+    the index appended while the name names other members in some level."""
+    named = {g.name: g.members for level in raw_levels for g in level}
+    universe = span_bits(1, size)
+    levels = []
+    for level in raw_levels:
+        out = list(level)
+        for i in indices_of(universe & ~reduce(or_, (g.members for g in level), 0)):
+            own = str(i) if axis == "items" else f"t{i}"
+            name = db.label(i) if axis == "items" and db is not None else own
+            if _name_fault(name):
+                name = own
+            bit = 1 << i
+            while named.setdefault(name, bit) != bit:
+                name = f"{name}({i})"
+            out.append(Group(name, bit))
+        levels.append(tuple(out))
+    return tuple(levels)
 
 
 def parse_partition(
@@ -359,9 +382,10 @@ def parse_partition(
 ) -> PartitionScheme:
     """Parse a partition file.
 
-    Lines are ``name: id id ...`` with at least one id and no tab in the
-    name; ``level <k>`` headers introduce hierarchy levels; ``#`` begins a
-    comment line.  Unmentioned indices are singleton groups in every level.
+    Lines are ``name: id id ...`` with at least one id and a name that
+    ``PartitionScheme`` allows; ``level <k>`` headers introduce hierarchy
+    levels; ``#`` begins a comment line.  Unmentioned indices are
+    singleton groups in every level.
     """
     if axis == "items":
         size = db.item_count
@@ -372,6 +396,7 @@ def parse_partition(
 
     raw_levels: list[list[Group]] = []
     current: list[Group] = []
+    named: dict[str, tuple[int, int]] = {}  # name -> (members, level)
     seen = 0  # the indices of the current level's groups
     started = False
     last_level_no = 0
@@ -402,8 +427,9 @@ def parse_partition(
             raise FormatError(f"line {lineno}: empty group name")
         if "\t" in name:
             raise FormatError(f"line {lineno}: group name {name!r} holds a tab")
-        if any(g.name == name for g in current):
-            raise FormatError(f"line {lineno}: duplicate group name {name!r}")
+        fault = _name_fault(name)
+        if fault:
+            raise FormatError(f"line {lineno}: group name {name!r} {fault}")
         members = 0
         for tok in rest.split():
             try:
@@ -422,43 +448,21 @@ def parse_partition(
             raise FormatError(
                 f"line {lineno}: index {dup} appears in two groups of one level (overlap)"
             )
+        prior, level_no = named.setdefault(name, (members, len(raw_levels)))
+        if prior != members and level_no == len(raw_levels):
+            raise FormatError(f"line {lineno}: duplicate group name {name!r}")
+        if prior != members:
+            raise FormatError(
+                f"line {lineno}: group name {name!r} names other members in an earlier level"
+            )
         seen |= members
         current.append(Group(name, members))
     raw_levels.append(current)
 
-    levels = tuple(tuple(_complete_level(lv, size, axis, db)) for lv in raw_levels)
-    return PartitionScheme(axis, size, levels)
+    return PartitionScheme(axis, size, _complete_levels(raw_levels, size, axis, db))
 
 
-# --------------------------------------------------- covers and closures
-
-
-def cover(db: TransactionDatabase, itemset: int, mask: Mask) -> int:
-    """Transactions of the sub-dataset containing every item of ``itemset``.
-
-    The empty itemset covers every active transaction.
-    """
-    if itemset & ~mask.active_items:
-        bad = next(iter_bits(itemset & ~mask.active_items))
-        raise ValueError(f"item {bad} is not active in the mask")
-    return meet_columns(db, mask.active_transactions, itemset)
-
-
-def frequency(db: TransactionDatabase, itemset: int, mask: Mask) -> Fraction:
-    """Exact frequency |cover(itemset)| / |active transactions|."""
-    n_active = mask.active_transactions.bit_count()
-    if n_active == 0:
-        raise ValueError("frequency undefined: no active transactions")
-    return Fraction(cover(db, itemset, mask).bit_count(), n_active)
-
-
-def closure(db: TransactionDatabase, itemset: int, mask: Mask) -> int:
-    """Intersection of the active items of all transactions covering
-    ``itemset``; always taken relative to the mask's active items."""
-    cov = cover(db, itemset, mask)
-    if not cov:
-        raise ValueError("closure undefined: itemset has empty cover")
-    return meet_rows(db, cov, mask.active_items, itemset)
+# ------------------------------------------------------- meets of bitsets
 
 
 def meet_columns(db: TransactionDatabase, rows: int, items: int) -> int:

@@ -11,8 +11,9 @@ one score per group bounds every mask, and the masks are listed only
 where an itemset is emitted.  Mining-side constraints are applied during
 the search, not as a post-pass.  The oracle evaluates the query predicate
 by definition over every feasible mask and every non-empty subset of
-active items, using nothing but the dataset primitives.  All three
-engines must agree on every theory.
+active items from the rows alone, sharing no cover or closure with the
+other engines or the answer check.  All three engines must agree on
+every theory.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, combinations, groupby
-from operator import attrgetter, or_
+from operator import and_, attrgetter, or_
 from typing import Iterator
 
 from .dataset import (
@@ -483,10 +484,10 @@ def brute_force_theory(
     deadline: float | None = None,
 ) -> set[tuple[int, int, int]]:
     """Evaluate the query predicate by definition over every feasible mask
-    and every non-empty subset of active items; no solver, no miner.
-    Answers with (item_bits, trans_bits, itemset_bits) triples, as pp_mine."""
-    from .dataset import closure, cover  # dataset primitives only
-
+    and every non-empty subset of active items, from ``db.rows`` alone: X
+    is frequent when q·|rows holding X| ≥ p·|rows| and closed when those
+    rows meet at X.  Answers with (item_bits, trans_bits, itemset_bits)
+    triples, as pp_mine."""
     if db.item_count > _ORACLE_MAX_ITEMS:
         raise SizeLimitError(
             f"oracle refuses {db.item_count} items (bound {_ORACLE_MAX_ITEMS})"
@@ -509,11 +510,10 @@ def brute_force_theory(
         for trans_bits in trans_options:
             if deadline is not None:
                 check_deadline(deadline)
-            n_act = trans_bits.bit_count()
-            if n_act == 0:
+            if not trans_bits:
                 continue
-            mask = Mask(item_bits, trans_bits)
-            need = p * n_act
+            rows = [db.rows[j] & item_bits for j in indices_of(trans_bits)]
+            need = p * len(rows)
             for r in range(max(1, query.min_size), len(active) + 1):
                 for chosen in combinations(active, r):
                     subsets += 1
@@ -528,10 +528,10 @@ def brute_force_theory(
                         )
                         if not query.span[0] <= touched <= query.span[1]:
                             continue
-                    cov = cover(db, pat, mask)
-                    if q * cov.bit_count() < need:
+                    covered = [row for row in rows if not pat & ~row]
+                    if q * len(covered) < need:
                         continue
-                    if query.closed and closure(db, pat, mask) != pat:
+                    if query.closed and reduce(and_, covered, item_bits) != pat:
                         continue
                     triples.add((item_bits, trans_bits, pat))
     return triples

@@ -166,6 +166,46 @@ def test_mine_rejects_malformed_partition_line(files, capsys):
     assert capsys.readouterr().err == "error: line 2: expected 'name: id id ...'\n"
 
 
+@pytest.mark.parametrize(
+    "data,option,text,query,message",
+    [
+        # masks {1,2} and {1,2,3} would both print ALL
+        (
+            "1 2 3\n1 2\n1 2 3\n", "--item-cats", "ALL: 1 2\nrest: 3\n",
+            "theta: 1/2\nitems_active: 1 2\n",
+            "line 1: group name 'ALL' is reserved for the whole axis",
+        ),
+        # the union of a and b and the group a+b would both print a+b
+        (
+            "1\n1\n1\n1\n", "--trans-cats", "a: 1\nb: 2\na+b: 3 4\n",
+            "theta: 1/2\ntrans_active: 1 2\n",
+            "line 3: group name 'a+b' holds a '+', which joins the names of a union",
+        ),
+        # {1,2} and {1,3} would both print Paris
+        (
+            "1\n1\n1\n1\n", "--trans-cats",
+            "level 1\nParis: 1 2\nLyon: 3 4\nlevel 2\nParis: 1 3\nRhone: 2 4\n",
+            "theta: 1/2\ntrans_active: one-of-levels\n",
+            "line 5: group name 'Paris' names other members in an earlier level",
+        ),
+        # the itemsets {1} and {2} would both print 2
+        (
+            "1 2\n1 2\n", "--labels", "1 2\n", "theta: 1/2\nclosed: false\n",
+            "label '2' of item 1 spells the id of unlabelled item 2",
+        ),
+    ],
+    ids=["group-named-ALL", "plus-in-name", "name-in-two-levels", "label-spells-an-id"],
+)
+def test_mine_refuses_names_that_print_two_pairs_alike(tmp_path, capsys, data, option, text, query, message):
+    paths = {}
+    for name, content in [("data", data), ("extra", text), ("query", query)]:
+        paths[name] = tmp_path / name
+        paths[name].write_text(content)
+    args = ["mine", "--data", str(paths["data"]), "--query", str(paths["query"])]
+    assert cli.main(args + [option, str(paths["extra"])]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def _read_count(digits: str) -> int:
     # str() and int() convert at most 4300 digits
     n = 0

@@ -20,9 +20,10 @@ from submine import PartitionScheme, Query, TransactionDatabase, run_theory
 from submine.cli import _random_groups
 from submine.closedpattern import ClosedPatternSub
 from submine.constraints import GroupChoice
-from submine.dataset import Mask, bits_of, closure, frequency, iter_bits, span_bits
+from submine.dataset import bits_of, iter_bits, span_bits
 from submine.engine import ROLE_AUX, ROLE_H, ROLE_V, ROLE_X, Solver
 from submine.queries import AxisConstraint
+from submine.reference import brute_force_theory
 
 
 def test_closed_pattern_full_mask(db1):
@@ -224,20 +225,15 @@ def _random_choice(rng, m):
 
 
 def _answers(db, theta, closed, h_bits, v_bits):
-    """Every answer itemset of the fixed mask (h_bits, v_bits), by brute
-    force over the subsets of the active items."""
-    if not v_bits:
-        return []
-    mask = Mask(h_bits, v_bits)
-    active = list(iter_bits(h_bits))
-    out = []
-    for sel in range(1, 1 << len(active)):
-        xbits = bits_of(i for k, i in enumerate(active) if sel >> k & 1)
-        if frequency(db, xbits, mask) >= theta and (
-            not closed or closure(db, xbits, mask) == xbits
-        ):
-            out.append(xbits)
-    return out
+    """Every answer itemset of the fixed mask (h_bits, v_bits), from the
+    oracle, which decides from the rows alone."""
+    query = Query(
+        theta=theta,
+        closed=closed,
+        items=AxisConstraint.fixed(h_bits),
+        trans=AxisConstraint.fixed(v_bits),
+    )
+    return [pat for _, _, pat in brute_force_theory(db, query)]
 
 
 def check_group_bound(rng):

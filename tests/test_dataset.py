@@ -15,11 +15,9 @@ from submine.dataset import (
     TransactionDatabase,
     best_choice,
     bits_of,
-    closure,
-    cover,
-    frequency,
     indices_of,
     meet_columns,
+    meet_rows,
     parse_fimi,
     parse_labels,
     parse_partition,
@@ -139,6 +137,36 @@ def test_parse_partition_renames_a_singleton_whose_name_is_taken(db1):
     assert [g.name for g in scheme.groups] == ["t1", "t1(1)", "t4", "t5", "t6"]
 
 
+def test_a_singleton_name_is_a_valid_name_no_level_holds(db1):
+    # a label that cannot name a group gives way to the id
+    db = TransactionDatabase.from_rows([[1, 2, 3]], item_labels={1: "ALL", 2: "a+b"})
+    scheme = parse_partition("g: 3\n", db, "items")
+    assert [g.name for g in scheme.groups] == ["g", "1", "2"]
+    # t3 names other members in level 1, so index 3 takes another name in both
+    scheme = PartitionScheme.build(
+        "transactions", 3, [("t3", [1, 2])], [[("a", [1]), ("b", [2])]]
+    )
+    assert [[g.name for g in level] for level in scheme.levels] == [
+        ["t3", "t3(3)"],
+        ["a", "b", "t3(3)"],
+    ]
+    # one name may name one group in two levels
+    text = "level 1\nP: 1 2\nQ: 3\nlevel 2\nP: 1 2\nR: 4 5 6\n"
+    assert parse_partition(text, db1, "transactions").levels[1][0] == Group("P", bits_of([1, 2]))
+
+
+def test_database_refuses_a_label_that_spells_an_unlabelled_id():
+    # item 2 prints as 2, so item 1 may not print as 2 too
+    with pytest.raises(ValueError, match="^label '2' of item 1 spells the id of unlabelled item 2$"):
+        TransactionDatabase.from_rows([[1, 2], [1, 2]], item_labels={1: "2"})
+    db = TransactionDatabase.from_rows([[1, 2], [1, 2]])
+    with pytest.raises(ValueError, match="unlabelled item 2"):
+        db.with_labels({1: "2"})
+    # an id that is labelled, an item's own id, or no id of the axis is free
+    for labels in ({1: "2", 2: "1"}, {2: "2"}, {1: "3"}, {1: "02"}):
+        assert db.with_labels(labels).item_labels == labels
+
+
 def test_parse_partition_reads_a_file_object(db1):
     text = "I1: 1 2\nI2: 3 4 5\nI3: 6 7 8 9\n"
     assert parse_partition(io.StringIO(text), db1, "items") == parse_partition(text, db1, "items")
@@ -186,9 +214,16 @@ def test_parse_partition_empty_group(db1):
         ("G1: 1\nG2: 2 3 2\n", "line 2: index 2 repeated in 'G2'"),
         # a name fills a column of the tab-separated output
         ("c d: 2 3\na\tb: 1\n", "line 2: group name 'a\\tb' holds a tab"),
+        ("ALL: 1 2\nB: 3\n", "line 1: group name 'ALL' is reserved for the whole axis"),
+        ("a: 1\na+b: 2 3\n", "line 2: group name 'a+b' holds a '+', which joins the names of a union"),
+        (
+            "level 1\nP: 1 2\nlevel 2\nP: 1 3\n",
+            "line 4: group name 'P' names other members in an earlier level",
+        ),
     ],
     ids=["level-header", "level-order", "no-colon", "no-name", "duplicate-name",
-         "not-an-index", "repeated-index", "tab-in-name"],
+         "not-an-index", "repeated-index", "tab-in-name", "name-ALL", "plus-in-name",
+         "name-in-two-levels"],
 )
 def test_parse_partition_rejects_malformed_lines(db1, text, message):
     with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
@@ -208,9 +243,18 @@ def test_scheme_rejects_empty_group():
         ("items", [[("A", [1, 2])], [("B", [1])]], "level does not cover index 2"),
         ("items", [[("a\tb", [1, 2])]], "group name 'a\\tb' holds a tab or line break"),
         ("items", [[("a\nb", [1, 2])]], "group name 'a\\nb' holds a tab or line break"),
+        ("items", [[("ALL", [1, 2])]], "group name 'ALL' is reserved for the whole axis"),
+        ("items", [[("a+b", [1, 2])]], "group name 'a+b' holds a '+', which joins the names of a union"),
+        ("items", [[("P", [1]), ("P", [2])]], "group name 'P' names two different groups"),
+        (
+            "items",
+            [[("P", [1]), ("Q", [2])], [("Q", [1]), ("P", [2])]],
+            "group name 'Q' names two different groups",
+        ),
     ],
     ids=["unknown-axis", "index-out-of-range", "level-misses-index", "tab-in-name",
-         "line-break-in-name"],
+         "line-break-in-name", "name-ALL", "plus-in-name", "duplicate-name",
+         "name-in-two-levels"],
 )
 def test_scheme_rejects_bad_levels(axis, levels, message):
     built = tuple(tuple(Group(name, bits_of(ids)) for name, ids in level) for level in levels)
@@ -228,23 +272,60 @@ def test_group_names_may_hold_spaces(db1):
     assert [g.name for g in scheme.groups[:2]] == ["a b", "c d"]
 
 
-# ------------------------------------------------- cover/frequency/closure
+# ------------------------------------------------------- covers and closures
+
+
+def _cover(db, itemset, mask):
+    return meet_columns(db, mask.active_transactions, itemset)
+
+
+def _closure(db, itemset, mask):
+    return meet_rows(db, _cover(db, itemset, mask), mask.active_items, itemset)
 
 
 def test_cover_examples(db1):
     full = db1.full_mask()
-    assert indices_of(cover(db1, bits_of([G, K]), full)) == (1, 2, 6)
-    assert cover(db1, 0, full) == db1.all_transactions()
+    assert indices_of(_cover(db1, bits_of([G, K]), full)) == (1, 2, 6)
+    assert _cover(db1, 0, full) == db1.all_transactions()
     sub = Mask(db1.all_items(), bits_of([1, 2, 3, 4]))
-    assert indices_of(cover(db1, bits_of([A, D]), sub)) == (2, 3)
+    assert indices_of(_cover(db1, bits_of([A, D]), sub)) == (2, 3)
 
 
-def _cover_in(db, rows, itemset):
-    return cover(db, itemset, Mask(db.all_items(), rows))
+def _frequency(db, itemset, mask):
+    return Fraction(_cover(db, itemset, mask).bit_count(), mask.active_transactions.bit_count())
 
 
-@pytest.mark.parametrize("cover_of", [_cover_in, meet_columns], ids=["cover", "meet_columns"])
-def test_cover_is_the_rows_that_hold_the_itemset(cover_of):
+def test_frequency_examples(db1):
+    full = db1.full_mask()
+    assert _frequency(db1, bits_of([A]), full) == Fraction(3, 6)
+    assert _frequency(db1, 0, full) == 1
+    assert _frequency(db1, 0, Mask(db1.all_items(), bits_of([2, 5]))) == 1
+    # derived by intersecting rows of the table: B and G share t1, t6
+    assert _frequency(db1, bits_of([B, G]), full) == Fraction(2, 6)
+
+
+def _check_meet_columns(db, within, itemset, held, rng):
+    assert meet_columns(db, within, itemset) == held
+    assert meet_columns(db, within, 0) == within
+    assert meet_columns(db, 0, itemset) == 0
+
+
+def _check_meet_rows(db, within, itemset, held, rng):
+    # items ANDed with every row of the cover, whenever each of its rows
+    # holds the floor: the itemset over its cover, the empty set over any
+    # rows, and anything over no rows
+    items = itemset | bits_of(i for i in range(1, db.item_count + 1) if rng.random() < 0.7)
+    for cov, floor in ((held, itemset), (within, 0), (0, itemset)):
+        meet = items
+        for j in indices_of(cov):
+            meet &= db.rows[j]
+        assert meet_rows(db, cov, items, floor) == meet
+
+
+@pytest.mark.parametrize(
+    "check", [_check_meet_columns, _check_meet_rows], ids=["meet_columns", "meet_rows"]
+)
+def test_cover_is_the_rows_that_hold_the_itemset(check):
     # read row by row: a row is in the cover iff it holds every item of
     # the itemset.  Item ids are sparse, so most columns are empty
     rng = random.Random(30)
@@ -256,45 +337,18 @@ def test_cover_is_the_rows_that_hold_the_itemset(cover_of):
         within = bits_of(j for j in range(1, m + 1) if rng.random() < 0.8)
         itemset = bits_of(i for i in [*ids, db.item_count] if rng.random() < 0.3)
         held = bits_of(j for j in indices_of(within) if db.rows[j] & itemset == itemset)
-        assert cover_of(db, within, itemset) == held
-        assert cover_of(db, within, 0) == within
-        assert cover_of(db, 0, itemset) == 0
-
-
-def test_cover_requires_active_items(db1):
-    mask = Mask(bits_of([A, B]), db1.all_transactions())
-    with pytest.raises(ValueError, match="not active"):
-        cover(db1, bits_of([G]), mask)
-
-
-def test_frequency_examples(db1):
-    full = db1.full_mask()
-    assert frequency(db1, bits_of([A]), full) == Fraction(3, 6)
-    assert frequency(db1, 0, full) == 1
-    assert frequency(db1, 0, Mask(db1.all_items(), bits_of([2, 5]))) == 1
-    # derived by intersecting rows of the table: B and G share t1, t6
-    assert frequency(db1, bits_of([B, G]), full) == Fraction(2, 6)
-
-
-def test_frequency_no_active_transactions(db1):
-    with pytest.raises(ValueError, match="undefined"):
-        frequency(db1, bits_of([A]), Mask(db1.all_items(), 0))
+        check(db, within, itemset, held, rng)
 
 
 def test_closure_examples(db1):
     full = db1.full_mask()
     # G appears in t1, t2, t6 which also all contain K
-    assert closure(db1, bits_of([G]), full) == bits_of([G, K])
+    assert _closure(db1, bits_of([G]), full) == bits_of([G, K])
     # EF is already closed on the full dataset
-    assert closure(db1, bits_of([E, F]), full) == bits_of([E, F])
+    assert _closure(db1, bits_of([E, F]), full) == bits_of([E, F])
     # with K deactivated, BG is closed in the sub-dataset
     no_k = Mask(bits_of(range(1, 9)), db1.all_transactions())
-    assert closure(db1, bits_of([B, G]), no_k) == bits_of([B, G])
-
-
-def test_closure_empty_cover(db1):
-    with pytest.raises(ValueError, match="empty cover"):
-        closure(db1, bits_of([A, B]), db1.full_mask())  # A and B never co-occur
+    assert _closure(db1, bits_of([B, G]), no_k) == bits_of([B, G])
 
 
 # ------------------------------------------------------------- properties
@@ -335,7 +389,7 @@ def test_cover_antitone():
         )
         small &= mask.active_items
         big = (big & mask.active_items) | small
-        assert cover(db, big, mask) & ~cover(db, small, mask) == 0
+        assert _cover(db, big, mask) & ~_cover(db, small, mask) == 0
 
 
 def test_closure_extensive_idempotent_monotone():
@@ -347,20 +401,20 @@ def test_closure_extensive_idempotent_monotone():
         pat = mask.active_items & bits_of(
             [i for i in range(1, db.item_count + 1) if rng.random() < 0.3]
         )
-        if not cover(db, pat, mask):
+        if not _cover(db, pat, mask):
             continue
         checked += 1
-        cl = closure(db, pat, mask)
+        cl = _closure(db, pat, mask)
         assert cl & ~mask.active_items == 0
         assert pat & ~cl == 0  # extensive
-        assert closure(db, cl, mask) == cl  # idempotent
+        assert _closure(db, cl, mask) == cl  # idempotent
         # shrinking the active items shrinks the closure pointwise
         smaller = Mask(
             mask.active_items & ~(1 << rng.randint(1, db.item_count)),
             mask.active_transactions,
         )
         if pat & ~smaller.active_items == 0:
-            assert closure(db, pat, smaller) == cl & smaller.active_items
+            assert _closure(db, pat, smaller) == cl & smaller.active_items
 
 
 def test_mask_monotonicity_cover():
@@ -373,7 +427,7 @@ def test_mask_monotonicity_cover():
         )
         drop = 1 << rng.randint(1, db.transaction_count)
         shrunk = Mask(mask.active_items, mask.active_transactions & ~drop)
-        assert cover(db, pat, shrunk) & ~cover(db, pat, mask) == 0
+        assert _cover(db, pat, shrunk) & ~_cover(db, pat, mask) == 0
 
 
 # ------------------------------------------------------------ group choices

@@ -6,7 +6,9 @@ import pytest
 
 from helpers import A, B, E, F, G, HALF, K, triples_of
 from submine import Query, TransactionDatabase, build_query, parse_query, run_theory
-from submine.dataset import Mask, bits_of, closure, cover, indices_of
+from submine import closedpattern, dataset, queries, reference
+from submine.cli import generate_random_instance
+from submine.dataset import Mask, bits_of, indices_of
 from submine.queries import AxisConstraint
 from submine.reference import (
     SizeLimitError,
@@ -125,18 +127,12 @@ def test_mine_closed_is_complete_and_sound():
         mask = Mask(items, db.all_transactions())
         theta = rng.choice((Fraction(1, 4), Fraction(1, 2)))
         got = set(mine_closed(db, mask, theta))
-        n_act = mask.active_transactions.bit_count()
-        expected = set()
-        active = indices_of(items)
-        for r in range(1, len(active) + 1):
-            for chosen in combinations(active, r):
-                pat = bits_of(chosen)
-                cov = cover(db, pat, mask)
-                if cov.bit_count() * theta.denominator < theta.numerator * n_act:
-                    continue
-                if closure(db, pat, mask) != pat:
-                    continue
-                expected.add(pat)
+        query = Query(
+            theta=theta,
+            items=AxisConstraint.fixed(items),
+            trans=AxisConstraint.fixed(mask.active_transactions),
+        )
+        expected = {pat for _, _, pat in brute_force_theory(db, query)}
         assert got == expected
         assert len(got) == len(mine_closed(db, mask, theta))  # no duplicates
 
@@ -214,6 +210,52 @@ def test_oracle_mask_guard(db1):
     q = Query(theta=HALF, items=AxisConstraint.group_bounds(1, 24))
     with pytest.raises(SizeLimitError, match="masks"):
         brute_force_theory(db, q, scheme, None)
+
+
+def _drop_top_row(meet_columns):
+    # a planted defect: the cover loses its highest row
+    def defective(db, rows, items):
+        cov = meet_columns(db, rows, items)
+        return cov & ~(1 << cov.bit_length() >> 1)
+
+    return defective
+
+
+def _skip_top_row(meet_rows):
+    # a planted defect: the closure skips the highest covered row
+    def defective(db, cov, items, floor):
+        return meet_rows(db, cov & ~(1 << cov.bit_length() >> 1), items, floor)
+
+    return defective
+
+
+@pytest.mark.parametrize(
+    "name,plant",
+    [("meet_columns", _drop_top_row), ("meet_rows", _skip_top_row)],
+    ids=["meet_columns", "meet_rows"],
+)
+def test_oracle_follows_no_defect_of_the_shared_primitives(monkeypatch, name, plant):
+    # the oracle decides from the rows alone, so a defect planted in the
+    # cover or closure that the engines and the answer check share leaves
+    # its theory as it is, while the answer check or an engine follows it
+    rng = random.Random(3)
+    draws = []
+    for _ in range(200):
+        db, item_scheme, trans_scheme, query = generate_random_instance(rng)
+        draws.append((db, query, item_scheme, trans_scheme))
+    before = [brute_force_theory(*draw) for draw in draws]
+    defective = plant(getattr(dataset, name))
+    for module in (dataset, closedpattern, queries, reference):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, defective)
+    assert [brute_force_theory(*draw) for draw in draws] == before
+    followed = 0
+    for draw, theory in zip(draws, before):
+        try:
+            followed += triples_of(run_theory(*draw, engine="baseline")) != theory
+        except RuntimeError:
+            followed += 1
+    assert followed >= 20
 
 
 # ---------------------------------------------------------------- deadlines
