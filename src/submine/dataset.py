@@ -4,7 +4,9 @@ Items and transactions are dense 1-based integer indices.  Index sets are
 plain Python ints used as bitsets: bit i holds index i, bit 0 stays clear.
 Nothing in this module touches floats.  Every cover the engines and the
 answer check take is ``meet_columns`` and every closure ``meet_rows``;
-the oracle (``reference.brute_force_theory``) shares neither.
+the oracle (``reference.brute_force_theory``) shares neither.  A scheme
+or database built in Python obeys the rules of a file: ``_group_fault``
+and ``_label_fault`` hold them, and the type and the parser call each.
 """
 
 from __future__ import annotations
@@ -114,13 +116,15 @@ class TransactionDatabase:
     def __post_init__(self) -> None:
         object.__setattr__(self, "held_items", reduce(or_, self.rows, 0))
         labels = self.item_labels or {}
+        ids: dict[str, int] = {}  # label -> the id it names
         for i, label in labels.items():
+            fault = _label_fault(label, i, ids)
             # an unlabelled item prints as its id, so no label may spell it
             k = int(label) if label.isascii() and label.isdigit() else 0
-            if str(k) == label and 1 <= k <= self.item_count and k not in labels:
-                raise ValueError(
-                    f"label {label!r} of item {i} spells the id of unlabelled item {k}"
-                )
+            if not fault and str(k) == label and 1 <= k <= self.item_count and k not in labels:
+                fault = f"label {label!r} of item {i} spells the id of unlabelled item {k}"
+            if fault:
+                raise ValueError(fault)
 
     @classmethod
     def from_rows(
@@ -224,17 +228,15 @@ def parse_fimi(source: str | IO[str]) -> TransactionDatabase:
                 raise FormatError(f"line {lineno}: item ids must be positive, got {i}")
             items.add(i)
         rows.append(items)
-    if not rows:
-        raise EmptyDatabaseError("no transactions in input")
     return TransactionDatabase.from_rows(rows)
 
 
 def parse_labels(source: str | IO[str]) -> dict[int, str]:
     """Parse an item-label file: ``<id> <label>`` per line, split on the
     first run of whitespace, and ``#`` comment lines.
-    A label that contains whitespace, an id labelled twice, or a label
-    given to two ids is a FormatError: a query could not name such a label,
-    and it would blur the space-separated itemset column of the output."""
+    An id labelled twice, or a label ``_label_fault`` refuses, is a
+    FormatError: a query could not name such a label, and it would blur
+    the space-separated itemset column of the output."""
     labels: dict[int, str] = {}
     ids: dict[str, int] = {}  # label -> the id it names
     for lineno, raw in enumerate(_read_lines(source), start=1):
@@ -249,15 +251,23 @@ def parse_labels(source: str | IO[str]) -> dict[int, str]:
             raise FormatError(f"line {lineno}: expected '<id> <label>'") from None
         if not rest:
             raise FormatError(f"line {lineno}: missing label for item {i}")
-        if len(rest.split()) > 1:
-            raise FormatError(f"line {lineno}: label {rest!r} contains whitespace")
         if i in labels:
             raise FormatError(f"line {lineno}: item {i} already labelled {labels[i]!r}")
-        if rest in ids:
-            raise FormatError(f"line {lineno}: label {rest!r} already names item {ids[rest]}")
+        fault = _label_fault(rest, i, ids)
+        if fault:
+            raise FormatError(f"line {lineno}: {fault}")
         labels[i] = rest
-        ids[rest] = i
     return labels
+
+
+def _label_fault(label: str, item: int, ids: dict[str, int]) -> str | None:
+    """Why ``label`` cannot label ``item``, or None, given ``ids``, the item
+    each label met so far names; a label that can is added to ``ids``."""
+    if any(c.isspace() for c in label):
+        return f"label {label!r} contains whitespace"
+    if ids.setdefault(label, item) != item:
+        return f"label {label!r} already names item {ids[label]}"
+    return None
 
 
 # --------------------------------------------------------------- partitions
@@ -287,27 +297,13 @@ class PartitionScheme:
         if self.axis not in ("items", "transactions"):
             raise ValueError(f"unknown axis {self.axis!r}")
         universe = span_bits(1, self.size)
-        named: dict[str, int] = {}  # name -> members
-        for level in self.levels:
+        named: dict[str, tuple[int, int]] = {}  # name -> (members, level)
+        for k, level in enumerate(self.levels):
             seen = 0
             for g in level:
-                fault = _name_fault(g.name)
+                fault = _group_fault(g.name, g.members, self.size, seen, named, k)
                 if fault:
-                    raise ValueError(f"group name {g.name!r} {fault}")
-                if not g.members:
-                    raise ValueError(f"group {g.name!r} has no members")
-                if g.members & ~universe:
-                    bad = next(iter_bits(g.members & ~universe))
-                    raise ValueError(
-                        f"group {g.name!r}: index {bad} out of range 1..{self.size}"
-                    )
-                if g.members & seen:
-                    dup = next(iter_bits(g.members & seen))
-                    raise ValueError(
-                        f"group {g.name!r}: index {dup} already in another group"
-                    )
-                if named.setdefault(g.name, g.members) != g.members:
-                    raise ValueError(f"group name {g.name!r} names two different groups")
+                    raise ValueError(fault)
                 seen |= g.members
             if seen != universe:
                 missing = next(iter_bits(universe & ~seen))
@@ -348,6 +344,29 @@ def _name_fault(name: str) -> str | None:
     return None
 
 
+def _group_fault(name, members, size, seen, named, level) -> str | None:
+    """Why group ``name: members`` cannot join ``level`` of a scheme of
+    1..size, or None, given ``seen``, the level's members so far, and
+    ``named``, name -> (members, level), to which a group that can is added."""
+    fault = _name_fault(name)
+    if fault:
+        return f"group name {name!r} {fault}"
+    if not members:
+        return f"group {name!r} has no members"
+    if members & 1 or members >> size + 1:  # also true of a negative int
+        bad = 0 if members & 1 else members.bit_length() - 1
+        return f"group {name!r}: index {bad} out of range 1..{size}"
+    if members & seen:
+        dup = next(iter_bits(members & seen))
+        return f"index {dup} appears in two groups of one level (overlap)"
+    prior, first = named.setdefault(name, (members, level))
+    if prior != members and first == level:
+        return f"duplicate group name {name!r}"
+    if prior != members:
+        return f"group name {name!r} names other members in an earlier level"
+    return None
+
+
 def _complete_levels(
     raw_levels: list[list[Group]],
     size: int,
@@ -382,23 +401,18 @@ def parse_partition(
 ) -> PartitionScheme:
     """Parse a partition file.
 
-    Lines are ``name: id id ...`` with at least one id and a name that
-    ``PartitionScheme`` allows; ``level <k>`` headers introduce hierarchy
-    levels; ``#`` begins a comment line.  Unmentioned indices are
-    singleton groups in every level.
+    Lines are ``name: id id ...``, each a group ``PartitionScheme``
+    allows, else a FormatError with the line number and the scheme's text;
+    ``level <k>`` headers introduce hierarchy levels; ``#`` begins a
+    comment line.  Unmentioned indices are singleton groups in every level.
     """
-    if axis == "items":
-        size = db.item_count
-    elif axis == "transactions":
-        size = db.transaction_count
-    else:
-        raise ValueError(f"unknown axis {axis!r}")
+    # PartitionScheme refuses an axis that is neither
+    size = db.item_count if axis == "items" else db.transaction_count
 
     raw_levels: list[list[Group]] = []
     current: list[Group] = []
     named: dict[str, tuple[int, int]] = {}  # name -> (members, level)
     seen = 0  # the indices of the current level's groups
-    started = False
     last_level_no = 0
     for lineno, raw in enumerate(_read_lines(source), start=1):
         line = raw.strip()
@@ -408,53 +422,33 @@ def parse_partition(
         if parts[0] == "level":
             if len(parts) != 2 or not parts[1].isdigit():
                 raise FormatError(f"line {lineno}: expected 'level <k>'")
-            k = int(parts[1])
-            if k <= last_level_no:
+            if int(parts[1]) <= last_level_no:
                 raise FormatError(f"line {lineno}: level numbers must increase")
-            last_level_no = k
-            if started:
+            if current or last_level_no:  # a group or header came before
                 raw_levels.append(current)
-                current = []
-                seen = 0
-            started = True
+                current, seen = [], 0
+            last_level_no = int(parts[1])
             continue
-        started = True
         name, sep, rest = line.partition(":")
         if not sep:
             raise FormatError(f"line {lineno}: expected 'name: id id ...'")
         name = name.strip()
         if not name:
             raise FormatError(f"line {lineno}: empty group name")
-        if "\t" in name:
-            raise FormatError(f"line {lineno}: group name {name!r} holds a tab")
-        fault = _name_fault(name)
-        if fault:
-            raise FormatError(f"line {lineno}: group name {name!r} {fault}")
         members = 0
         for tok in rest.split():
             try:
                 i = int(tok)
             except ValueError:
                 raise FormatError(f"line {lineno}: not an index: {tok!r}") from None
-            if not 1 <= i <= size:
+            if not 1 <= i <= size:  # before 1 << i is built
                 raise FormatError(f"line {lineno}: index {i} out of range 1..{size}")
             if members >> i & 1:
                 raise FormatError(f"line {lineno}: index {i} repeated in {name!r}")
             members |= 1 << i
-        if not members:
-            raise FormatError(f"line {lineno}: group {name!r} has no members")
-        if members & seen:
-            dup = next(iter_bits(members & seen))
-            raise FormatError(
-                f"line {lineno}: index {dup} appears in two groups of one level (overlap)"
-            )
-        prior, level_no = named.setdefault(name, (members, len(raw_levels)))
-        if prior != members and level_no == len(raw_levels):
-            raise FormatError(f"line {lineno}: duplicate group name {name!r}")
-        if prior != members:
-            raise FormatError(
-                f"line {lineno}: group name {name!r} names other members in an earlier level"
-            )
+        fault = _group_fault(name, members, size, seen, named, len(raw_levels))
+        if fault:
+            raise FormatError(f"line {lineno}: {fault}")
         seen |= members
         current.append(Group(name, members))
     raw_levels.append(current)

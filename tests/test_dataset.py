@@ -22,6 +22,7 @@ from submine.dataset import (
     parse_labels,
     parse_partition,
 )
+from submine.queries import Query, run_theory
 
 
 # ----------------------------------------------------------- FIMI parsing
@@ -167,6 +168,46 @@ def test_database_refuses_a_label_that_spells_an_unlabelled_id():
         assert db.with_labels(labels).item_labels == labels
 
 
+# a label given in Python obeys the rules of a label file; line is where
+# the label file with the same labels fails, or None if no file holds them
+@pytest.mark.parametrize(
+    "labels,message,line",
+    [
+        ({1: "x", 2: "a b"}, "label 'a b' contains whitespace", 2),
+        ({1: "x\ty"}, "label 'x\\ty' contains whitespace", 1),
+        ({1: "x\ny"}, "label 'x\\ny' contains whitespace", None),
+        ({1: "x\ry"}, "label 'x\\ry' contains whitespace", None),
+        ({1: "a", 2: "a"}, "label 'a' already names item 1", 2),
+    ],
+    ids=["space", "tab", "line-feed", "carriage-return", "one-label-two-ids"],
+)
+def test_database_refuses_what_a_label_file_refuses(labels, message, line):
+    rows = [[1, 2], [1], [2], [1, 2]]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TransactionDatabase.from_rows(rows, item_labels=labels)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TransactionDatabase.from_rows(rows).with_labels(labels)
+    if line is not None:
+        text = "".join(f"{i} {label}\n" for i, label in labels.items())
+        with pytest.raises(FormatError, match=f"^line {line}: {re.escape(message)}$"):
+            parse_labels(text)
+
+
+def test_two_ids_with_one_label_cannot_print_two_pairs_alike():
+    # items 1 and 2 are both closed answers; labelled alike, they would
+    # print the same line twice
+    rows = [[1, 2], [1], [2], [1, 2]]
+    query = Query(theta=Fraction(3, 4))
+    db = TransactionDatabase.from_rows(rows)
+    assert [p.tsv() for p in run_theory(db, query)] == ["ALL\tALL\t1\t3\t3/4", "ALL\tALL\t2\t3\t3/4"]
+    with pytest.raises(ValueError, match="^label 'a' already names item 1$"):
+        TransactionDatabase.from_rows(rows, item_labels={1: "a", 2: "a"})
+    with pytest.raises(ValueError, match="^label 'a' already names item 1$"):
+        db.with_labels({1: "a", 2: "a"})
+    labelled = db.with_labels({1: "a", 2: "b"})
+    assert [p.tsv() for p in run_theory(labelled, query)] == ["ALL\tALL\ta\t3\t3/4", "ALL\tALL\tb\t3\t3/4"]
+
+
 def test_parse_partition_reads_a_file_object(db1):
     text = "I1: 1 2\nI2: 3 4 5\nI3: 6 7 8 9\n"
     assert parse_partition(io.StringIO(text), db1, "items") == parse_partition(text, db1, "items")
@@ -213,7 +254,7 @@ def test_parse_partition_empty_group(db1):
         ("G1: 1 x\n", "line 1: not an index: 'x'"),
         ("G1: 1\nG2: 2 3 2\n", "line 2: index 2 repeated in 'G2'"),
         # a name fills a column of the tab-separated output
-        ("c d: 2 3\na\tb: 1\n", "line 2: group name 'a\\tb' holds a tab"),
+        ("c d: 2 3\na\tb: 1\n", "line 2: group name 'a\\tb' holds a tab or line break"),
         ("ALL: 1 2\nB: 3\n", "line 1: group name 'ALL' is reserved for the whole axis"),
         ("a: 1\na+b: 2 3\n", "line 2: group name 'a+b' holds a '+', which joins the names of a union"),
         (
@@ -245,11 +286,11 @@ def test_scheme_rejects_empty_group():
         ("items", [[("a\nb", [1, 2])]], "group name 'a\\nb' holds a tab or line break"),
         ("items", [[("ALL", [1, 2])]], "group name 'ALL' is reserved for the whole axis"),
         ("items", [[("a+b", [1, 2])]], "group name 'a+b' holds a '+', which joins the names of a union"),
-        ("items", [[("P", [1]), ("P", [2])]], "group name 'P' names two different groups"),
+        ("items", [[("P", [1]), ("P", [2])]], "duplicate group name 'P'"),
         (
             "items",
             [[("P", [1]), ("Q", [2])], [("Q", [1]), ("P", [2])]],
-            "group name 'Q' names two different groups",
+            "group name 'Q' names other members in an earlier level",
         ),
     ],
     ids=["unknown-axis", "index-out-of-range", "level-misses-index", "tab-in-name",
@@ -260,6 +301,42 @@ def test_scheme_rejects_bad_levels(axis, levels, message):
     built = tuple(tuple(Group(name, bits_of(ids)) for name, ids in level) for level in levels)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         PartitionScheme(axis, 2, built)
+
+
+# one table of faulty groups run down both paths, so the two texts cannot
+# drift apart: the parser's message is the line of the faulty group, which
+# each case puts last, and then the scheme's message
+@pytest.mark.parametrize(
+    "levels,message",
+    [
+        ([[("c d", [2, 3]), ("a\tb", [1])]], "group name 'a\\tb' holds a tab or line break"),
+        ([[("ALL", [1, 2])]], "group name 'ALL' is reserved for the whole axis"),
+        ([[("a", [1]), ("a+b", [2, 3])]], "group name 'a+b' holds a '+', which joins the names of a union"),
+        ([[("a+b", [])]], "group name 'a+b' holds a '+', which joins the names of a union"),
+        ([[("A", [1]), ("E", [])]], "group 'E' has no members"),
+        ([[("G1", [1, 2]), ("G2", [2, 3])]], "index 2 appears in two groups of one level (overlap)"),
+        (
+            [[("G1", [1, 2])], [("H1", [1, 2]), ("H2", [2, 3])]],
+            "index 2 appears in two groups of one level (overlap)",
+        ),
+        ([[("G1", [1]), ("G1", [2])]], "duplicate group name 'G1'"),
+        ([[("P", [1, 2])], [("P", [1, 3])]], "group name 'P' names other members in an earlier level"),
+    ],
+    ids=["tab-in-name", "name-ALL", "plus-in-name", "bad-name-first", "empty-group",
+         "overlap", "overlap-in-level-2", "duplicate-name", "name-in-two-levels"],
+)
+def test_parser_and_scheme_refuse_a_group_with_one_text(db1, levels, message):
+    with pytest.raises(ValueError) as built:
+        PartitionScheme.build("transactions", 6, levels[0], levels[1:])
+    assert type(built.value) is ValueError
+    assert str(built.value) == message
+    lines = []
+    for k, level in enumerate(levels, start=1):
+        lines += [f"level {k}"] if len(levels) > 1 else []
+        lines += [f"{name}: {' '.join(map(str, ids))}" for name, ids in level]
+    with pytest.raises(FormatError) as parsed:
+        parse_partition("# groups\n" + "\n".join(lines) + "\n", db1, "transactions")
+    assert str(parsed.value) == f"line {len(lines) + 1}: {message}"
 
 
 def test_scheme_build_rejects_overlap():
