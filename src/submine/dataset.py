@@ -249,8 +249,6 @@ def parse_labels(source: str | IO[str]) -> dict[int, str]:
             i = int(head)
         except ValueError:
             raise FormatError(f"line {lineno}: expected '<id> <label>'") from None
-        if not rest:
-            raise FormatError(f"line {lineno}: missing label for item {i}")
         if i in labels:
             raise FormatError(f"line {lineno}: item {i} already labelled {labels[i]!r}")
         fault = _label_fault(rest, i, ids)
@@ -263,6 +261,8 @@ def parse_labels(source: str | IO[str]) -> dict[int, str]:
 def _label_fault(label: str, item: int, ids: dict[str, int]) -> str | None:
     """Why ``label`` cannot label ``item``, or None, given ``ids``, the item
     each label met so far names; a label that can is added to ``ids``."""
+    if not label:
+        return f"missing label for item {item}"
     if any(c.isspace() for c in label):
         return f"label {label!r} contains whitespace"
     if ids.setdefault(label, item) != item:
@@ -335,12 +335,14 @@ class PartitionScheme:
 def _name_fault(name: str) -> str | None:
     """Why ``name`` cannot name a group in the tab-separated mask columns,
     where '+' joins the names of a union and 'ALL' is the whole axis."""
+    if not name:
+        return "empty group name"
     if "\t" in name or "\n" in name or "\r" in name:
-        return "holds a tab or line break"
+        return f"group name {name!r} holds a tab or line break"
     if "+" in name:
-        return "holds a '+', which joins the names of a union"
+        return f"group name {name!r} holds a '+', which joins the names of a union"
     if name == "ALL":
-        return "is reserved for the whole axis"
+        return f"group name {name!r} is reserved for the whole axis"
     return None
 
 
@@ -350,7 +352,7 @@ def _group_fault(name, members, size, seen, named, level) -> str | None:
     ``named``, name -> (members, level), to which a group that can is added."""
     fault = _name_fault(name)
     if fault:
-        return f"group name {name!r} {fault}"
+        return fault
     if not members:
         return f"group {name!r} has no members"
     if members & 1 or members >> size + 1:  # also true of a negative int
@@ -433,8 +435,6 @@ def parse_partition(
         if not sep:
             raise FormatError(f"line {lineno}: expected 'name: id id ...'")
         name = name.strip()
-        if not name:
-            raise FormatError(f"line {lineno}: empty group name")
         members = 0
         for tok in rest.split():
             try:
@@ -442,7 +442,9 @@ def parse_partition(
             except ValueError:
                 raise FormatError(f"line {lineno}: not an index: {tok!r}") from None
             if not 1 <= i <= size:  # before 1 << i is built
-                raise FormatError(f"line {lineno}: index {i} out of range 1..{size}")
+                raise FormatError(
+                    f"line {lineno}: group {name!r}: index {i} out of range 1..{size}"
+                )
             if members >> i & 1:
                 raise FormatError(f"line {lineno}: index {i} repeated in {name!r}")
             members |= 1 << i

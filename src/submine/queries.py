@@ -739,15 +739,15 @@ def run_theory(
     of (item_bits, trans_bits, itemset_bits) triples; this is the one place
     that checks and decodes them, so the result is identical for every
     engine.  Triples are grouped by (trans_bits, itemset_bits), (V, X):
-    X's cover over all rows, met once, is ANDed with V, and
-    ``_itemset_fault`` takes support and closure once for all the item
-    masks H that hold (V, X) and tests each H with two ANDs.  Each distinct
-    item mask, transaction mask and itemset is decoded (indices, and a
-    ``describe_mask`` string or labels) once, and each mask checked against
-    its axis's constraint once.  A triple fails with the reason
-    ``validate_pair`` gives it, and each pair equals what ``make_pair``
-    builds.  The check reads the clock every ``_CHECK_STRIDE`` answers and
-    raises SearchTimeout once ``time.monotonic()`` passes ``deadline``."""
+    ``_itemset_fault`` computes the cover, support and closure of X in V
+    once for all the item masks H that hold it and tests each H with two
+    ANDs.  Each distinct item mask, transaction mask and itemset is
+    decoded (indices, and a ``describe_mask`` string or labels) once, and
+    each mask checked against its axis's constraint once.  A triple fails
+    with the reason ``validate_pair`` gives it, and each pair equals what
+    ``make_pair`` builds.  The check reads the clock every
+    ``_CHECK_STRIDE`` answers and raises SearchTimeout once
+    ``time.monotonic()`` passes ``deadline``."""
     chosen = engine or query.engine
     if chosen not in ENGINES:
         raise QueryError(f"unknown engine {chosen!r}")
@@ -762,12 +762,9 @@ def run_theory(
     for ib, tb, xb in triples:
         by_vx.setdefault((tb, xb), []).append(ib)
     # bitset -> (index tuple, description, allowed by its axis), per axis
-    all_items, all_rows = db.all_items(), db.all_transactions()
-    items_of = _decode({ib for ib, _, _ in triples}, query.items, all_items, item_scheme)
-    trans_of = _decode({tb for tb, _ in by_vx}, query.trans, all_rows, trans_scheme)
+    items_of = _decode({ib for ib, _, _ in triples}, query.items, db.all_items(), item_scheme)
+    trans_of = _decode({tb for tb, _ in by_vx}, query.trans, db.all_transactions(), trans_scheme)
     sets_of = {xb: indices_of(xb) for _, xb in by_vx}
-    # each X's cover over all rows, met on the items: a faulty X may hold more
-    covers = {xb: meet_columns(db, all_rows, xb & all_items) for xb in sets_of}
     # each pair's place in the canonical order, as one int: the ranks of
     # its item mask, transaction mask and itemset; and each label read once
     n_sets = len(sets_of)
@@ -783,7 +780,7 @@ def run_theory(
     pairs: dict[int, SolutionPair] = {}
     for (tb, xb), ibs in by_vx.items():
         items, labels, rank = sets_of[xb]
-        support, bad, fault = _itemset_fault(db, query, tb, xb, ibs, item_scheme, covers[xb] & tb)
+        support, bad, fault = _itemset_fault(db, query, tb, xb, ibs, item_scheme)
         if fault:
             raise _self_check_error(fault, bad, tb, xb)
         trans_mask, trans_desc, trans_ok = trans_of[tb]
@@ -890,21 +887,20 @@ def _mask_fault(trans_bits: int, items_ok: bool, trans_ok: bool) -> str | None:
 
 
 def _itemset_fault(
-    db, query, trans_bits: int, itemset: int, item_masks, item_scheme, cov: int | None = None
+    db, query, trans_bits: int, itemset: int, item_masks, item_scheme
 ) -> tuple[int, int | None, str | None]:
     """The support of ``itemset`` in ``trans_bits``, and an item mask H of
     ``item_masks`` with the first reason, in this order, the itemset is
-    not an answer in (H, trans_bits), or None twice.  Cover ``cov``, met
-    here if None, and support do not depend on H; the closure within H is
-    the one within the union of ``item_masks`` met with H."""
+    not an answer in (H, trans_bits), or None twice.  Cover and support do
+    not depend on H, and the closure within H is the one within the union
+    of ``item_masks`` met with H."""
     first = item_masks[0]
     if itemset == 0:
         return 0, first, "empty itemset"
     for h in item_masks:
         if itemset & ~h:
             return 0, h, "itemset outside active items"
-    if cov is None:
-        cov = meet_columns(db, trans_bits, itemset)
+    cov = meet_columns(db, trans_bits, itemset)
     support = cov.bit_count()
     if support * query.theta.denominator < query.theta.numerator * trans_bits.bit_count():
         return support, first, "below minimum frequency"

@@ -178,8 +178,9 @@ def test_database_refuses_a_label_that_spells_an_unlabelled_id():
         ({1: "x\ny"}, "label 'x\\ny' contains whitespace", None),
         ({1: "x\ry"}, "label 'x\\ry' contains whitespace", None),
         ({1: "a", 2: "a"}, "label 'a' already names item 1", 2),
+        ({1: "x", 2: ""}, "missing label for item 2", 2),
     ],
-    ids=["space", "tab", "line-feed", "carriage-return", "one-label-two-ids"],
+    ids=["space", "tab", "line-feed", "carriage-return", "one-label-two-ids", "empty"],
 )
 def test_database_refuses_what_a_label_file_refuses(labels, message, line):
     rows = [[1, 2], [1], [2], [1, 2]]
@@ -313,7 +314,10 @@ def test_scheme_rejects_bad_levels(axis, levels, message):
         ([[("ALL", [1, 2])]], "group name 'ALL' is reserved for the whole axis"),
         ([[("a", [1]), ("a+b", [2, 3])]], "group name 'a+b' holds a '+', which joins the names of a union"),
         ([[("a+b", [])]], "group name 'a+b' holds a '+', which joins the names of a union"),
+        ([[("A", [1]), ("", [2, 3])]], "empty group name"),
         ([[("A", [1]), ("E", [])]], "group 'E' has no members"),
+        ([[("A", [1]), ("B", [2, 7])]], "group 'B': index 7 out of range 1..6"),
+        ([[("A", [1]), ("B", [0, 2])]], "group 'B': index 0 out of range 1..6"),
         ([[("G1", [1, 2]), ("G2", [2, 3])]], "index 2 appears in two groups of one level (overlap)"),
         (
             [[("G1", [1, 2])], [("H1", [1, 2]), ("H2", [2, 3])]],
@@ -322,8 +326,9 @@ def test_scheme_rejects_bad_levels(axis, levels, message):
         ([[("G1", [1]), ("G1", [2])]], "duplicate group name 'G1'"),
         ([[("P", [1, 2])], [("P", [1, 3])]], "group name 'P' names other members in an earlier level"),
     ],
-    ids=["tab-in-name", "name-ALL", "plus-in-name", "bad-name-first", "empty-group",
-         "overlap", "overlap-in-level-2", "duplicate-name", "name-in-two-levels"],
+    ids=["tab-in-name", "name-ALL", "plus-in-name", "bad-name-first", "empty-name",
+         "empty-group", "index-above-range", "index-0", "overlap", "overlap-in-level-2",
+         "duplicate-name", "name-in-two-levels"],
 )
 def test_parser_and_scheme_refuse_a_group_with_one_text(db1, levels, message):
     with pytest.raises(ValueError) as built:
