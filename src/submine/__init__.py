@@ -10,7 +10,6 @@ from .dataset import (
     EmptyDatabaseError,
     FormatError,
     Group,
-    Mask,
     PartitionScheme,
     TransactionDatabase,
     bits_of,
@@ -48,7 +47,6 @@ __all__ = [
     "EmptyDatabaseError",
     "FormatError",
     "Group",
-    "Mask",
     "PartitionScheme",
     "Query",
     "QueryError",

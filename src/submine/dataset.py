@@ -180,9 +180,6 @@ class TransactionDatabase:
     def all_transactions(self) -> int:
         return span_bits(1, self.transaction_count)
 
-    def full_mask(self) -> "Mask":
-        return Mask(self.all_items(), self.all_transactions())
-
     def label(self, item: int) -> str:
         if self.item_labels and item in self.item_labels:
             return self.item_labels[item]
@@ -190,14 +187,6 @@ class TransactionDatabase:
 
     def labels_for(self, item_bits: int) -> tuple[str, ...]:
         return tuple(self.label(i) for i in iter_bits(item_bits))
-
-
-@dataclass(frozen=True)
-class Mask:
-    """Active item/transaction selection circumscribing a sub-dataset."""
-
-    active_items: int
-    active_transactions: int
 
 
 # ----------------------------------------------------------------- parsing

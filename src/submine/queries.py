@@ -515,8 +515,9 @@ def check_query(
     (UnsupportedQueryError for an unknown dataset constraint kind).  The
     checks that need no data live in ``Query`` itself.  A query file goes
     through here in ``build_query``; every engine goes through here in
-    ``run_theory``, ``assemble`` and the mask enumerator.  Each scheme
-    must partition its own axis of the data, read or not."""
+    ``run_theory``, ``assemble``, the mask enumerator, the oracle and the
+    one-mask miners.  Each scheme must partition its own axis of the
+    data, read or not."""
     n, m = db.item_count, db.transaction_count
     for scheme, axis, size in ((item_scheme, "items", n), (trans_scheme, "transactions", m)):
         if scheme is not None and (scheme.axis, scheme.size) != (axis, size):
@@ -813,27 +814,13 @@ def _run_parallel(
 
     from . import reference
 
-    masks = []
-    seen = set()
-    for mask in reference.enumerate_masks(db, query, item_scheme, trans_scheme):
-        key = (mask.active_items, mask.active_transactions)
-        if key not in seen:
-            seen.add(key)
-            masks.append(mask)
+    # two levels can hold the same group, and so yield one mask twice
+    masks = dict.fromkeys(reference.enumerate_masks(db, query, item_scheme, trans_scheme))
+    fixed = AxisConstraint.fixed
     tasks = [
-        (
-            db,
-            replace(
-                query,
-                items=AxisConstraint.fixed(mask.active_items),
-                trans=AxisConstraint.fixed(mask.active_transactions),
-            ),
-            item_scheme,
-            trans_scheme,
-            engine,
-            deadline,
-        )
-        for mask in masks
+        (db, replace(query, items=fixed(ib), trans=fixed(tb)), item_scheme, trans_scheme,
+         engine, deadline)
+        for ib, tb in masks
     ]
     triples: set[tuple[int, int, int]] = set()
     if not tasks:

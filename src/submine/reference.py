@@ -21,11 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, combinations, groupby
-from operator import and_, attrgetter, or_
+from operator import and_, itemgetter, or_
 from typing import Iterator
 
 from .dataset import (
-    Mask,
     PartitionScheme,
     TransactionDatabase,
     best_choice,
@@ -50,7 +49,8 @@ from .queries import (
 
 _ORACLE_MAX_ITEMS = 24
 _ORACLE_MAX_MASKS = 1 << 20
-# search nodes (or oracle subsets) between two reads of the clock
+# search nodes (or listed masks, or oracle subsets) between two reads of
+# the clock
 _DEADLINE_STRIDE = 64
 
 
@@ -62,8 +62,9 @@ class SizeLimitError(ValueError):
 
 
 class MaskEnumerator:
-    """Iterates every sub-dataset mask a query's dataset part allows,
-    each exactly once per group choice; count() needs no materialization."""
+    """Iterates every sub-dataset mask a query's dataset part allows, as
+    an (item_bits, trans_bits) pair, each exactly once per group choice
+    and lazily over the item masks; count() needs no materialization."""
 
     def __init__(
         self,
@@ -83,13 +84,13 @@ class MaskEnumerator:
     def count(self) -> int:
         return self._count
 
-    def __iter__(self) -> Iterator[Mask]:
+    def __iter__(self) -> Iterator[tuple[int, int]]:
         trans_opts = list(
             self.query.trans.masks(self.db.all_transactions(), self.trans_scheme)
         )
         for ib in self.query.items.masks(self.db.all_items(), self.item_scheme):
             for tb in trans_opts:
-                yield Mask(ib, tb)
+                yield ib, tb
 
 
 def enumerate_masks(
@@ -106,7 +107,7 @@ def enumerate_masks(
 
 def mine_closed(
     db: TransactionDatabase,
-    mask: Mask,
+    mask: tuple[int, int],
     theta: Fraction,
     min_size: int = 1,
     span: tuple[int, int] | None = None,
@@ -115,8 +116,9 @@ def mine_closed(
     item_scheme: PartitionScheme | None = None,
     deadline: float | None = None,
 ) -> list[int]:
-    """All frequent closed itemsets of the sub-dataset satisfying the
-    itemset-side constraints, as bitsets: the one-mask case of ``_mine``."""
+    """All frequent closed itemsets of the sub-dataset ``mask``, an
+    (item_bits, trans_bits) pair, satisfying the itemset-side
+    constraints, as bitsets: the one-mask case of ``_mine``."""
     return _mine_mask(
         db, mask, theta, True, min_size, span, require, forbid, item_scheme, deadline
     )
@@ -124,7 +126,7 @@ def mine_closed(
 
 def mine_frequent(
     db: TransactionDatabase,
-    mask: Mask,
+    mask: tuple[int, int],
     theta: Fraction,
     min_size: int = 1,
     span: tuple[int, int] | None = None,
@@ -140,12 +142,16 @@ def mine_frequent(
     )
 
 
-def _mine_mask(db, mask: Mask, theta, closed, *constraints) -> list[int]:
-    """The body of both one-mask miners."""
-    tb = mask.active_transactions
-    choices = AxisConstraint.fixed(tb).answer_choices(db.all_transactions(), None)
-    found = _mine(db, mask.active_items, choices, theta, closed, *constraints)
-    return found.get(tb, [])
+def _mine_mask(db, mask, theta, closed, *constraints) -> list[int]:
+    """The body of both one-mask miners.  The query of the fixed mask goes
+    through ``check_query`` first, as every engine's does."""
+    ib, tb = mask
+    min_size, span, require, forbid, item_scheme, _ = constraints
+    fixed = AxisConstraint.fixed
+    query = Query(theta, closed, min_size, span, require, forbid, fixed(ib), fixed(tb))
+    check_query(db, query, item_scheme)
+    choices = query.trans.answer_choices(db.all_transactions(), None)
+    return _mine(db, ib, choices, theta, closed, *constraints).get(tb, [])
 
 
 def _choice_floor(ranked: list[int], lb: int, ub: int) -> int | None:
@@ -404,19 +410,20 @@ def pp_mine(
     A search is ``_mine`` over the transaction axis's group choice, so it
     carries groups, not masks, and answers with one map from transaction
     mask to itemsets for every choice kind.  The enumerator yields the
-    masks item-major; each is counted, and the deadline read, as it
-    passes.  Answers with the set of (item_bits, trans_bits, itemset_bits) triples,
-    which equals cp's; ``run_theory`` checks and decodes them."""
+    masks item-major; each is counted as it passes, and the deadline read
+    at the first and then every ``_DEADLINE_STRIDE`` masks.  Answers with
+    the set of (item_bits, trans_bits, itemset_bits) triples, which
+    equals cp's; ``run_theory`` checks and decodes them."""
     enum = enumerate_masks(db, query, item_scheme, trans_scheme)
     choices = query.trans.answer_choices(db.all_transactions(), trans_scheme)
     live = live_items(db, query, trans_scheme)
     mined: dict[int, dict[int, list[int]]] = {}  # ib ∩ K -> _mine's answer
     triples: set[tuple[int, int, int]] = set()
     n_masks = 0
-    for ib, group in groupby(enum, key=attrgetter("active_items")):
+    for ib, group in groupby(enum, key=itemgetter(0)):
         for _ in group:
             n_masks += 1
-            if deadline is not None:
+            if deadline is not None and n_masks % _DEADLINE_STRIDE == 1:
                 check_deadline(deadline)
         part = ib & live
         if not part:
@@ -487,7 +494,8 @@ def brute_force_theory(
     and every non-empty subset of active items, from ``db.rows`` alone: X
     is frequent when q·|rows holding X| ≥ p·|rows| and closed when those
     rows meet at X.  Answers with (item_bits, trans_bits, itemset_bits)
-    triples, as pp_mine."""
+    triples, as pp_mine.  ``check_query`` checks the query first."""
+    check_query(db, query, item_scheme, trans_scheme)
     if db.item_count > _ORACLE_MAX_ITEMS:
         raise SizeLimitError(
             f"oracle refuses {db.item_count} items (bound {_ORACLE_MAX_ITEMS})"

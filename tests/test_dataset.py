@@ -10,7 +10,6 @@ from submine.dataset import (
     EmptyDatabaseError,
     FormatError,
     Group,
-    Mask,
     PartitionScheme,
     TransactionDatabase,
     best_choice,
@@ -358,30 +357,30 @@ def test_group_names_may_hold_spaces(db1):
 
 
 def _cover(db, itemset, mask):
-    return meet_columns(db, mask.active_transactions, itemset)
+    return meet_columns(db, mask[1], itemset)
 
 
 def _closure(db, itemset, mask):
-    return meet_rows(db, _cover(db, itemset, mask), mask.active_items, itemset)
+    return meet_rows(db, _cover(db, itemset, mask), mask[0], itemset)
 
 
 def test_cover_examples(db1):
-    full = db1.full_mask()
+    full = (db1.all_items(), db1.all_transactions())
     assert indices_of(_cover(db1, bits_of([G, K]), full)) == (1, 2, 6)
     assert _cover(db1, 0, full) == db1.all_transactions()
-    sub = Mask(db1.all_items(), bits_of([1, 2, 3, 4]))
+    sub = (db1.all_items(), bits_of([1, 2, 3, 4]))
     assert indices_of(_cover(db1, bits_of([A, D]), sub)) == (2, 3)
 
 
 def _frequency(db, itemset, mask):
-    return Fraction(_cover(db, itemset, mask).bit_count(), mask.active_transactions.bit_count())
+    return Fraction(_cover(db, itemset, mask).bit_count(), mask[1].bit_count())
 
 
 def test_frequency_examples(db1):
-    full = db1.full_mask()
+    full = (db1.all_items(), db1.all_transactions())
     assert _frequency(db1, bits_of([A]), full) == Fraction(3, 6)
     assert _frequency(db1, 0, full) == 1
-    assert _frequency(db1, 0, Mask(db1.all_items(), bits_of([2, 5]))) == 1
+    assert _frequency(db1, 0, (db1.all_items(), bits_of([2, 5]))) == 1
     # derived by intersecting rows of the table: B and G share t1, t6
     assert _frequency(db1, bits_of([B, G]), full) == Fraction(2, 6)
 
@@ -423,13 +422,13 @@ def test_cover_is_the_rows_that_hold_the_itemset(check):
 
 
 def test_closure_examples(db1):
-    full = db1.full_mask()
+    full = (db1.all_items(), db1.all_transactions())
     # G appears in t1, t2, t6 which also all contain K
     assert _closure(db1, bits_of([G]), full) == bits_of([G, K])
     # EF is already closed on the full dataset
     assert _closure(db1, bits_of([E, F]), full) == bits_of([E, F])
     # with K deactivated, BG is closed in the sub-dataset
-    no_k = Mask(bits_of(range(1, 9)), db1.all_transactions())
+    no_k = (bits_of(range(1, 9)), db1.all_transactions())
     assert _closure(db1, bits_of([B, G]), no_k) == bits_of([B, G])
 
 
@@ -448,7 +447,7 @@ def _random_mask(rng, db):
     trans = bits_of(
         [j for j in range(1, db.transaction_count + 1) if rng.random() < 0.8]
     )
-    return Mask(items, trans)
+    return (items, trans)
 
 
 def test_transpose_consistency():
@@ -469,8 +468,8 @@ def test_cover_antitone():
         big = small | bits_of(
             [i for i in range(1, db.item_count + 1) if rng.random() < 0.3]
         )
-        small &= mask.active_items
-        big = (big & mask.active_items) | small
+        small &= mask[0]
+        big = (big & mask[0]) | small
         assert _cover(db, big, mask) & ~_cover(db, small, mask) == 0
 
 
@@ -480,23 +479,23 @@ def test_closure_extensive_idempotent_monotone():
     while checked < 100:
         db = _random_db(rng)
         mask = _random_mask(rng, db)
-        pat = mask.active_items & bits_of(
+        pat = mask[0] & bits_of(
             [i for i in range(1, db.item_count + 1) if rng.random() < 0.3]
         )
         if not _cover(db, pat, mask):
             continue
         checked += 1
         cl = _closure(db, pat, mask)
-        assert cl & ~mask.active_items == 0
+        assert cl & ~mask[0] == 0
         assert pat & ~cl == 0  # extensive
         assert _closure(db, cl, mask) == cl  # idempotent
         # shrinking the active items shrinks the closure pointwise
-        smaller = Mask(
-            mask.active_items & ~(1 << rng.randint(1, db.item_count)),
-            mask.active_transactions,
+        smaller = (
+            mask[0] & ~(1 << rng.randint(1, db.item_count)),
+            mask[1],
         )
-        if pat & ~smaller.active_items == 0:
-            assert _closure(db, pat, smaller) == cl & smaller.active_items
+        if pat & ~smaller[0] == 0:
+            assert _closure(db, pat, smaller) == cl & smaller[0]
 
 
 def test_mask_monotonicity_cover():
@@ -504,11 +503,11 @@ def test_mask_monotonicity_cover():
     for _ in range(100):
         db = _random_db(rng)
         mask = _random_mask(rng, db)
-        pat = mask.active_items & bits_of(
+        pat = mask[0] & bits_of(
             [i for i in range(1, db.item_count + 1) if rng.random() < 0.3]
         )
         drop = 1 << rng.randint(1, db.transaction_count)
-        shrunk = Mask(mask.active_items, mask.active_transactions & ~drop)
+        shrunk = (mask[0], mask[1] & ~drop)
         assert _cover(db, pat, shrunk) & ~_cover(db, pat, mask) == 0
 
 

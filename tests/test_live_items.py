@@ -7,6 +7,7 @@ mines each distinct live part once."""
 
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,7 +16,7 @@ from submine import PartitionScheme, Query, TransactionDatabase, run_theory
 from submine import queries, reference
 from submine.cli import generate_random_instance
 from submine.dataset import bits_of
-from submine.engine import SearchTimeout
+from submine.engine import SearchTimeout, Solver
 from submine.queries import ENGINES, AxisConstraint, live_items
 from submine.reference import brute_force_theory, pp_mine
 
@@ -140,6 +141,29 @@ def test_lift_reads_the_deadline(engine):
     assert stats.get("nodes", 0) == 0
     with pytest.raises(SearchTimeout):
         queries._engine_triples(db, q, ischeme, None, engine, time.monotonic() - 1)
+
+
+def test_cp_lift_reads_the_clock_after_the_search(monkeypatch):
+    # the clock passes the deadline only once the search is over, so only
+    # the lift, which reads it every _CHECK_STRIDE item masks, can stop
+    # the run: item 1 is live, and its one answer {1} lifts to 2^10 masks
+    db = TransactionDatabase.from_rows([[1, j] for j in range(2, 12)])
+    ischeme = PartitionScheme.build("items", 11, [])  # one group per item
+    q = Query(theta=HALF, items=AxisConstraint.group_bounds(1, 11))
+    triples = queries._collect_cp(db, q, ischeme, None, None, None)
+    assert len(triples) == 2**10 > queries._CHECK_STRIDE
+    now = [0.0]
+    search_all = Solver.search_all
+
+    def search_then_pass_the_deadline(solver, *args, **kw):
+        found = search_all(solver, *args, **kw)
+        now[0] = 2.0
+        return found
+
+    monkeypatch.setattr(Solver, "search_all", search_then_pass_the_deadline)
+    monkeypatch.setattr("submine.engine.time", SimpleNamespace(monotonic=lambda: now[0]))
+    with pytest.raises(SearchTimeout):
+        queries._collect_cp(db, q, ischeme, None, 1.0, None)
 
 
 def test_cp_lifts_only_the_answers():

@@ -484,11 +484,11 @@ def test_q4_decomposes_into_per_mask_q1(db1, items3, trans3):
     )
     whole = theory_labels(run_theory(db1, q4, items3, trans3))
     parts = set()
-    for mask in enumerate_masks(db1, q4, items3, trans3):
+    for ib, tb in enumerate_masks(db1, q4, items3, trans3):
         fixed = Query(
             theta=HALF,
-            items=AxisConstraint.fixed(mask.active_items),
-            trans=AxisConstraint.fixed(mask.active_transactions),
+            items=AxisConstraint.fixed(ib),
+            trans=AxisConstraint.fixed(tb),
         )
         parts |= theory_labels(run_theory(db1, fixed, items3, trans3))
     assert whole == parts

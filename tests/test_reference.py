@@ -5,10 +5,10 @@ from itertools import combinations
 import pytest
 
 from helpers import A, B, E, F, G, HALF, K, triples_of
-from submine import Query, TransactionDatabase, build_query, parse_query, run_theory
+from submine import Query, QueryError, TransactionDatabase, build_query, parse_query, run_theory
 from submine import closedpattern, dataset, queries, reference
 from submine.cli import generate_random_instance
-from submine.dataset import Mask, bits_of, indices_of
+from submine.dataset import bits_of, indices_of
 from submine.queries import AxisConstraint
 from submine.reference import (
     SizeLimitError,
@@ -64,7 +64,7 @@ def test_count_matches_enumeration():
         )
         q = Query(theta=HALF, items=AxisConstraint.group_bounds(lb, ub))
         enum = enumerate_masks(db, q, scheme, None)
-        masks = [m.active_items for m in enum]
+        masks = [m[0] for m in enum]
         assert enum.count() == expected
         assert len(masks) == len(set(masks)) == expected
 
@@ -79,7 +79,7 @@ def test_enumerate_masks_counts(db1, items3, trans3):
     assert enum.count() == 9
     masks = list(enum)
     assert len(masks) == 9
-    assert len({(m.active_items, m.active_transactions) for m in masks}) == 9
+    assert len(set(masks)) == 9
 
 
 def test_enumerate_masks_materialized(db1, items3, trans3):
@@ -91,10 +91,14 @@ def test_enumerate_masks_materialized(db1, items3, trans3):
 # ------------------------------------------------------------- mine_closed
 
 
+def _whole(db):
+    return db.all_items(), db.all_transactions()
+
+
 def test_mine_closed_full_mask(db1):
     got = {
         frozenset(indices_of(p))
-        for p in mine_closed(db1, db1.full_mask(), HALF)
+        for p in mine_closed(db1, _whole(db1), HALF)
     }
     assert got == {
         frozenset([A]),
@@ -106,12 +110,12 @@ def test_mine_closed_full_mask(db1):
 
 def test_mine_closed_single_transaction():
     db = TransactionDatabase.from_rows([[2, 5, 6]], item_count=6)
-    got = mine_closed(db, db.full_mask(), Fraction(1))
+    got = mine_closed(db, _whole(db), Fraction(1))
     assert got == [bits_of([2, 5, 6])]  # the closure of the empty set
 
 
 def test_mine_closed_item_sub(db1):
-    mask = Mask(bits_of(range(3, 10)), db1.all_transactions())  # I2+I3
+    mask = (bits_of(range(3, 10)), db1.all_transactions())  # I2+I3
     got = {frozenset(indices_of(p)) for p in mine_closed(db1, mask, HALF)}
     assert got == {frozenset([E, F]), frozenset([G, K])}
 
@@ -124,13 +128,13 @@ def test_mine_closed_is_complete_and_sound():
         rows = [[i for i in range(1, n + 1) if rng.random() < 0.5] for _ in range(m)]
         db = TransactionDatabase.from_rows(rows, item_count=n)
         items = bits_of([i for i in range(1, n + 1) if rng.random() < 0.8])
-        mask = Mask(items, db.all_transactions())
+        mask = (items, db.all_transactions())
         theta = rng.choice((Fraction(1, 4), Fraction(1, 2)))
         got = set(mine_closed(db, mask, theta))
         query = Query(
             theta=theta,
             items=AxisConstraint.fixed(items),
-            trans=AxisConstraint.fixed(mask.active_transactions),
+            trans=AxisConstraint.fixed(mask[1]),
         )
         expected = {pat for _, _, pat in brute_force_theory(db, query)}
         assert got == expected
@@ -138,7 +142,7 @@ def test_mine_closed_is_complete_and_sound():
 
 
 def test_mine_frequent_counts(db1):
-    got = mine_frequent(db1, db1.full_mask(), HALF)
+    got = mine_frequent(db1, _whole(db1), HALF)
     assert len(got) == len(set(got)) == 8
 
 
@@ -210,6 +214,30 @@ def test_oracle_mask_guard(db1):
     q = Query(theta=HALF, items=AxisConstraint.group_bounds(1, 24))
     with pytest.raises(SizeLimitError, match="masks"):
         brute_force_theory(db, q, scheme, None)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda db: brute_force_theory(db, Query(theta=HALF, span=(1, 2))),
+         "span needs an item partition scheme"),
+        (lambda db: brute_force_theory(
+            db, Query(theta=HALF, items=AxisConstraint.group_bounds(1, 2))),
+         "group bounds on items need a partition scheme"),
+        (lambda db: brute_force_theory(db, Query(theta=HALF, require=1 << 40)),
+         "item 40 out of range 1..3"),
+        (lambda db: mine_closed(db, _whole(db), Fraction(0)),
+         "theta must lie in"),
+        (lambda db: mine_closed(db, _whole(db), HALF, span=(1, 2)),
+         "span needs an item partition scheme"),
+    ],
+    ids=["oracle-span", "oracle-group-bounds", "oracle-require", "miner-theta-0", "miner-span"],
+)
+def test_every_engine_entry_checks_its_query(call, message):
+    # the oracle and the one-mask miners refuse a query check_query
+    # refuses, as cp and baseline do, before they read it
+    with pytest.raises(QueryError, match=message):
+        call(TransactionDatabase.from_rows([[1, 2], [2, 3], [1, 3]]))
 
 
 def _drop_top_row(meet_columns):
@@ -351,6 +379,36 @@ def test_mine_reads_the_deadline_over_many_live_masks():
         mine(time.monotonic() - 1)
 
 
+def test_mine_reads_the_clock_before_a_candidate_filter_over_many_live_groups(monkeypatch):
+    # 64 singleton transaction groups, one of them a mask: the root reads
+    # the clock on entry and again before it filters a candidate's live
+    # groups.  Each child keeps 32 groups and reads no clock, so a clock
+    # that passes the deadline on its second read stops only that read
+    from types import SimpleNamespace
+
+    from submine.engine import SearchTimeout
+    from submine.reference import _DEADLINE_STRIDE, _mine
+
+    db = TransactionDatabase.from_rows([[1 + j % 2] for j in range(64)], item_count=2)
+    choices = (tuple(1 << t for t in range(1, 65)), 1, 1)
+    assert len(choices[0]) == _DEADLINE_STRIDE
+
+    def mine(deadline):
+        return _mine(db, db.all_items(), choices, HALF, True, 1, None, 0, 0, None, deadline)
+
+    assert sorted(map(len, mine(None).values())) == [1] * 64  # {1} or {2} in each row
+    reads = []
+
+    def clock():
+        reads.append(None)
+        return len(reads)
+
+    monkeypatch.setattr("submine.engine.time", SimpleNamespace(monotonic=clock))
+    with pytest.raises(SearchTimeout):
+        mine(1.5)
+    assert len(reads) == 2
+
+
 def test_choice_floor_keeps_the_groups_of_some_nonnegative_choice():
     # a group survives a candidate iff it lies in some lb..ub choice whose
     # score sum is ≥ 0; the candidate dies iff no choice has one
@@ -388,7 +446,7 @@ def _per_mask_union(db, q, item_scheme, trans_scheme):
         for pat in miner(
             db, mask, q.theta, q.min_size, q.span, q.require, q.forbid, item_scheme
         ):
-            out.add((mask.active_items, mask.active_transactions, pat))
+            out.add((*mask, pat))
     return out
 
 
@@ -407,8 +465,8 @@ def test_pp_mine_equals_per_mask_mining_random():
         db, ischeme, tscheme, q = generate_random_instance(random.Random(7000 + seed))
         _assert_one_search_is_per_mask(db, q, ischeme, tscheme)
         per_item = {}
-        for mask in enumerate_masks(db, q, ischeme, tscheme):
-            per_item.setdefault(mask.active_items, set()).add(mask.active_transactions)
+        for ib, tb in enumerate_masks(db, q, ischeme, tscheme):
+            per_item.setdefault(ib, set()).add(tb)
         many += max(map(len, per_item.values())) > 1
     assert many >= 50
 
