@@ -26,13 +26,24 @@ whose cover lies within c is frequent in no completion of the mask when
 ``best(c) < 0``; with no live group left, ``best`` is the exact test over
 the chosen groups.  The bound is sound only when the groups of one choice
 are disjoint (one partition level) or at most one is chosen (ub = 1,
-one-of-levels); the constructor refuses anything else.  Once V is fixed,
-the test is exact: ``q·|cover ∧ V₁| ≥ p·|V₁|``.  A propagator posted
-without a choice, as a mining-only solver is, runs no test while V is
-open.  The test fails when the cover of X₁ cannot reach the threshold and
-drops a free item whose addition kills it.  An item no transaction holds
-has the empty column; ``assemble`` fixes H, and so X, to 0 at the root on
-every such item, so the per-item loops run over the live items only.
+one-of-levels); the constructor refuses anything else.  The test skips
+``best`` on residual supports (Lecoutre & Hemery, IJCAI 2007): beside its
+group scores, each cover keeps a support, the indicator bits of the last
+group choice found with a score sum ≥ 0.  While every chosen group is in
+the support and none of its groups is ruled out, the support is a choice
+the state allows, so ``best(c) ≥ 0`` and the itemset survives untested.
+Otherwise a new support is sought: the chosen groups and the shortest run
+of live ones, highest score first, that reaches lb groups and a sum ≥ 0
+within ub, ties going to the higher index, whose indicator the search
+fixes later; ``best`` decides only when there is none.  The decisions are
+exactly ``best``'s, and a support that still holds costs two ANDs.
+Once V is fixed, the test is exact: ``q·|cover ∧ V₁| ≥ p·|V₁|``.  A
+propagator posted without a choice, as a mining-only solver is, runs no
+test while V is open.  The test fails when the cover of X₁ cannot reach
+the threshold and drops a free item whose addition kills it.  An item no
+transaction holds has the empty column; ``assemble`` fixes H, and so X,
+to 0 at the root on every such item, so the per-item loops run over the
+live items only.
 
 Once the whole mask (H and V) is fixed, closed mode also forces a free
 active item whose addition leaves the cover unchanged, fails when the
@@ -131,8 +142,11 @@ class ClosedPatternSub(Propagator):
                 self.groups.append((g, g.bit_count()))
         self.flags = [1 << first + j for j in range(len(self.groups))]
         self.indicators = sum(self.flags)
-        # group scores per distinct cover, for the life of the propagator
+        # group scores per distinct cover, for the life of the propagator,
+        # and beside them the cover's residual support: the indicator bits
+        # of the last group choice found with a score sum >= 0
         self.scores: dict[int, list[int]] = {}
+        self.supports: dict[int, int] = {}
         self.db = db
         self.p = theta.numerator
         self.q = theta.denominator
@@ -152,9 +166,9 @@ class ClosedPatternSub(Propagator):
         self.slot = s.new_slot()
         s.slots[self.slot] = (None, None, 0)
 
-    def _open_groups(self, s: Solver) -> tuple[list[int], list[int]]:
-        """Indices of the chosen and of the live groups."""
-        f1, f0 = s.fixed(ROLE_AUX)
+    def _open_groups(self, f1: int, f0: int) -> tuple[list[int], list[int]]:
+        """Indices of the chosen and of the live groups, given the aux
+        positions fixed to 1 and to 0."""
         chosen = []
         live = []
         for k, flag in enumerate(self.flags):
@@ -164,19 +178,60 @@ class ClosedPatternSub(Propagator):
                 live.append(k)
         return chosen, live
 
-    def _best(self, cover: int, chosen: list[int], live: list[int]) -> int:
-        """The largest ``Σ q·|cover ∧ g| − p·|g|`` over the group choices
-        that keep every chosen group, no ruled-out one and lb..ub in all."""
+    def _scores(self, cover: int) -> list[int]:
+        """``q·|cover ∧ g| − p·|g|`` per group g."""
         scores = self.scores.get(cover)
         if scores is None:
             p, q = self.p, self.q
             scores = [q * (cover & g).bit_count() - p * size for g, size in self.groups]
             self.scores[cover] = scores
+        return scores
+
+    def _best(self, cover: int, chosen: list[int], live: list[int]) -> int:
+        """The largest ``Σ q·|cover ∧ g| − p·|g|`` over the group choices
+        that keep every chosen group, no ruled-out one and lb..ub in all."""
+        scores = self._scores(cover)
         total = 0
         for k in chosen:
             total += scores[k]
         ranked = sorted([scores[k] for k in live], reverse=True)
         return best_choice(total, len(chosen), ranked, self.lb, self.ub)
+
+    def _reaches(
+        self, cover: int, chosen: int, out: int, groups: tuple[list[int], list[int]]
+    ) -> bool:
+        """Whether ``_best(cover, *groups) >= 0``.  ``chosen`` and ``out``
+        are the indicator bits of the chosen and the ruled-out groups,
+        ``groups`` their indices as ``_open_groups`` gives them.  The
+        cover's residual support answers while it holds every chosen
+        group and no ruled-out one.  Otherwise the new support is the
+        chosen groups and the shortest run of live ones, highest score
+        first, that reaches lb groups and a score sum >= 0 within ub; and
+        without one, ``_best`` decides.  Either support is a choice the
+        state allows with a sum >= 0, so ``_best`` reaches 0 too."""
+        support = self.supports.get(cover)
+        if support is not None and not (chosen & ~support or out & support):
+            return True
+        scores = self._scores(cover)
+        picked, live = groups
+        lb, ub = self.lb, self.ub
+        total = 0
+        for k in picked:
+            total += scores[k]
+        count = len(picked)
+        support = chosen
+        flags = self.flags
+        # ties go to the higher index, whose indicator the search fixes later
+        for k in sorted(reversed(live), key=scores.__getitem__, reverse=True):
+            if total >= 0 and count >= lb or count >= ub:
+                break
+            total += scores[k]
+            count += 1
+            support |= flags[k]
+        if total >= 0 and lb <= count <= ub:
+            self.supports[cover] = support
+            return True
+        return self._best(cover, picked, live) >= 0
 
     def _bounds(self, x1: int, free: int) -> tuple[int, int] | None:
         """The free items the span rule fixes to 0 and those the size rule
@@ -239,14 +294,17 @@ class ClosedPatternSub(Propagator):
                 # cover, which can only weaken the bound, so covers recur
                 # across masks
                 cov = meet_columns(self.db, trans, x1)
-                groups = self._open_groups(s)
-                if x1 and self._best(cov, *groups) < 0:
+                f1, f0 = s.fixed(ROLE_AUX)
+                chosen, out = f1 & self.indicators, f0 & self.indicators
+                groups = self._open_groups(f1, f0)
+                reaches = self._reaches
+                if x1 and not reaches(cov, chosen, out, groups):
                     return False
                 fr = free
                 while fr:
                     low = fr & -fr
                     fr ^= low
-                    if self._best(cov & cols[low.bit_length() - 1], *groups) < 0:
+                    if not reaches(cov & cols[low.bit_length() - 1], chosen, out, groups):
                         drop |= low
         else:
             h1 = (h1 | x1) & items  # as the channeling left it

@@ -12,11 +12,13 @@ idempotent, as in Schulte & Stuckey, "Efficient Constraint Propagation
 Engines", TOPLAS 2008), while another propagator's assignments to the
 positions it watches always do.  A propagator may also ask for
 a reversible slot, one value of its own state.  Each decision level saves
-the bitsets and the slots, and backtracking restores them.  Search
-branches on the lowest free position of the first role, in the order aux,
-H, V, X, that still has one, so the sub-dataset is fixed before the
-itemset; it enumerates every full assignment accepted by all propagators,
-exactly once.
+a level record, three plain tuples: the per-role bitsets fixed to 1, those
+fixed to 0 and the slots; backtracking writes them back into the solver's
+lists in place, so the search and the propagators keep reading the same
+lists.  Search branches on the lowest free position of the first role, in
+the order aux, H, V, X, that still has one, so the sub-dataset is fixed
+before the itemset; it enumerates every full assignment accepted by all
+propagators, exactly once.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ ROLE_V = 2  # transaction activation (mask)
 ROLE_X = 3  # itemset membership
 
 _ROLE_NAMES = ("aux", "H", "V", "X")
-_MASK_ROLES = frozenset((ROLE_H, ROLE_V))
 
 
 def _role_name(role: int) -> str:
@@ -78,20 +79,18 @@ class Propagator:
 class Solver:
     def __init__(self) -> None:
         # per role id
-        self._role_size = [0] * len(_ROLE_NAMES)
+        self._positions = [0] * len(_ROLE_NAMES)  # bitset of its positions
         self._ones = [0] * len(_ROLE_NAMES)  # positions fixed to 1
         self._zeros = [0] * len(_ROLE_NAMES)  # positions fixed to 0
-        # propagator id -> positions of the role it watches
-        self._watchers: list[dict[int, int]] = [{} for _ in _ROLE_NAMES]
+        # (propagator id, positions of the role it watches), in posting order
+        self._watchers: list[tuple[tuple[int, int], ...]] = [() for _ in _ROLE_NAMES]
         self._props: list[Propagator] = []
         # reversible propagator state, one value per slot (see new_slot)
         self.slots: list[object] = []
-        # per open level: the per-role bitsets, the unassigned mask count
-        # and the slots
-        self._marks: list[tuple[list[int], list[int], int, list[object]]] = []
+        # one level record per open level: (ones, zeros, slots)
+        self._marks: list[tuple[tuple[int, ...], tuple[int, ...], tuple[object, ...]]] = []
         self._queue: deque[int] = deque()
         self._queued: set[int] = set()
-        self._mask_unassigned = 0
         self.root_failed = False
         self.stats = {"nodes": 0, "masks_reached": 0, "solutions": 0}
 
@@ -105,10 +104,8 @@ class Solver:
         if count < 0:
             raise ValueError(f"cannot add {count} positions")
         _role_name(role)
-        first = self._role_size[role] + 1
-        self._role_size[role] += count
-        if role in _MASK_ROLES:
-            self._mask_unassigned += count
+        first = self._positions[role].bit_length() or 1
+        self._positions[role] |= (1 << first + count) - (1 << first)
         return first
 
     def new_slot(self) -> int:
@@ -134,38 +131,41 @@ class Solver:
         return not bits or self._assign(role, bits, val)
 
     def _assign(self, rid: int, bits: int, val: int) -> bool:
-        ones, zeros = self._ones[rid], self._zeros[rid]
-        if bits & (zeros if val else ones):
+        ones, zeros = self._ones, self._zeros
+        one, zero = ones[rid], zeros[rid]
+        if bits & (zero if val else one):
             return False
-        bits &= ~(ones | zeros)
+        bits &= ~(one | zero)
         if not bits:
             return True
         if val:
-            self._ones[rid] = ones | bits
+            ones[rid] = one | bits
         else:
-            self._zeros[rid] = zeros | bits
-        if rid in _MASK_ROLES:
-            self._mask_unassigned -= bits.bit_count()
-            if self._mask_unassigned == 0:
+            zeros[rid] = zero | bits
+        if rid == ROLE_H or rid == ROLE_V:
+            # the mask is complete once H and V have no free position
+            positions = self._positions
+            if not (
+                positions[ROLE_H] & ~(ones[ROLE_H] | zeros[ROLE_H])
+                or positions[ROLE_V] & ~(ones[ROLE_V] | zeros[ROLE_V])
+            ):
                 self.stats["masks_reached"] += 1
         queued = self._queued
-        for pid, watched in self._watchers[rid].items():
+        for pid, watched in self._watchers[rid]:
             if watched & bits and pid not in queued:
                 queued.add(pid)
                 self._queue.append(pid)
         return True
 
     def push_level(self) -> None:
-        self._marks.append((self._ones[:], self._zeros[:], self._mask_unassigned, self.slots[:]))
+        self._marks.append((tuple(self._ones), tuple(self._zeros), tuple(self.slots)))
 
     def pop_level(self) -> None:
-        ones, zeros, self._mask_unassigned, slots = self._marks.pop()
-        # in place: search_all holds on to these lists
-        self._ones[:] = ones
-        self._zeros[:] = zeros
-        self.slots[:] = slots
-        self._queue.clear()
-        self._queued.clear()
+        # in place: search_all and fixed's callers hold on to these lists
+        self._ones[:], self._zeros[:], self.slots[:] = self._marks.pop()
+        if self._queue:  # only an assignment left without its fixpoint
+            self._queue.clear()
+            self._queued.clear()
 
     # -- propagation ----------------------------------------------------------
 
@@ -177,10 +177,10 @@ class Solver:
         watched: dict[int, int] = {}  # role -> watched positions
         for role, bits in prop.watches():
             name = _role_name(role)
-            size = self._role_size[role]
-            outside = bits & ~((1 << size + 1) - 2)
+            outside = bits & ~self._positions[role]
             if outside:
                 p = (outside & -outside).bit_length() - 1
+                size = max(self._positions[role].bit_length() - 1, 0)
                 raise ValueError(
                     f"propagator watches position {p} of role {name!r}, which has 1..{size}"
                 )
@@ -190,7 +190,7 @@ class Solver:
         pid = len(self._props)
         self._props.append(prop)
         for role, bits in watched.items():
-            self._watchers[role][pid] = bits
+            self._watchers[role] += ((pid, bits),)
         if not self.root_failed:
             self._queued.add(pid)
             self._queue.append(pid)
@@ -243,18 +243,19 @@ class Solver:
             check_deadline(deadline)
         if self.root_failed:
             return 0
-        ones, zeros = self._ones, self._zeros
-        roles = [(rid, (1 << size + 1) - 2) for rid, size in enumerate(self._role_size)]
+        ones, zeros, positions = self._ones, self._zeros, self._positions
+        n_roles = len(positions)
         stats = self.stats
         count = 0
 
-        def next_free(start: int) -> list[int] | None:
-            """The frame [role id, bit, tried] of the next decision, from
-            role id ``start`` on; None once every position is fixed."""
-            for rid, positions in roles[start:]:
-                free = positions & ~(ones[rid] | zeros[rid])
+        def next_free(rid: int) -> tuple[int, int] | None:
+            """(role id, bit) of the next decision, from role id ``rid``
+            on; None once every position is fixed."""
+            while rid < n_roles:
+                free = positions[rid] & ~(ones[rid] | zeros[rid])
                 if free:
-                    return [rid, free & -free, 0]
+                    return rid, free & -free
+                rid += 1
             return None
 
         def emit() -> None:
@@ -264,33 +265,31 @@ class Solver:
             if on_solution is not None:
                 on_solution()
 
-        first = next_free(0)
-        if first is None:
+        nxt = next_free(ROLE_AUX)
+        if nxt is None:
             emit()
             return count
-        # one frame per decision position; a frame's parent keeps the level
-        # of its successful assignment open until the frame is exhausted
-        frames = [first]
-        while frames:
-            frame = frames[-1]
-            rid, bit, tried = frame
-            if tried == 2:
-                frames.pop()
-                if frames:
-                    self.pop_level()
+        push, pop = self.push_level, self.pop_level
+        assign, fixpoint = self._assign, self.propagate_to_fixpoint
+        # the (role id, bit, value) decisions still to try, the next one
+        # last; None closes the level a decision's subtree ran under
+        todo: list[tuple[int, int, int] | None] = [(*nxt, 0), (*nxt, 1)]
+        while todo:
+            decision = todo.pop()
+            if decision is None:
+                pop()
                 continue
             if deadline is not None:
                 check_deadline(deadline)
-            frame[2] += 1
-            self.push_level()
+            push()
             stats["nodes"] += 1
-            if self._assign(rid, bit, 1 if tried == 0 else 0) and self.propagate_to_fixpoint():
+            rid, bit, val = decision
+            if assign(rid, bit, val) and fixpoint():
                 nxt = next_free(rid)
-                if nxt is None:
-                    emit()
-                    self.pop_level()
-                else:
-                    frames.append(nxt)
-            else:
-                self.pop_level()
+                if nxt is not None:
+                    rid, bit = nxt
+                    todo += (None, (rid, bit, 0), (rid, bit, 1))
+                    continue
+                emit()
+            pop()
         return count

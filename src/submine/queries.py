@@ -635,6 +635,17 @@ def assemble(
     the search and the mining propagator skip sparse ids; X is 0 on the
     forbidden items too.  ``check_query`` has checked every bound posted
     here."""
+    return _compile(db, query, item_scheme, trans_scheme)[0]
+
+
+def _compile(
+    db: TransactionDatabase,
+    query: Query,
+    item_scheme: PartitionScheme | None,
+    trans_scheme: PartitionScheme | None,
+) -> tuple[Solver, Callable[[int], Iterator[int]]]:
+    """``assemble``'s solver, and the lift of ``_project_items``, from one
+    projection: one ``live_items`` call."""
     check_query(db, query, item_scheme, trans_scheme)
     items, trans = db.all_items(), db.all_transactions()
     s = Solver()
@@ -644,11 +655,11 @@ def assemble(
 
     # dataset part: one group choice per axis; the mining part bounds
     # support per transaction group
-    item_choices = _project_items(db, query, item_scheme, trans_scheme)[0]
+    item_choices, lift = _project_items(db, query, item_scheme, trans_scheme)
     trans_choices = query.trans.answer_choices(trans, trans_scheme)
     if any(lb > ub for _, lb, ub in (item_choices, trans_choices)):
         s.root_failed = True  # no sub-dataset can hold an answer
-        return s
+        return s, lift
     groups, lb, ub = item_choices
     constraints.post_group_choice(s, groups, ROLE_H, items, lb, ub)
     groups, lb, ub = trans_choices
@@ -664,7 +675,7 @@ def assemble(
             db, query.theta, query.closed, trans_choices, first, query.min_size, span
         )
     )
-    return s
+    return s, lift
 
 
 # ---------------------------------------------------------------- running
@@ -683,16 +694,14 @@ def _collect_cp(
     H ∩ K = E.  The lift reads the clock every ``_CHECK_STRIDE`` item
     masks and raises SearchTimeout once ``time.monotonic()`` passes
     ``deadline``."""
-    solver = assemble(db, query, item_scheme, trans_scheme)
-    lift = _project_items(db, query, item_scheme, trans_scheme)[1]
+    solver, lift = _compile(db, query, item_scheme, trans_scheme)
+    fixed = solver.fixed
     # projected item mask -> [(trans_bits, itemset_bits)]
     found: dict[int, list[tuple[int, int]]] = {}
 
     def sink():
         # bit i of a role's bitset is item or transaction i (see assemble)
-        found.setdefault(solver.fixed(ROLE_H)[0], []).append(
-            (solver.fixed(ROLE_V)[0], solver.fixed(ROLE_X)[0])
-        )
+        found.setdefault(fixed(ROLE_H)[0], []).append((fixed(ROLE_V)[0], fixed(ROLE_X)[0]))
 
     solver.search_all(on_solution=sink, deadline=deadline)
     if stats is not None:

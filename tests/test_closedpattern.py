@@ -20,7 +20,7 @@ from submine import PartitionScheme, Query, TransactionDatabase, run_theory
 from submine.cli import _random_groups
 from submine.closedpattern import ClosedPatternSub
 from submine.constraints import GroupChoice
-from submine.dataset import bits_of, iter_bits, span_bits
+from submine.dataset import bits_of, iter_bits, meet_columns, span_bits
 from submine.engine import ROLE_AUX, ROLE_H, ROLE_V, ROLE_X, Solver
 from submine.queries import AxisConstraint
 from submine.reference import brute_force_theory
@@ -503,3 +503,62 @@ def test_excluded_column_at_the_support_threshold_still_dominates():
     assert ok and fixed == {i: 0, e: 0}
     exts = mining_extensions(db, HALF, True, everything, span_bits(1, 2), {e: 0})
     assert sorted(exts) == [0, 1 << o]
+
+
+def test_residual_supports_drop_what_a_fresh_bound_drops():
+    # one propagator per database, posted without a GroupChoice so that any
+    # partial aux state can be set, meets many open-V states in turn; its
+    # residual supports persist from state to state.  In each, whether it
+    # fails and the items it drops are what _best of a fresh propagator
+    # decides.  The supports must have answered, and gone stale both ways:
+    # holding a ruled-out group, and missing a chosen one
+    rng = random.Random(37)
+    seen = Counter()
+    for _ in range(60):
+        n, m = rng.randint(2, 6), rng.randint(3, 8)
+        density = rng.uniform(0.3, 0.8)
+        rows = [[i for i in range(1, n + 1) if rng.random() < density] for _ in range(m)]
+        db = TransactionDatabase.from_rows(rows, item_count=n)
+        theta = rng.choice((Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)))
+        choices = _random_choice(rng, m)
+        items, trans = span_bits(1, n), span_bits(1, m)
+        s = Solver()
+        s.add(ROLE_H, n)
+        s.add(ROLE_V, m)
+        s.add(ROLE_X, n)
+        first = s.add(ROLE_AUX, len(choices[0]))
+        prop = ClosedPatternSub(db, theta, rng.random() < 0.5, choices, first)
+        s.post(prop)
+        if s.root_failed:
+            continue
+        flags = prop.flags
+        for _ in range(25):
+            s.push_level()
+            chosen = [k for k in range(len(flags)) if rng.random() < 0.25]
+            out = [k for k in range(len(flags)) if k not in chosen and rng.random() < 0.3]
+            live = [k for k in range(len(flags)) if k not in chosen + out]
+            s.assign_bits(ROLE_AUX, sum(flags[k] for k in chosen), 1)
+            s.assign_bits(ROLE_AUX, sum(flags[k] for k in out), 0)
+            x0 = s.fixed(ROLE_X)[1]
+            x1 = bits_of(i for i in iter_bits(items & ~x0) if rng.random() < 0.2)
+            s.assign_bits(ROLE_X, x1, 1)
+            free = items & ~(x0 | x1)
+            fresh = ClosedPatternSub(db, theta, prop.closed, choices, first)
+            cov = meet_columns(db, trans, x1)
+            covers = {i: cov & db.columns[i] for i in iter_bits(free)}
+            for c in [cov] * bool(x1) + list(covers.values()):
+                support = prop.supports.get(c)
+                if support is not None:
+                    held = not (sum(flags[k] for k in out) & support)
+                    seen["ruled out"] += not held
+                    missing = any(not flags[k] & support for k in chosen)
+                    seen["chosen outside"] += missing
+                    seen["held"] += held and not missing
+            fails = bool(x1) and fresh._best(cov, chosen, live) < 0
+            drops = bits_of(i for i, c in covers.items() if fresh._best(c, chosen, live) < 0)
+            ok = s.propagate_to_fixpoint()
+            assert ok == (not fails), (rows, theta, choices, chosen, out, x1)
+            if ok:
+                assert s.fixed(ROLE_X)[1] & free == drops, (rows, theta, choices, chosen, out, x1)
+            s.pop_level()
+    assert min(seen["ruled out"], seen["chosen outside"], seen["held"]) >= 200, seen

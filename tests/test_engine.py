@@ -1,12 +1,13 @@
 import random
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
 from helpers import (
     UNASSIGNED, CardinalityRange, Channel, add_vars, assign, positions, snapshot, value,
 )
-from submine.engine import ROLE_AUX, ROLE_H, ROLE_X, Propagator, Solver
+from submine.engine import ROLE_AUX, ROLE_H, ROLE_V, ROLE_X, Propagator, SearchTimeout, Solver
 
 
 def _bit(s, v):
@@ -345,3 +346,51 @@ def test_role_bitsets_follow_assign_propagate_and_pop():
                 assert snapshot(s, variables) == saved.pop()
             for role in roles:
                 assert s.fixed(role) == _rebuilt(s, variables, role)
+
+
+# ------------------------------------------------------------ decision step
+
+
+def test_search_stopped_partway_keeps_its_counts(monkeypatch):
+    # h1 >= h2 >= v >= x1 >= x2.  The fake clock reads 1, 2, ...: read 1
+    # is the root's, read k + 1 the k-th decision's, so a deadline of d
+    # stops the search before decision d.  Each row is (d, nodes,
+    # masks_reached, solutions) when it stops; d = 11 lets it finish
+    expected = [
+        (1, 0, 0, 0), (2, 1, 0, 0), (3, 2, 0, 0), (4, 3, 1, 0), (5, 4, 1, 0),
+        (6, 5, 1, 1), (7, 6, 1, 2), (8, 7, 1, 3), (9, 8, 2, 4), (10, 9, 3, 5),
+    ]
+    for d, nodes, masks, solutions in [*expected, (11, 10, 4, 6)]:
+        s = Solver()
+        chain = add_vars(s, ROLE_H, 2) + add_vars(s, ROLE_V, 1) + add_vars(s, ROLE_X, 2)
+        for gate, dep in zip(chain, chain[1:]):
+            s.post(Channel(gate, dep))
+        reads = iter(range(1, 100))
+        monkeypatch.setattr("submine.engine.time", SimpleNamespace(monotonic=lambda: next(reads)))
+        if d <= len(expected):
+            with pytest.raises(SearchTimeout):
+                s.search_all(deadline=d)
+        else:
+            assert s.search_all(deadline=d) == solutions
+        assert s.stats == {"nodes": nodes, "masks_reached": masks, "solutions": solutions}, d
+
+
+def test_pop_level_drops_an_assignment_left_without_its_fixpoint():
+    s = Solver()
+    a, b = add_vars(s, ROLE_X, 2)
+    counting = _Counting(a, b)
+    s.post(counting)
+    before = snapshot(s, [a, b])
+    s.push_level()
+    # a wakes the propagator, but no fixpoint runs before the level closes
+    assert assign(s, a, 1)
+    s.pop_level()
+    assert snapshot(s, [a, b]) == before == (UNASSIGNED, UNASSIGNED)
+    # the queue is empty: a fixpoint runs nothing
+    assert s.propagate_to_fixpoint() and counting.calls == 1
+    # and nothing stays marked queued: a new assignment wakes it
+    s.push_level()
+    assert assign(s, a, 1) and s.propagate_to_fixpoint()
+    assert counting.calls == 2 and value(s, b) == 1
+    s.pop_level()
+    assert snapshot(s, [a, b]) == before

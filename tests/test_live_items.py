@@ -7,6 +7,7 @@ mines each distinct live part once."""
 
 import random
 import time
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -130,8 +131,12 @@ def test_baseline_mines_once_per_distinct_live_part(monkeypatch):
 def test_lift_reads_the_deadline(engine):
     # item 1 is in all 16 rows, each other item in one: only item 1 is
     # live, so the one answer {1} is lifted to 2^16 item masks (item 1's
-    # group and any of the 16 others).  The cp search fixes everything at
-    # the root and never reads the clock; the lift must
+    # group and any of the 16 others).  Without a deadline, each engine
+    # lifts it to all of them, cp with no search node: its root fixes
+    # everything.  With a deadline already passed, each engine stops before
+    # its lift: cp at search_all's read before the root, baseline at the
+    # mask walk's read at the first mask.  That cp's lift reads the clock
+    # is checked by test_cp_lift_reads_the_clock_after_the_search
     db = TransactionDatabase.from_rows([[1, j] for j in range(2, 18)])
     ischeme = PartitionScheme.build("items", 17, [])  # one group per item
     q = Query(theta=HALF, items=AxisConstraint.group_bounds(1, 17))
@@ -180,3 +185,30 @@ def test_cp_lifts_only_the_answers():
     elapsed = time.perf_counter() - started
     assert theory == []
     assert elapsed < 1.0, f"cp took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        Query(theta=HALF),
+        Query(theta=HALF, items=AxisConstraint.group_bounds(1, 2)),
+        Query(theta=HALF, min_size=2, items=AxisConstraint.group_bounds(2, 3),
+              trans=AxisConstraint.group_bounds(1, 2)),
+        # no item group holds a live item: the solver fails at the root
+        Query(theta=Fraction(1), items=AxisConstraint.group_bounds(3, 3)),
+    ],
+)
+def test_cp_reads_the_live_items_once_per_query(monkeypatch, db1, items3, trans3, query):
+    # the projected item choice and the lift come from one projection
+    calls = []
+    counted = queries.live_items
+
+    def live_items_counted(*args):
+        calls.append(args)
+        return counted(*args)
+
+    monkeypatch.setattr(queries, "live_items", live_items_counted)
+    theory = run_theory(db1, query, items3, trans3, engine="cp")
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert theory == run_theory(db1, query, items3, trans3, engine="baseline")
