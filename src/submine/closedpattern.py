@@ -35,8 +35,9 @@ the state allows, so ``best(c) ≥ 0`` and the itemset survives untested.
 Otherwise a new support is sought: the chosen groups and the shortest run
 of live ones, highest score first, that reaches lb groups and a sum ≥ 0
 within ub, ties going to the higher index, whose indicator the search
-fixes later; ``best`` decides only when there is none.  The decisions are
-exactly ``best``'s, and a support that still holds costs two ANDs.
+fixes later.  That walk adds the scores in ``best``'s order, so when it
+finds no support its sum is ``best(c)``.  The decisions are exactly
+``best``'s, and a support that still holds costs two ANDs.
 Once V is fixed, the test is exact: ``q·|cover ∧ V₁| ≥ p·|V₁|``.  A
 propagator posted without a choice, as a mining-only solver is, runs no
 test while V is open.  The test fails when the cover of X₁ cannot reach
@@ -106,7 +107,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .dataset import TransactionDatabase, best_choice, meet_columns, span_bits
+from .dataset import TransactionDatabase, meet_columns, span_bits
 from .engine import ROLE_AUX, ROLE_H, ROLE_V, ROLE_X, Propagator, Solver
 
 
@@ -166,18 +167,6 @@ class ClosedPatternSub(Propagator):
         self.slot = s.new_slot()
         s.slots[self.slot] = (None, None, 0)
 
-    def _open_groups(self, f1: int, f0: int) -> tuple[list[int], list[int]]:
-        """Indices of the chosen and of the live groups, given the aux
-        positions fixed to 1 and to 0."""
-        chosen = []
-        live = []
-        for k, flag in enumerate(self.flags):
-            if f1 & flag:
-                chosen.append(k)
-            elif not f0 & flag:
-                live.append(k)
-        return chosen, live
-
     def _scores(self, cover: int) -> list[int]:
         """``q·|cover ∧ g| − p·|g|`` per group g."""
         scores = self.scores.get(cover)
@@ -187,40 +176,30 @@ class ClosedPatternSub(Propagator):
             self.scores[cover] = scores
         return scores
 
-    def _best(self, cover: int, chosen: list[int], live: list[int]) -> int:
-        """The largest ``Σ q·|cover ∧ g| − p·|g|`` over the group choices
-        that keep every chosen group, no ruled-out one and lb..ub in all."""
-        scores = self._scores(cover)
-        total = 0
-        for k in chosen:
-            total += scores[k]
-        ranked = sorted([scores[k] for k in live], reverse=True)
-        return best_choice(total, len(chosen), ranked, self.lb, self.ub)
-
-    def _reaches(
-        self, cover: int, chosen: int, out: int, groups: tuple[list[int], list[int]]
-    ) -> bool:
-        """Whether ``_best(cover, *groups) >= 0``.  ``chosen`` and ``out``
-        are the indicator bits of the chosen and the ruled-out groups,
-        ``groups`` their indices as ``_open_groups`` gives them.  The
-        cover's residual support answers while it holds every chosen
-        group and no ruled-out one.  Otherwise the new support is the
-        chosen groups and the shortest run of live ones, highest score
-        first, that reaches lb groups and a score sum >= 0 within ub; and
-        without one, ``_best`` decides.  Either support is a choice the
-        state allows with a sum >= 0, so ``_best`` reaches 0 too."""
+    def _reaches(self, cover: int, chosen: int, out: int) -> bool:
+        """Whether ``best(cover) >= 0``: some group choice that keeps every
+        chosen group, no ruled-out one and lb..ub in all has a score sum
+        >= 0.  ``chosen`` and ``out`` are the indicator bits of the chosen
+        and the ruled-out groups.  The cover's residual support answers
+        while it holds every chosen group and no ruled-out one.
+        Otherwise the new support is the chosen groups and the shortest
+        run of live ones, highest score first, that reaches lb groups and
+        a score sum >= 0 within ub."""
         support = self.supports.get(cover)
         if support is not None and not (chosen & ~support or out & support):
             return True
         scores = self._scores(cover)
-        picked, live = groups
         lb, ub = self.lb, self.ub
-        total = 0
-        for k in picked:
-            total += scores[k]
-        count = len(picked)
-        support = chosen
         flags = self.flags
+        total = count = 0
+        live = []
+        for k, flag in enumerate(flags):
+            if chosen & flag:
+                total += scores[k]
+                count += 1
+            elif not out & flag:
+                live.append(k)
+        support = chosen
         # ties go to the higher index, whose indicator the search fixes later
         for k in sorted(reversed(live), key=scores.__getitem__, reverse=True):
             if total >= 0 and count >= lb or count >= ub:
@@ -231,7 +210,10 @@ class ClosedPatternSub(Propagator):
         if total >= 0 and lb <= count <= ub:
             self.supports[cover] = support
             return True
-        return self._best(cover, picked, live) >= 0
+        # no support: the walk added the scores in best_choice's order and
+        # stopped where it stops, so its sum is best's, also in a state no
+        # choice satisfies (more than ub chosen, or lb out of reach)
+        return total >= 0
 
     def _bounds(self, x1: int, free: int) -> tuple[int, int] | None:
         """The free items the span rule fixes to 0 and those the size rule
@@ -296,15 +278,14 @@ class ClosedPatternSub(Propagator):
                 cov = meet_columns(self.db, trans, x1)
                 f1, f0 = s.fixed(ROLE_AUX)
                 chosen, out = f1 & self.indicators, f0 & self.indicators
-                groups = self._open_groups(f1, f0)
                 reaches = self._reaches
-                if x1 and not reaches(cov, chosen, out, groups):
+                if x1 and not reaches(cov, chosen, out):
                     return False
                 fr = free
                 while fr:
                     low = fr & -fr
                     fr ^= low
-                    if not reaches(cov & cols[low.bit_length() - 1], chosen, out, groups):
+                    if not reaches(cov & cols[low.bit_length() - 1], chosen, out):
                         drop |= low
         else:
             h1 = (h1 | x1) & items  # as the channeling left it

@@ -20,7 +20,7 @@ from submine import PartitionScheme, Query, TransactionDatabase, run_theory
 from submine.cli import _random_groups
 from submine.closedpattern import ClosedPatternSub
 from submine.constraints import GroupChoice
-from submine.dataset import bits_of, iter_bits, meet_columns, span_bits
+from submine.dataset import best_choice, bits_of, iter_bits, meet_columns, span_bits
 from submine.engine import ROLE_AUX, ROLE_H, ROLE_V, ROLE_X, Solver
 from submine.queries import AxisConstraint
 from submine.reference import brute_force_theory
@@ -509,9 +509,9 @@ def test_residual_supports_drop_what_a_fresh_bound_drops():
     # one propagator per database, posted without a GroupChoice so that any
     # partial aux state can be set, meets many open-V states in turn; its
     # residual supports persist from state to state.  In each, whether it
-    # fails and the items it drops are what _best of a fresh propagator
-    # decides.  The supports must have answered, and gone stale both ways:
-    # holding a ruled-out group, and missing a chosen one
+    # fails and the items it drops are what a fresh best_choice over the
+    # group scores decides.  The supports must have answered, and gone
+    # stale both ways: holding a ruled-out group, and missing a chosen one
     rng = random.Random(37)
     seen = Counter()
     for _ in range(60):
@@ -543,7 +543,16 @@ def test_residual_supports_drop_what_a_fresh_bound_drops():
             x1 = bits_of(i for i in iter_bits(items & ~x0) if rng.random() < 0.2)
             s.assign_bits(ROLE_X, x1, 1)
             free = items & ~(x0 | x1)
-            fresh = ClosedPatternSub(db, theta, prop.closed, choices, first)
+            groups, lb, ub = choices
+
+            def best(c):
+                scores = [
+                    theta.denominator * (c & g).bit_count() - theta.numerator * g.bit_count()
+                    for g in groups
+                ]
+                ranked = sorted((scores[k] for k in live), reverse=True)
+                return best_choice(sum(scores[k] for k in chosen), len(chosen), ranked, lb, ub)
+
             cov = meet_columns(db, trans, x1)
             covers = {i: cov & db.columns[i] for i in iter_bits(free)}
             for c in [cov] * bool(x1) + list(covers.values()):
@@ -554,8 +563,8 @@ def test_residual_supports_drop_what_a_fresh_bound_drops():
                     missing = any(not flags[k] & support for k in chosen)
                     seen["chosen outside"] += missing
                     seen["held"] += held and not missing
-            fails = bool(x1) and fresh._best(cov, chosen, live) < 0
-            drops = bits_of(i for i, c in covers.items() if fresh._best(c, chosen, live) < 0)
+            fails = bool(x1) and best(cov) < 0
+            drops = bits_of(i for i, c in covers.items() if best(c) < 0)
             ok = s.propagate_to_fixpoint()
             assert ok == (not fails), (rows, theta, choices, chosen, out, x1)
             if ok:
