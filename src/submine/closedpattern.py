@@ -18,26 +18,33 @@ per-group support bound over the transaction axis's group choice
 (``choices``, read through the group indicator positions): support over a
 union of disjoint groups is the sum of the per-group supports (the
 partition counting of Savasere, Omiecinski & Navathe, VLDB 1995).  For a
-cover c, group g scores ``q·|c ∧ g| − p·|g|``; ``best(c)`` adds the scores
-of the chosen groups and, greedily and in descending order, those of the
-live groups that raise the sum or are needed to reach lb, up to ub
-(``dataset.best_choice``, which ``baseline``'s search shares).  An itemset
-whose cover lies within c is frequent in no completion of the mask when
-``best(c) < 0``; with no live group left, ``best`` is the exact test over
-the chosen groups.  The bound is sound only when the groups of one choice
-are disjoint (one partition level) or at most one is chosen (ub = 1,
-one-of-levels); the constructor refuses anything else.  The test skips
-``best`` on residual supports (Lecoutre & Hemery, IJCAI 2007): beside its
-group scores, each cover keeps a support, the indicator bits of the last
+cover c, group g scores ``q·|c ∧ g| − p·|g|``; ``best(c)`` is the greedy
+bound of ``dataset.best_choice``: it adds the scores of the chosen groups
+and, in descending order, those of the live groups that raise the sum or
+are needed to reach lb, up to ub.  An itemset whose cover lies within c
+is frequent in no completion of the mask when ``best(c) < 0``; with no
+live group left, ``best`` is the exact test over the chosen groups.  The
+bound is sound only when the groups of one choice are disjoint (one
+partition level) or at most one is chosen (ub = 1, one-of-levels); the
+constructor refuses anything else.  ``cp`` decides it in ``_reaches``,
+on residual supports (Lecoutre & Hemery, IJCAI 2007), and never calls
+``best_choice``, which ``baseline``'s search (``reference._mine``) and the
+live items (``queries.live_items``) call.  The first time a cover is
+tested, its ranking is computed once for the life of the propagator: the
+(indicator bit, score) pairs of the groups in descending score, ties
+going to the higher index, whose indicator the search fixes later.
+Beside it each cover keeps a support, the indicator bits of the last
 group choice found with a score sum ≥ 0.  While every chosen group is in
 the support and none of its groups is ruled out, the support is a choice
 the state allows, so ``best(c) ≥ 0`` and the itemset survives untested.
-Otherwise a new support is sought: the chosen groups and the shortest run
-of live ones, highest score first, that reaches lb groups and a sum ≥ 0
-within ub, ties going to the higher index, whose indicator the search
-fixes later.  That walk adds the scores in ``best``'s order, so when it
-finds no support its sum is ``best(c)``.  The decisions are exactly
-``best``'s, and a support that still holds costs two ANDs.
+Otherwise a new support is sought in two passes over the ranking: one
+sums the scores of the chosen groups, and one walks down it past the
+chosen and the ruled-out groups, adding live ones until the choice has
+lb groups and a sum ≥ 0, or ub groups; that run with the chosen groups
+is the new support.  The walk adds the scores in ``best``'s order, so
+when it finds no support its sum is ``best(c)``.  The decisions are
+exactly ``best``'s, a support that still holds costs two ANDs, and a
+stale one builds no list and sorts nothing.
 Once V is fixed, the test is exact: ``q·|cover ∧ V₁| ≥ p·|V₁|``.  A
 propagator posted without a choice, as a mining-only solver is, runs no
 test while V is open.  The test fails when the cover of X₁ cannot reach
@@ -105,6 +112,7 @@ the propagator calls itself once more, and the mining rules run on it.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 from .dataset import TransactionDatabase, meet_columns, span_bits
@@ -143,10 +151,11 @@ class ClosedPatternSub(Propagator):
                 self.groups.append((g, g.bit_count()))
         self.flags = [1 << first + j for j in range(len(self.groups))]
         self.indicators = sum(self.flags)
-        # group scores per distinct cover, for the life of the propagator,
-        # and beside them the cover's residual support: the indicator bits
-        # of the last group choice found with a score sum >= 0
-        self.scores: dict[int, list[int]] = {}
+        # the ranking of the groups per distinct cover, for the life of the
+        # propagator, and beside it the cover's residual support: the
+        # indicator bits of the last group choice found with a score sum
+        # >= 0
+        self.rankings: dict[int, tuple[tuple[int, int], ...]] = {}
         self.supports: dict[int, int] = {}
         self.db = db
         self.p = theta.numerator
@@ -167,14 +176,18 @@ class ClosedPatternSub(Propagator):
         self.slot = s.new_slot()
         s.slots[self.slot] = (None, None, 0)
 
-    def _scores(self, cover: int) -> list[int]:
-        """``q·|cover ∧ g| − p·|g|`` per group g."""
-        scores = self.scores.get(cover)
-        if scores is None:
-            p, q = self.p, self.q
-            scores = [q * (cover & g).bit_count() - p * size for g, size in self.groups]
-            self.scores[cover] = scores
-        return scores
+    def _rank(self, cover: int) -> tuple[tuple[int, int], ...]:
+        """The (indicator bit, score) pairs of the groups, score
+        ``q·|cover ∧ g| − p·|g|``, in descending score, ties going to the
+        higher index, whose indicator the search fixes later."""
+        p, q = self.p, self.q
+        pairs = [
+            (flag, q * (cover & g).bit_count() - p * size)
+            for flag, (g, size) in zip(self.flags, self.groups)
+        ]
+        pairs.reverse()
+        pairs.sort(key=itemgetter(1), reverse=True)  # stable: the reversal breaks ties
+        return tuple(pairs)
 
     def _reaches(self, cover: int, chosen: int, out: int) -> bool:
         """Whether ``best(cover) >= 0``: some group choice that keeps every
@@ -183,30 +196,30 @@ class ClosedPatternSub(Propagator):
         and the ruled-out groups.  The cover's residual support answers
         while it holds every chosen group and no ruled-out one.
         Otherwise the new support is the chosen groups and the shortest
-        run of live ones, highest score first, that reaches lb groups and
-        a score sum >= 0 within ub."""
+        run of live ones down the cover's ranking that reaches lb groups
+        and a score sum >= 0 within ub."""
         support = self.supports.get(cover)
         if support is not None and not (chosen & ~support or out & support):
             return True
-        scores = self._scores(cover)
+        ranking = self.rankings.get(cover)
+        if ranking is None:
+            ranking = self.rankings[cover] = self._rank(cover)
         lb, ub = self.lb, self.ub
-        flags = self.flags
-        total = count = 0
-        live = []
-        for k, flag in enumerate(flags):
-            if chosen & flag:
-                total += scores[k]
-                count += 1
-            elif not out & flag:
-                live.append(k)
+        total = 0
+        if chosen:
+            for flag, score in ranking:
+                if chosen & flag:
+                    total += score
+        count = chosen.bit_count()
         support = chosen
-        # ties go to the higher index, whose indicator the search fixes later
-        for k in sorted(reversed(live), key=scores.__getitem__, reverse=True):
+        skip = chosen | out
+        for flag, score in ranking:
             if total >= 0 and count >= lb or count >= ub:
                 break
-            total += scores[k]
-            count += 1
-            support |= flags[k]
+            if not skip & flag:
+                total += score
+                count += 1
+                support |= flag
         if total >= 0 and lb <= count <= ub:
             self.supports[cover] = support
             return True

@@ -25,7 +25,14 @@ class GroupChoice(Propagator):
     ``groups`` are member bitsets over the positions ``bits`` of the axis
     role; group k's indicator is aux position ``first + k``.
 
-    A group is chosen, ruled out, or live (indicator free).  Every
+    A group is chosen, ruled out, or live (indicator free).  A call makes
+    one pass over the groups, which yields the members of the chosen
+    ones, the indicator bits of the ruled-out and the live ones, and the
+    union of the live ones' members; the rules then count and narrow
+    those bitsets.  The live groups are a bitset, as Compact-Table's
+    valid tuples are (Demeulenaere et al., CP 2016), but recomputed per
+    call, not kept reversibly.  Only a rule that drops or picks some of
+    the live groups, not all, passes over the groups again.  Every
     failure test runs before the first assignment, so a call that fails
     fixes nothing and never completes a mask."""
 
@@ -49,59 +56,89 @@ class GroupChoice(Propagator):
         a1, a0 = s.fixed(self.role)
         a1 &= self.bits
         lb, ub = self.lb, self.ub
-        n1 = covered = take = out = 0
-        live = []
+        # one pass: the members of the chosen groups, and the indicator
+        # bits of the groups ruled out here and of the live ones, with the
+        # union of the live groups' members
+        covered = held = live = take = out = 0
         for flag, members in self.groups:
             if f1 & flag:
                 if members & a0:
                     return False
-                n1 += 1
                 covered |= members
             elif not f0 & flag:
                 if members & a0:
                     out |= flag  # a member is inactive
                 else:
-                    live.append((flag, members))
+                    live |= flag
+                    held |= members
+        n1 = (f1 & self.indicators).bit_count()
         while True:
-            if n1 > ub or n1 + len(live) < lb:
+            n = live.bit_count()
+            if n1 > ub or n1 + n < lb:
                 return False
             need = a1 & ~covered  # active positions no chosen group holds
-            if n1 == ub or (n1 == ub - 1 and need):
-                # at most one more group, and it must hold all of need
-                dropped = [g for g in live if n1 == ub or need & ~g[1]]
+            # at ub no more group; at ub - 1 one more, which must hold
+            # all of need
+            if n1 == ub and live:
+                out |= live
+                live = held = 0
+                continue
+            if n1 == ub - 1 and need:
+                dropped = self._missing(live, need)
                 if dropped:
-                    for flag, _ in dropped:
-                        out |= flag
-                    live = [g for g in live if not out & g[0]]
+                    out |= dropped
+                    live ^= dropped
+                    held = self._union(live)
                     continue
-            pick = []
+            pick = 0
             if need:
-                once = twice = 0
-                for _, members in live:
-                    twice |= once & members
-                    once |= members
-                if need & ~once:
+                if need & ~held:
                     return False
                 # positions only one live group holds choose that group
-                pick = [g for g in live if g[1] & need & ~twice]
-            if n1 + len(live) == lb:
+                pick = self._unique(live, need)
+            if n1 + n == lb:
                 pick = live
             if not pick:
                 break
-            for flag, members in pick:
-                take |= flag
-                covered |= members
-            n1 += len(pick)
-            live = [g for g in live if not take & g[0]]
-        held = covered
-        for _, members in live:
-            held |= members
+            take |= pick
+            n1 += pick.bit_count()
+            if pick == live:
+                covered |= held
+                live = held = 0
+            else:
+                # held keeps the picked groups' members, now covered
+                covered |= self._union(pick)
+                live ^= pick
         return (
             s.assign_bits(ROLE_AUX, take, 1)
             and s.assign_bits(ROLE_AUX, out, 0)
             and s.assign_bits(self.role, covered, 1)
-            and s.assign_bits(self.role, self.bits & ~held, 0)
+            and s.assign_bits(self.role, self.bits & ~(covered | held), 0)
         )
+
+    def _union(self, flags: int) -> int:
+        """The members of the groups whose indicator bits ``flags`` holds."""
+        union = 0
+        for flag, members in self.groups:
+            if flags & flag:
+                union |= members
+        return union
+
+    def _missing(self, flags: int, need: int) -> int:
+        """The indicator bits of the groups of ``flags`` that miss a
+        position of ``need``."""
+        return sum(flag for flag, members in self.groups if flags & flag and need & ~members)
+
+    def _unique(self, flags: int, need: int) -> int:
+        """The indicator bits of the groups of ``flags`` that hold a
+        position of ``need`` no other group of ``flags`` holds."""
+        once = twice = 0
+        for flag, members in self.groups:
+            if flags & flag:
+                twice |= once & members
+                once |= members
+        unique = need & ~twice
+        return sum(flag for flag, members in self.groups if flags & flag and members & unique)
 
 
 # ------------------------------------------------------------ posting API

@@ -95,6 +95,7 @@ FERRARI_BITS = bits_of([FERRARI])
 # on random partial states with a fully assigned mask.
 
 from submine.closedpattern import ClosedPatternSub
+from submine.constraints import GroupChoice
 from submine.dataset import span_bits
 from submine.engine import ROLE_AUX, ROLE_H, ROLE_V, ROLE_X, Propagator, Solver
 
@@ -161,6 +162,73 @@ class Channel(Propagator):
         if value(s, self.dep) == 1:
             return assign(s, self.gate, 1)
         return True
+
+
+class ListGroupChoice(GroupChoice):
+    """``GroupChoice`` with the propagator it replaced, which lists the
+    live groups on every call: the reference the bitset propagator must
+    match, fixpoint for fixpoint.  Defined outside ``constraints``, so
+    the benchmark's tracer, which counts the calls of every propagator
+    class there, never sees it."""
+
+    def propagate(self, s: Solver) -> bool:
+        f1, f0 = s.fixed(ROLE_AUX)
+        a1, a0 = s.fixed(self.role)
+        a1 &= self.bits
+        lb, ub = self.lb, self.ub
+        n1 = covered = take = out = 0
+        live = []
+        for flag, members in self.groups:
+            if f1 & flag:
+                if members & a0:
+                    return False
+                n1 += 1
+                covered |= members
+            elif not f0 & flag:
+                if members & a0:
+                    out |= flag  # a member is inactive
+                else:
+                    live.append((flag, members))
+        while True:
+            if n1 > ub or n1 + len(live) < lb:
+                return False
+            need = a1 & ~covered  # active positions no chosen group holds
+            if n1 == ub or (n1 == ub - 1 and need):
+                # at most one more group, and it must hold all of need
+                dropped = [g for g in live if n1 == ub or need & ~g[1]]
+                if dropped:
+                    for flag, _ in dropped:
+                        out |= flag
+                    live = [g for g in live if not out & g[0]]
+                    continue
+            pick = []
+            if need:
+                once = twice = 0
+                for _, members in live:
+                    twice |= once & members
+                    once |= members
+                if need & ~once:
+                    return False
+                # positions only one live group holds choose that group
+                pick = [g for g in live if g[1] & need & ~twice]
+            if n1 + len(live) == lb:
+                pick = live
+            if not pick:
+                break
+            for flag, members in pick:
+                take |= flag
+                covered |= members
+            n1 += len(pick)
+            live = [g for g in live if not take & g[0]]
+        held = covered
+        for _, members in live:
+            held |= members
+        return (
+            s.assign_bits(ROLE_AUX, take, 1)
+            and s.assign_bits(ROLE_AUX, out, 0)
+            and s.assign_bits(self.role, covered, 1)
+            and s.assign_bits(self.role, self.bits & ~held, 0)
+        )
 
 
 # Size and span bounds as propagators of their own.  ClosedPatternSub

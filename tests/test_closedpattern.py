@@ -571,3 +571,60 @@ def test_residual_supports_drop_what_a_fresh_bound_drops():
                 assert s.fixed(ROLE_X)[1] & free == drops, (rows, theta, choices, chosen, out, x1)
             s.pop_level()
     assert min(seen["ruled out"], seen["chosen outside"], seen["held"]) >= 200, seen
+
+
+def test_tied_groups_rank_the_higher_index_first():
+    # item 1 holds one row of each of T1 and T2, item 2 two rows of T1 and
+    # one of T2; at θ = 1/2 a group scores 2·|cover ∧ g| − |g|.  The
+    # support of item 1's cover, where the two groups tie, is T2: the
+    # search fixes T1's indicator first, and the support outlives T1's
+    # ruling out
+    db = TransactionDatabase.from_rows([[1, 2], [2], [1, 2], []], item_count=2)
+    groups = (bits_of([1, 2]), bits_of([3, 4]))
+    s = Solver()
+    s.add(ROLE_H, 2)
+    s.add(ROLE_V, 4)
+    s.add(ROLE_X, 2)
+    first = s.add(ROLE_AUX, 2)
+    prop = ClosedPatternSub(db, HALF, True, (groups, 1, 1), first)
+    s.post(prop)
+    assert not s.root_failed
+    t1, t2 = prop.flags
+    tied, apart = db.columns[1], db.columns[2]
+    assert prop.rankings == {tied: ((t2, 0), (t1, 0)), apart: ((t1, 2), (t2, 0))}
+    assert prop.supports == {tied: t2, apart: t1}
+
+
+def test_each_cover_is_ranked_once(monkeypatch):
+    # over whole searches, a cover's ranking is computed the first time a
+    # test finds no support that holds, and every later walk reuses it
+    ranked = Counter()
+    reused = 0
+    props = {}
+    rank, reaches = ClosedPatternSub._rank, ClosedPatternSub._reaches
+
+    def counted_rank(prop, cover):
+        ranked[id(prop), cover] += 1
+        return rank(prop, cover)
+
+    def counted_reaches(prop, cover, chosen, out):
+        nonlocal reused
+        props[id(prop)] = prop
+        support = prop.supports.get(cover)
+        stale = support is None or chosen & ~support or out & support
+        reused += bool(stale) and cover in prop.rankings
+        return reaches(prop, cover, chosen, out)
+
+    monkeypatch.setattr(ClosedPatternSub, "_rank", counted_rank)
+    monkeypatch.setattr(ClosedPatternSub, "_reaches", counted_reaches)
+    rng = random.Random(35)
+    for _ in range(40):
+        n, m = rng.randint(2, 6), rng.randint(3, 8)
+        rows = [[i for i in range(1, n + 1) if rng.random() < 0.6] for _ in range(m)]
+        db = TransactionDatabase.from_rows(rows, item_count=n)
+        theta = rng.choice((Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)))
+        s, _ = _path_model(db, theta, True, _random_choice(rng, m))
+        s.search_all()
+    assert set(ranked.values()) == {1}
+    assert sum(len(p.rankings) for p in props.values()) == len(ranked)
+    assert reused >= 100, reused

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,6 +13,7 @@ from helpers import (
     G,
     HALF,
     K,
+    ListGroupChoice,
     add_vars,
     assign,
     snapshot,
@@ -178,6 +180,62 @@ def test_group_choice_against_brute_force():
         found = []
         s.search_all(on_solution=lambda: found.append(snapshot(s, handles)))
         assert sorted(found) == sorted(extending)
+
+
+def _group_choice_state(rng, size, groups, ub):
+    """Indicator and axis values (position -> value, indicators first, as
+    in ``test_group_choice_against_brute_force``): random ones, or ub - 1
+    groups chosen, others ruled out now and then, and active positions
+    that the chosen groups may not hold."""
+    k = len(groups)
+    if ub >= 1 and rng.random() < 0.5:
+        state = {g: 1 for g in rng.sample(range(k), ub - 1)}
+        state.update({g: 0 for g in range(k) if g not in state and rng.random() < 0.2})
+    else:
+        state = {g: rng.randint(0, 1) for g in range(k) if rng.random() < 0.3}
+    density = rng.uniform(0, 0.6)
+    for j in range(size):
+        if rng.random() < density:
+            state[k + j] = rng.randint(0, 1) if rng.random() < 0.5 else 1
+    return state
+
+
+def _laminar(groups):
+    return all(not a & b or a & b in (a, b) for a, b in combinations(groups, 2))
+
+
+def test_group_choice_fixpoint_matches_the_reference():
+    # the bitset propagator against the list-based one it replaced: the
+    # same failures and, after one fixpoint, the same ones and zeros on
+    # the indicators and on the axis
+    rng = random.Random(35)
+    tags = Counter()
+    for _ in range(2500):
+        size, groups, lb, ub, one_level = _group_choice_case(rng)
+        k = len(groups)
+        state = _group_choice_state(rng, size, groups, ub)
+        chosen = [g for g in range(k) if state.get(g) == 1]
+        covered = 0
+        for g in chosen:
+            covered |= groups[g]
+        active = bits_of(j + 1 for j in range(size) if state.get(k + j) == 1)
+        tags["lb = 0"] += lb == 0
+        tags["one level" if one_level else "laminar" if _laminar(groups) else "crossing"] += 1
+        tags["ub - 1 chosen, active uncovered"] += len(chosen) == ub - 1 and bool(active & ~covered)
+        fixpoints = []
+        for cls in (GroupChoice, ListGroupChoice):
+            s = Solver()
+            indicators = add_vars(s, ROLE_AUX, k)
+            handles = indicators + add_vars(s, ROLE_V, size)
+            for p, b in state.items():
+                assign(s, handles[p], b)
+            s.post(cls(groups, ROLE_V, span_bits(1, size), indicators[0][1], lb, ub))
+            fixpoints.append(
+                (s.root_failed, None if s.root_failed else (s.fixed(ROLE_AUX), s.fixed(ROLE_V)))
+            )
+        assert fixpoints[0] == fixpoints[1], (size, groups, lb, ub, state)
+        tags["failed" if fixpoints[0][0] else "held"] += 1
+    assert min(tags.values()) >= 100 and len(tags) == 7, tags
 
 
 # ------------------------------------------------------------ category span
